@@ -1,28 +1,17 @@
-"""Churn-coalescing benchmark: burst-heavy fleet serving, eager vs lazy.
+"""Churn benchmark: burst-heavy fleet serving on the coalescing fluid kernel.
 
 Runs one churn-dominated serving scenario — two pods of 8 front-end
 hosts whose tenants all egress over the shared WAN (so every job joins
 the fabric's one giant fluid component), fed 64-job same-timestamp
-arrival bursts of fixed-size transfers — under both churn modes of
-:mod:`repro.sim.fluid`:
+arrival bursts of fixed-size transfers.  Flow transitions at one
+instant mark components dirty and share a single rebalance flushed
+when the event clock advances, and each burst is dispatched through the
+broker's bulk ``submit_many`` → ``start_many`` path, so a 64-job burst
+pays one allocation pass over the WAN-coupled component instead of 64.
 
-* **eager** (``REPRO_CHURN=eager``) — the pre-coalescing behavior:
-  every flow start and finish re-settles and re-balances its component
-  immediately, so a 64-job burst pays 64 full allocation passes and a
-  same-instant completion wave pays one more per job;
-* **coalesce** (the default) — transitions mark components dirty and
-  defer to a single rebalance flushed when the event clock advances,
-  so the same burst (dispatched through the broker's bulk
-  ``submit_many`` → ``start_many`` path) pays one.
-
-The win is algorithmic — O(instants) instead of O(transitions) full
-allocation passes over the WAN-coupled component — and the checks pin
-the semantics contract: both modes complete exactly the same jobs,
-shed nothing, and produce byte-identical per-pod ledgers.
-
-The >=3x floor is the acceptance criterion (measured ~4x on one core;
-CI machines are noisy, the floor is the guarantee).  Refresh the
-committed baseline with::
+The checks are the burst census — completed, WAN and shed jobs —
+which the regression gate compares with the committed baseline.
+Refresh the baseline with::
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_broker_churn.py
     cp benchmarks/results/broker_churn.json benchmarks/baselines/
@@ -31,7 +20,6 @@ committed baseline with::
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from repro.service.fabric import FabricSpec, run_fabric
@@ -52,27 +40,6 @@ SPEC = FabricSpec(
     serve_s=2.0, horizon_s=3.5, epoch_dt=1.0,
     elephants_per_pod=2, elephant_gbps=4.0,
 )
-#: The coalescing acceptance floor: the lazy-settle run must beat the
-#: eager run by at least this much on the same scenario.
-MIN_SPEEDUP = float(os.environ.get("REPRO_CHURN_MIN_SPEEDUP", "3.0"))
-
-
-def _run_mode(mode: str) -> tuple[dict, float, int]:
-    """One single-process fabric run under REPRO_CHURN=*mode*."""
-    saved = os.environ.get("REPRO_CHURN")
-    os.environ["REPRO_CHURN"] = mode
-    try:
-        events_before = Simulator.events_processed_total
-        t0 = time.perf_counter()
-        result = run_fabric(SPEC, seed=SEED, sharded=False)
-        wall = time.perf_counter() - t0
-        events = Simulator.events_processed_total - events_before
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CHURN", None)
-        else:
-            os.environ["REPRO_CHURN"] = saved
-    return result, wall, events
 
 
 def _totals(result: dict) -> dict:
@@ -85,24 +52,18 @@ def _totals(result: dict) -> dict:
 
 
 def test_broker_churn_burst_serving(results_dir):
-    eager, wall_eager, _ = _run_mode("eager")
-    coalesce, wall_coalesce, events = _run_mode("coalesce")
+    events_before = Simulator.events_processed_total
+    t0 = time.perf_counter()
+    result = run_fabric(SPEC, seed=SEED, sharded=False)
+    wall = time.perf_counter() - t0
+    events = Simulator.events_processed_total - events_before
 
-    speedup = wall_eager / wall_coalesce if wall_coalesce > 0 else 0.0
-    et, ct = _totals(eager), _totals(coalesce)
-    identical = json.dumps(eager, sort_keys=True, default=str) == json.dumps(
-        coalesce, sort_keys=True, default=str)
-
+    totals = _totals(result)
     checks = [
-        ("ledgers-byte-identical", True, identical, identical),
-        ("completed-jobs-agree", et["completed"], ct["completed"],
-         ct["completed"] == et["completed"]),
-        ("wan-jobs-agree", et["wan_jobs"], ct["wan_jobs"],
-         ct["wan_jobs"] == et["wan_jobs"]),
-        ("jobs-completed-nonzero", True, ct["completed"] > 0,
-         ct["completed"] > 0),
-        ("jobs-shed", 0, et["shed"] + ct["shed"],
-         et["shed"] == 0 and ct["shed"] == 0),
+        ("completed-jobs", "> 0", totals["completed"],
+         totals["completed"] > 0),
+        ("wan-jobs", "> 0", totals["wan_jobs"], totals["wan_jobs"] > 0),
+        ("jobs-shed", 0, totals["shed"], totals["shed"] == 0),
     ]
     all_ok = all(ok for _, _, _, ok in checks)
 
@@ -111,8 +72,8 @@ def test_broker_churn_burst_serving(results_dir):
         "experiment_id": "broker-churn-burst",
         "quick": True,
         "ops": events,
-        "wall_seconds": wall_coalesce,
-        "events_per_sec": events / wall_coalesce if wall_coalesce > 0 else 0.0,
+        "wall_seconds": wall,
+        "events_per_sec": events / wall if wall > 0 else 0.0,
         "jobs": 1,
         "cache": None,
         "all_ok": all_ok,
@@ -120,29 +81,15 @@ def test_broker_churn_burst_serving(results_dir):
             {"metric": m, "paper": repr(p), "measured": repr(v), "ok": ok}
             for m, p, v, ok in checks
         ],
-        # Microbenchmark extras (ignored by the gate, kept for humans):
-        "wall_eager": wall_eager,
-        "wall_coalesce": wall_coalesce,
-        "speedup": speedup,
         "burst": SPEC.burst,
         "n_hosts": SPEC.n_hosts,
-        "completed": ct["completed"],
     }
     results_dir.mkdir(parents=True, exist_ok=True)
     (results_dir / "broker_churn.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    print(f"\nbroker churn burst serving: eager {wall_eager:.2f} s, "
-          f"coalesce {wall_coalesce:.2f} s -> {speedup:.1f}x, "
-          f"{ct['completed']} jobs completed in both, "
-          f"ledgers identical: {identical}")
+    print(f"\nbroker churn burst serving: {wall:.2f} s, "
+          f"{totals['completed']} jobs completed, {totals['shed']} shed")
 
-    assert all_ok, "churn modes diverged: " + ", ".join(
-        f"{m} (expected={p!r}, measured={v!r})"
-        for m, p, v, ok in checks if not ok
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"churn coalescing speedup {speedup:.1f}x below floor "
-        f"{MIN_SPEEDUP:.1f}x (eager {wall_eager:.2f}s, "
-        f"coalesce {wall_coalesce:.2f}s)"
-    )
+    assert all_ok, "burst census off: " + ", ".join(
+        f"{m}={v!r} (expected {p!r})" for m, p, v, ok in checks if not ok)

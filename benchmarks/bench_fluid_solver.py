@@ -1,19 +1,15 @@
-"""Allocator microbenchmark: array vs reference solver under flow churn.
+"""Allocator microbenchmark: the fluid kernel under flow churn.
 
 Unlike the figure benchmarks this one does not run an experiment module:
 it drives :class:`~repro.sim.fluid.FluidScheduler` directly with a
 synthetic high-churn workload (64 resources, 512 flows arriving and
 departing, capacity shocks, caps, open-ended flows stopped mid-flight)
-— the regime the array solver exists for, where single components grow
-to hundreds of flows and the reference solver's per-flow dict walks
-dominate.  The identical schedule runs once per solver backend; the
-JSON payload records both walls and the speedup, and the checks assert
-the two backends agreed on every observable (bytes, completions, charge
-totals), so the regression gate catches both a performance collapse
-(events/sec) and a divergence (check drift).
-
-The in-test speedup floor is deliberately below the ~2x typically
-measured (CI machines are noisy); refresh the committed baseline with::
+— the regime the vectorized allocator exists for, where single
+components grow to hundreds of flows.  The JSON payload records the
+best of ``REPS`` walls; the checks are exact counts (completions,
+rebalances, allocations, recomputed flows) plus the moved bytes and
+charge total to nine significant digits, which the regression gate
+compares with the committed baseline.  Refresh the baseline with::
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_fluid_solver.py
     cp benchmarks/results/fluid_solver.json benchmarks/baselines/
@@ -22,7 +18,6 @@ measured (CI machines are noisy); refresh the committed baseline with::
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
 
@@ -32,12 +27,12 @@ from repro.sim import FluidFlow, FluidResource, FluidScheduler, Simulator
 N_RESOURCES = 64
 N_FLOWS = 512
 SEED = 20130417  # SC'13 submission-season vintage; any fixed value works
-#: Conservative in-test floor; the acceptance target is 2x (see ISSUE 3).
-MIN_SPEEDUP = float(os.environ.get("REPRO_FLUID_BENCH_MIN_SPEEDUP", "1.25"))
+#: Timed repetitions; the payload keeps the best (least-disturbed) wall.
+REPS = 3
 
 
 def _build_schedule(rng: random.Random):
-    """One deterministic churn schedule, independent of solver backend."""
+    """One deterministic churn schedule."""
     flows = []
     for i in range(N_FLOWS):
         start = rng.uniform(0.0, 40.0)
@@ -58,11 +53,11 @@ def _build_schedule(rng: random.Random):
     return flows, shocks
 
 
-def _run_once(solver: str, schedule) -> dict:
-    """Run the schedule under one backend; return observables + wall."""
+def _run_once(schedule) -> dict:
+    """Run the schedule; return observables + wall."""
     flow_specs, shocks = schedule
     sim = Simulator()
-    sched = FluidScheduler(sim, solver=solver)
+    sched = FluidScheduler(sim)
     resources = [FluidResource(sched, 100.0 + 10.0 * i, f"r{i}")
                  for i in range(N_RESOURCES)]
     ledger = CpuAccounting("bench")
@@ -104,71 +99,47 @@ def _run_once(solver: str, schedule) -> dict:
     return {
         "wall": wall,
         "events": Simulator.events_processed_total - events_before,
-        "transferred": [f.transferred for f in flows],
+        "transferred": sum(f.transferred for f in flows),
         "completed": sum(1 for fl in flows if fl.finished_at is not None),
-        "finished_at": [fl.finished_at for fl in flows],
         "charge_total": ledger.total_seconds,
-        "rebalances": sched.stats.rebalances,
+        "stats": sched.stats.as_dict(),
     }
-
-
-def _agree(a, b, rel=1e-6):
-    if a is None or b is None:
-        return a is b
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
 def test_fluid_solver_churn(results_dir):
     schedule = _build_schedule(random.Random(SEED))
+    runs = [_run_once(schedule) for _ in range(REPS)]
+    run = runs[0]
+    wall = min(r["wall"] for r in runs)
 
-    # Interleave repetitions so machine-load drift hits both backends;
-    # score each backend by its best (least-disturbed) wall.
-    runs = {"python": [], "array": []}
-    for _ in range(3):
-        for solver in ("python", "array"):
-            runs[solver].append(_run_once(solver, schedule))
-    py, ar = runs["python"][0], runs["array"][0]
-    wall_python = min(r["wall"] for r in runs["python"])
-    wall_array = min(r["wall"] for r in runs["array"])
-    speedup = wall_python / wall_array if wall_array > 0 else 0.0
-
-    bytes_agree = all(
-        _agree(a, b) for a, b in zip(py["transferred"], ar["transferred"])
-    )
-    times_agree = all(
-        _agree(a, b) for a, b in zip(py["finished_at"], ar["finished_at"])
-    )
+    stats = run["stats"]
     checks = [
-        ("completions", py["completed"], ar["completed"],
-         py["completed"] == ar["completed"]),
-        ("transferred-bytes-agree", True, bytes_agree, bytes_agree),
-        ("completion-times-agree", True, times_agree, times_agree),
-        ("charge-totals-agree", True,
-         _agree(py["charge_total"], ar["charge_total"]),
-         _agree(py["charge_total"], ar["charge_total"])),
-        ("rebalances", py["rebalances"], ar["rebalances"],
-         py["rebalances"] == ar["rebalances"]),
+        ("completions", run["completed"], run["completed"] > 0),
+        ("rebalances", stats["rebalances"], stats["rebalances"] > 0),
+        ("allocations", stats["allocations"], stats["allocations"] > 0),
+        ("flows-recomputed", stats["flows_recomputed"],
+         stats["flows_recomputed"] > 0),
+        ("transferred-bytes", f"{run['transferred']:.9g}",
+         run["transferred"] > 0),
+        ("charge-total", f"{run['charge_total']:.9g}",
+         run["charge_total"] > 0),
     ]
-    all_ok = all(ok for _, _, _, ok in checks)
+    all_ok = all(ok for _, _, ok in checks)
 
     payload = {
         "name": "fluid_solver",
         "experiment_id": "fluid-solver-churn",
         "quick": True,
-        "ops": ar["events"],
-        "wall_seconds": wall_array,
-        "events_per_sec": ar["events"] / wall_array if wall_array > 0 else 0.0,
+        "ops": run["events"],
+        "wall_seconds": wall,
+        "events_per_sec": run["events"] / wall if wall > 0 else 0.0,
         "jobs": 1,
         "cache": None,
         "all_ok": all_ok,
         "checks": [
-            {"metric": m, "paper": repr(p), "measured": repr(v), "ok": ok}
-            for m, p, v, ok in checks
+            {"metric": m, "paper": repr("> 0"), "measured": repr(v), "ok": ok}
+            for m, v, ok in checks
         ],
-        # Microbenchmark extras (ignored by the gate, kept for humans):
-        "wall_python": wall_python,
-        "wall_array": wall_array,
-        "speedup": speedup,
         "n_resources": N_RESOURCES,
         "n_flows": N_FLOWS,
     }
@@ -176,17 +147,9 @@ def test_fluid_solver_churn(results_dir):
     (results_dir / "fluid_solver.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
-    print(f"\nfluid solver churn: python {wall_python * 1e3:.1f} ms, "
-          f"array {wall_array * 1e3:.1f} ms -> {speedup:.2f}x "
+    print(f"\nfluid solver churn: {wall * 1e3:.1f} ms "
           f"({N_RESOURCES} resources, {N_FLOWS} flows, "
-          f"{ar['rebalances']} rebalances)")
+          f"{stats['rebalances']} rebalances)")
 
-    assert all_ok, "solver backends diverged: " + ", ".join(
-        f"{m} (python={p!r}, array={v!r})"
-        for m, p, v, ok in checks if not ok
-    )
-    assert speedup >= MIN_SPEEDUP, (
-        f"array solver speedup {speedup:.2f}x below floor "
-        f"{MIN_SPEEDUP:.2f}x (python {wall_python:.4f}s, "
-        f"array {wall_array:.4f}s)"
-    )
+    assert all_ok, "empty churn run: " + ", ".join(
+        m for m, _, ok in checks if not ok)

@@ -4,16 +4,16 @@
 Every benchmark run (``benchmarks/conftest.py`` and the hand-rolled
 micro-benchmarks) drops a ``benchmarks/results/<name>.json`` with the
 same core fields (``name``, ``wall_seconds``, ``events_per_sec``,
-``all_ok``, ``checks``, plus per-bench extras such as ``speedup``).
+``all_ok``, ``checks``, plus per-bench extras).
 This script collects them into a single artifact so one file per CI run
 tracks the perf trajectory across PRs::
 
     python scripts/bench_summary.py \
         [--results benchmarks/results] [-o BENCH_report.json]
 
-The report carries, per benchmark: wall seconds, events/sec, check
-pass counts, and any ``speedup`` the bench recorded — plus fleet-wide
-totals.  Missing result files are not an error (CI jobs run different
+The report carries, per benchmark: wall seconds, events/sec and check
+pass counts — plus fleet-wide totals.  Performance claims are made on
+the paper-scale benchmark of record (``benchmarks/e2e``), not here.  Missing result files are not an error (CI jobs run different
 benchmark subsets); an empty results directory is (the artifact would
 be vacuous).
 
@@ -57,10 +57,6 @@ def summarize_one(path: pathlib.Path, errors: list[str]) -> dict | None:
         "checks_failed": sum(1 for c in checks
                              if isinstance(c, dict) and c.get("ok") is False),
     }
-    # Micro-benchmarks record a speedup vs their own reference mode
-    # (eager churn, unsharded fabric, per-task gang...); surface it.
-    if "speedup" in data:
-        row["speedup"] = data["speedup"]
     return row
 
 

@@ -130,15 +130,13 @@ def cmd_report(args) -> int:
           f"wall={stats['wall_seconds']:.2f}s")
     fluid = stats.get("fluid")
     if fluid is not None:
-        print(f"[fluid] solver={fluid['solver']}  "
-              f"rebalances={fluid['rebalances']}  "
+        print(f"[fluid] rebalances={fluid['rebalances']}  "
               f"allocations={fluid['allocations']}  "
               f"recomputed={fluid['flows_recomputed']}  "
               f"skipped={fluid['flows_skipped']}")
     sampler = stats.get("sampler")
     if sampler is not None:
-        print(f"[sampler] backend={sampler['backend']}  "
-              f"samples_backfilled={sampler['samples_backfilled']}  "
+        print(f"[sampler] samples_backfilled={sampler['samples_backfilled']}  "
               f"events_skipped={sampler['events_skipped']}")
     faults = stats.get("faults")
     if faults is not None:

@@ -220,7 +220,6 @@ class GridFtp:
             counter=self.transferred,
             interval=sample_interval,
             name=f"{self.name}/throughput",
-            pre_sample=self.ctx.fluid.settle,
         )
         t0 = self.ctx.sim.now
         self.ctx.sim.run(until=t0 + duration)

@@ -444,15 +444,13 @@ class RftpTransfer:
         inj = self.ctx.faults
         window = (self._recovery.window_loss_fraction
                   * self._credits * self.config.block_size)
-        fluid = self.ctx.fluid
-        if fluid.coalescing:
-            # Bulk halt: one settle freezes every stream's byte count;
-            # the accounting loop below then only reads ``transferred``.
-            active = [f for f in rail.flows if f._active]
-            if active:
-                fluid.finish_many(active)
+        # Bulk halt: one settle freezes every stream's byte count; the
+        # accounting loop below then only reads ``transferred``.
+        active = [f for f in rail.flows if f._active]
+        if active:
+            self.ctx.fluid.finish_many(active)
         for flow in rail.flows:
-            delivered = fluid.stop(flow) if flow._active else flow.transferred
+            delivered = flow.transferred
             lost = window if window < delivered else delivered
             self._lost_bytes += lost
             self.retransmitted_bytes += lost
@@ -617,18 +615,13 @@ class RftpTransfer:
     def stop(self) -> float:
         """Stop the activity; returns/flushes what it accumulated."""
         self._stopped = True
-        fluid = self.ctx.fluid
-        if fluid.coalescing:
-            # Bulk halt: one settle for every still-active stream.
-            active = [f for f in self.flows if f._active]
-            if active:
-                fluid.finish_many(active)
+        # Bulk halt: one settle for every still-active stream.
+        active = [f for f in self.flows if f._active]
+        if active:
+            self.ctx.fluid.finish_many(active)
         total = 0.0
         for f in self.flows:
-            if f._active:
-                total += fluid.stop(f)
-            else:
-                total += f.transferred
+            total += f.transferred
         return total
 
     def _ledger(self, threads: List[SimThread], name: str) -> CpuAccounting:
@@ -646,7 +639,6 @@ class RftpTransfer:
             counter=self.transferred,
             interval=sample_interval,
             name=f"{self.name}/throughput",
-            pre_sample=self.ctx.fluid.settle,
         )
         t0 = self.ctx.sim.now
         self.ctx.sim.run(until=t0 + duration)

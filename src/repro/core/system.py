@@ -124,14 +124,13 @@ class EndToEndSystem:
 
     # -- introspection -----------------------------------------------------------
     def solver_stats(self) -> dict:
-        """Fluid-solver identity and counters for this system's scheduler.
+        """Fluid-solver counters for this system's scheduler.
 
         Console-footer material (``python -m repro report``), never part
         of the EXPERIMENTS.md ledger: counters depend on event interleaving
         and solver dispatch, not on the modeled physics.
         """
-        fluid = self.ctx.fluid
-        return {"solver": fluid.solver, **fluid.stats.as_dict()}
+        return self.ctx.fluid.stats.as_dict()
 
     # -- workloads ---------------------------------------------------------------
     def fio_file_write_ceiling(self, block_size: int = 4 * MIB,

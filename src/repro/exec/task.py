@@ -40,10 +40,8 @@ __all__ = ["SimTask"]
 #: whose boundary-exchange grants are part of their params, and fabric
 #: ledgers grew queue/QP-census fields; no pre-shard-era entry may
 #: satisfy a shard-era lookup.
-#: v8: the churn-coalescing fluid layer — the active ``REPRO_CHURN``
-#: mode joins the identity (coalesce and eager runs are numerically
-#: equivalent but not event-for-event identical, so they never share a
-#: cache entry), and pre-coalescing entries are retired wholesale.
+#: v8: the churn-coalescing fluid layer; pre-coalescing entries are
+#: retired wholesale.
 #: v9: failure domains and the crash-tolerant control plane — fault
 #: plans grew domain targets (``host:``/``tor:``/``power:``) and a
 #: ``stagger`` knob, brokers grew journal/heartbeat/retry/brownout
@@ -112,20 +110,12 @@ class SimTask:
     def identity(self) -> str:
         """Canonical JSON of everything the result depends on (except code).
 
-        The active fluid-solver and sampler backends are part of the
-        identity: each pair of backends is held to the same observables
-        (and the ledger is byte-identical today), but a cache entry must
-        never outlive the question of *which* kernel produced it —
-        switching ``REPRO_FLUID_SOLVER``, ``REPRO_SAMPLER`` or
-        ``REPRO_CHURN`` recomputes
-        rather than replays.  So is the ambient ``REPRO_FAULTS`` plan
-        (canonical JSON; "" when unset): cached legs must never mix
-        fault configurations, and an unset plan keys identically to the
+        The ambient ``REPRO_FAULTS`` plan is part of the identity
+        (canonical JSON; "" when unset): cached legs must never mix fault
+        configurations, and an unset plan keys identically to the
         pre-fault-subsystem behaviour it is byte-identical to.
         """
         from repro.faults.plan import ambient_spec
-        from repro.sim.fluid import default_churn, default_solver
-        from repro.sim.sampling import default_sampler
 
         return json.dumps(
             {
@@ -133,9 +123,6 @@ class SimTask:
                 "params": _canonical(self.params),
                 "seed": self.seed,
                 "cal": _canonical(self.cal),
-                "solver": default_solver(),
-                "sampler": default_sampler(),
-                "churn": default_churn(),
                 "faults": ambient_spec(),
                 "v": CACHE_FORMAT_VERSION,
             },

@@ -15,7 +15,7 @@ __all__ = ["RecoveryConfig", "DEFAULT_RECOVERY", "REQUEUE_EPSILON_BYTES"]
 #: Remaining-bytes floor below which a fault-requeued job counts as done
 #: (float dust from rate * elapsed accounting, not real payload).  Shared
 #: by the broker's dead-rail requeue path, whose victims are now halted
-#: in one bulk ``finish_many`` settle when the scheduler coalesces churn.
+#: in one bulk ``finish_many`` settle.
 REQUEUE_EPSILON_BYTES = 1.0
 
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Union
 
-from typing import Optional
-
 from repro.hw.topology import Machine
 from repro.kernel.process import SimProcess, SimThread
-from repro.sim.sampling import default_sampler, hub_for
-from repro.sim.trace import TimeSeries, periodic
+from repro.sim.sampling import hub_for
+from repro.sim.trace import TimeSeries
 
 __all__ = ["Rusage", "getrusage", "HostMonitor"]
 
@@ -57,14 +55,12 @@ class HostMonitor:
     resources it drives.
 
     Resource utilizations are piecewise-constant between fluid rate
-    epochs, so under the default ``backfill`` sampler each view is a
-    *gauge* channel on the simulator's sampler hub and all sample points
-    are materialized analytically at epoch boundaries; ``sampler="event"``
-    keeps the classic single per-tick generator process.
+    epochs, so each view is a *gauge* channel on the simulator's sampler
+    hub and all sample points are materialized analytically at epoch
+    boundaries.
     """
 
-    def __init__(self, machine: Machine, interval: float = 1.0,
-                 sampler: Optional[str] = None):
+    def __init__(self, machine: Machine, interval: float = 1.0):
         self.machine = machine
         self.interval = interval
         self.cpu: Dict[int, TimeSeries] = {
@@ -77,47 +73,25 @@ class HostMonitor:
         self.events = TimeSeries("events/s")
         sim = machine.ctx.sim
         hub = hub_for(sim)
+        m = machine
         self._channels = []
-        self._proc = None
-        self.sampler = sampler if sampler is not None else default_sampler()
-        if self.sampler == "backfill":
-            m = machine
-            for n in range(m.n_nodes):
-                cpu_res = m.cpu_resource(n)
-                self._channels.append(hub.channel(
-                    (lambda r=cpu_res: r.load / r.capacity),
-                    interval, self.cpu[n], kind="gauge", mode="backfill"))
-                mem_res = m.mem_bank(n).bandwidth
-                self._channels.append(hub.channel(
-                    (lambda r=mem_res: r.utilization),
-                    interval, self.mem[n], kind="gauge", mode="backfill"))
-            if m.n_nodes > 1:
-                q = m.qpi(0, 1)
-                self._channels.append(hub.channel(
-                    (lambda r=q: r.utilization),
-                    interval, self.qpi, kind="gauge", mode="backfill"))
-            stats = sim.stats
-            self._channels.append(hub.channel(
-                (lambda s=stats: float(s.events_processed)),
-                interval, self.events, kind="rate", mode="backfill"))
-        else:
-            self._last_processed = sim.stats.events_processed
-            self._proc = periodic(sim, interval, self._sample)
-
-    def _sample(self, now: float) -> None:
-        m = self.machine
-        m.ctx.fluid.settle()
         for n in range(m.n_nodes):
             cpu_res = m.cpu_resource(n)
-            self.cpu[n].record(now, cpu_res.load / cpu_res.capacity)
+            self._channels.append(hub.channel(
+                (lambda r=cpu_res: r.load / r.capacity),
+                interval, self.cpu[n], kind="gauge"))
             mem_res = m.mem_bank(n).bandwidth
-            self.mem[n].record(now, mem_res.utilization)
+            self._channels.append(hub.channel(
+                (lambda r=mem_res: r.utilization),
+                interval, self.mem[n], kind="gauge"))
         if m.n_nodes > 1:
             q = m.qpi(0, 1)
-            self.qpi.record(now, q.utilization)
-        processed = m.ctx.sim.stats.events_processed
-        self.events.record(now, (processed - self._last_processed) / self.interval)
-        self._last_processed = processed
+            self._channels.append(hub.channel(
+                (lambda r=q: r.utilization), interval, self.qpi, kind="gauge"))
+        stats = sim.stats
+        self._channels.append(hub.channel(
+            (lambda s=stats: float(s.events_processed)),
+            interval, self.events, kind="rate"))
 
     def stats_snapshot(self) -> Dict[str, float]:
         """Current kernel counters: engine (SimStats) + allocator (FluidStats)."""
@@ -130,8 +104,6 @@ class HostMonitor:
         """Stop the activity; returns/flushes what it accumulated."""
         for ch in self._channels:
             ch.stop()
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("monitor stopped")
 
     def hottest_resource(self) -> str:
         """Name of the most-utilized resource over the run (mean)."""

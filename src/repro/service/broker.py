@@ -389,12 +389,11 @@ class TransferBroker:
 
         Admission, placement and shed decisions are made in arrival
         order — exactly the decisions a loop of :meth:`submit` would
-        make — but when the fluid scheduler coalesces churn the whole
-        burst's flow starts are deferred and launched through one
+        make — but the whole burst's flow starts are deferred and
+        launched through one
         :meth:`~repro.sim.fluid.FluidScheduler.start_many` settle.
         """
-        batch: Optional[List[Tuple[_Job, FluidFlow]]] = (
-            [] if self.ctx.fluid.coalescing else None)
+        batch: List[Tuple[_Job, FluidFlow]] = []
         ids = [self._submit_one(tenant, size, touch_node, batch)
                for tenant, size, touch_node in arrivals]
         if batch:
@@ -485,13 +484,12 @@ class TransferBroker:
         """Start every queued job that admission and placement allow.
 
         Scans in FIFO order; jobs blocked on quota or budget are skipped
-        rather than head-of-line blocking unrelated tenants.  Under a
-        coalescing fluid scheduler the pass defers every zero-delay
-        launch and starts them through one bulk ``start_many`` settle;
-        a caller-supplied *batch* (``submit_many``) widens that to the
-        whole arrival burst.  Control-plane decisions are identical
-        either way: placement reads rail loads, which ``_start``
-        updates immediately.
+        rather than head-of-line blocking unrelated tenants.  The pass
+        defers every zero-delay launch and starts them through one bulk
+        ``start_many`` settle; a caller-supplied *batch*
+        (``submit_many``) widens that to the whole arrival burst.
+        Control-plane decisions are identical either way: placement reads
+        rail loads, which ``_start`` updates immediately.
 
         While crashed nothing dispatches; while draining a restart
         backlog only the pacer itself dispatches (``force``), with
@@ -501,7 +499,7 @@ class TransferBroker:
             return
         if not self._queue:
             return
-        local = batch is None and self.ctx.fluid.coalescing
+        local = batch is None
         if local:
             batch = []
         started: List[_Job] = []
@@ -578,7 +576,7 @@ class TransferBroker:
         return path, cap, 0.0, ()
 
     def _start(self, job: _Job, rail: Rail, buffer_node: int,
-               batch: Optional[List[Tuple["_Job", FluidFlow]]] = None) -> None:
+               batch: List[Tuple["_Job", FluidFlow]]) -> None:
         path, cap, delay, charges = self._job_path(job, rail, buffer_node)
         flow = FluidFlow(
             path, size=job.remaining, cap=cap, charges=charges,
@@ -601,10 +599,8 @@ class TransferBroker:
             # slot and credits but moves no bytes until the delay runs.
             self.ctx.sim.timeout(delay).add_callback(
                 lambda _ev, job=job, flow=flow: self._launch(job, flow))
-        elif batch is not None:
-            batch.append((job, flow))
         else:
-            self._launch(job, flow)
+            batch.append((job, flow))
 
     def _launch(self, job: _Job, flow: FluidFlow) -> None:
         if job.state is not JobState.RUNNING or job.flow is not flow:
@@ -746,14 +742,13 @@ class TransferBroker:
         victims = sorted(rail.jobs, key=lambda j: j.job_id)
         for job in victims:
             job.state = JobState.QUEUED  # before stop: staleness guard
-        if self.ctx.fluid.coalescing:
-            # Bulk halt: one settle covers every victim; the accounting
-            # loop below then reads the already-frozen ``transferred``
-            # values (``_halt`` on a deactivated flow is a pure read).
-            active = [job.flow for job in victims
-                      if job.flow is not None and job.flow._active]
-            if active:
-                self.ctx.fluid.finish_many(active)
+        # Bulk halt: one settle covers every victim; the accounting loop
+        # below then reads the already-frozen ``transferred`` values
+        # (``_halt`` on a deactivated flow is a pure read).
+        active = [job.flow for job in victims
+                  if job.flow is not None and job.flow._active]
+        if active:
+            self.ctx.fluid.finish_many(active)
         budget = self.config.retry_budget
         for job in victims:
             job.banked += self._halt(job)

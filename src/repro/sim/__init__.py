@@ -28,17 +28,10 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.fluid import (
-    SOLVERS,
-    FluidFlow,
-    FluidResource,
-    FluidScheduler,
-    FluidStats,
-    default_solver,
-)
+from repro.sim.fluid import FluidFlow, FluidResource, FluidScheduler, FluidStats
 from repro.sim.resources import Container, PriorityResource, Resource, Store
 from repro.sim.rng import RngRegistry
-from repro.sim.sampling import SAMPLERS, SamplerHub, default_sampler, hub_for
+from repro.sim.sampling import SamplerHub, hub_for
 from repro.sim.trace import EventRateProbe, ThroughputProbe, TimeSeries, TraceLog
 
 __all__ = [
@@ -59,11 +52,7 @@ __all__ = [
     "FluidFlow",
     "FluidScheduler",
     "FluidStats",
-    "SOLVERS",
-    "default_solver",
-    "SAMPLERS",
     "SamplerHub",
-    "default_sampler",
     "hub_for",
     "RngRegistry",
     "TimeSeries",

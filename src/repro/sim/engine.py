@@ -317,9 +317,9 @@ class SimStats:
     ``heap_peak`` is the largest simultaneous schedule, ``timeouts_reused``
     counts free-list hits, and ``wall_seconds`` accumulates real time spent
     inside :meth:`Simulator.run`.  ``samples_backfilled`` counts telemetry
-    samples materialized analytically by the backfill sampler
+    samples materialized analytically by the sampler hub
     (:mod:`repro.sim.sampling`) and ``events_skipped`` the heap events
-    those samples would have cost under the per-tick sampler.
+    those samples would have cost as per-tick sampler processes.
     """
 
     __slots__ = ("events_scheduled", "events_processed", "heap_peak",
@@ -581,10 +581,9 @@ class Simulator:
             self._now = horizon
             return None
         finally:
-            # Backfill samplers materialize pending telemetry at run
+            # The sampler hub materializes pending telemetry at run
             # boundaries so series are current when control returns to
-            # the caller (no-op unless backfill channels are registered,
-            # keeping per-tick sampling byte-identical to its history).
+            # the caller (no-op unless channels are registered).
             hub = self.sampler_hub
             if hub is not None and hub._channels:
                 hub.flush()

@@ -28,33 +28,25 @@ bytes progress.  The kernel layer uses this to account CPU seconds per
 byte of protocol processing, reproducing the paper's getrusage/perf
 measurements (Fig. 4, 8, 10, 12, 14).
 
-Two solver backends implement the same allocation (selected per scheduler
-via the ``solver=`` argument, defaulting to ``REPRO_FLUID_SOLVER``):
+Flow state lives in flat numpy arrays (rate, cap, size, transferred,
+indexed by a per-scheduler *slot*); each flow's resource incidence is
+cached as index/weight arrays, assembled per affected component into a
+CSR-like (entry-list) structure, and progressive filling runs as a
+vectorized water-filling loop over boolean freeze masks.  ``settle`` is
+one fused ``transferred += rate·dt`` update plus a sparse matrix-vector
+product over the charge incidence, and next-completion selection is an
+``argmin`` over ``remaining / rate``.  Components (and active sets)
+smaller than :data:`_VECTOR_MIN_FLOWS` take a scalar loop over the same
+slot arrays instead, where numpy's per-call overhead would dominate.
 
-``array`` (default)
-    Flow state lives in flat numpy arrays (rate, cap, size, transferred,
-    indexed by a per-scheduler *slot*); each flow's resource incidence is
-    cached as index/weight arrays, assembled per affected component into
-    a CSR-like (entry-list) structure, and progressive filling runs as a
-    vectorized water-filling loop over boolean freeze masks.  ``settle``
-    is one fused ``transferred += rate·dt`` update plus a sparse
-    matrix-vector product over the charge incidence, and next-completion
-    selection is an ``argmin`` over ``remaining / rate``.
-``python``
-    The scalar reference implementation (dicts of objects).  Kept fully
-    functional for differential testing (`tests/test_fluid_equivalence`)
-    and as the baseline of ``benchmarks/bench_fluid_solver.py``.
-
-Both backends share the incremental dirty-set machinery: only the
-connected components of the flow/resource sharing graph touched by a
-change are recomputed, and :class:`FluidStats` counts exactly the same
-events whichever backend runs.
+Only the connected components of the flow/resource sharing graph touched
+by a change are recomputed, and flow transitions at one simulated
+instant share one deferred rebalance (see :meth:`FluidScheduler.flush`).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Protocol, Sequence
 
@@ -71,62 +63,18 @@ __all__ = [
     "ChargeAccount",
     "GangFluidProgram",
     "GangRunResult",
-    "SOLVERS",
-    "CHURN_MODES",
-    "default_solver",
-    "default_churn",
 ]
 
 _EPS = 1e-9
 
-#: Recognized allocator backends.
-SOLVERS = ("array", "python")
-
-#: Recognized churn-handling modes (see :func:`default_churn`).
-CHURN_MODES = ("coalesce", "eager")
-
-#: Components smaller than this run the scalar filling loop even under the
-#: array solver: per-call numpy dispatch overhead (~µs) beats dict walks
-#: only once a component has enough flows to amortize it.
+#: Components smaller than this run the scalar filling loop: per-call
+#: numpy dispatch overhead (~µs) beats dict walks only once a component
+#: has enough flows to amortize it.
 _VECTOR_MIN_FLOWS = 16
 
 #: Compact the charge-incidence pool once dead entries outnumber live ones
 #: (and the pool is big enough for compaction to matter).
 _CHARGE_COMPACT_MIN = 128
-
-
-def default_solver() -> str:
-    """The backend named by ``REPRO_FLUID_SOLVER`` (default: ``array``)."""
-    kind = os.environ.get("REPRO_FLUID_SOLVER", "").strip().lower()
-    if not kind:
-        return "array"
-    if kind not in SOLVERS:
-        raise ValueError(
-            f"REPRO_FLUID_SOLVER must be one of {SOLVERS}, got {kind!r}"
-        )
-    return kind
-
-
-def default_churn() -> str:
-    """The churn mode named by ``REPRO_CHURN`` (default: ``coalesce``).
-
-    ``coalesce``
-        Flow transitions (start/finish/cap/capacity changes) occurring at
-        the same simulated instant mark components dirty and share one
-        deferred rebalance, flushed by the engine before the clock
-        advances (or by any reader that needs settled rates).
-    ``eager``
-        Every transition rebalances immediately — the pre-coalescing
-        behaviour, kept bit-reproducible for differential testing.
-    """
-    kind = os.environ.get("REPRO_CHURN", "").strip().lower()
-    if not kind:
-        return "coalesce"
-    if kind not in CHURN_MODES:
-        raise ValueError(
-            f"REPRO_CHURN must be one of {CHURN_MODES}, got {kind!r}"
-        )
-    return kind
 
 
 class FluidStats:
@@ -288,7 +236,7 @@ class FluidFlow:
         "_active",
         "started_at",
         "finished_at",
-        # array-solver state: slot index + owning scheduler while active,
+        # solver state: slot index + owning scheduler while active,
         # cached incidence row (resource ids / weights), charge-pool range
         "_slot",
         "_sched",
@@ -348,7 +296,7 @@ class FluidFlow:
 
         If the owning scheduler has a deferred (coalesced) rebalance
         pending, it is flushed first, so readers always see the settled
-        allocation — exactly what an eager rebalance would have produced.
+        allocation — exactly what an immediate rebalance would have produced.
         Internal hot loops that run strictly post-flush read ``_rate``.
         """
         sched = self._sched
@@ -364,9 +312,8 @@ class FluidFlow:
     def transferred(self) -> float:
         """Bytes delivered so far (settled progress).
 
-        While the flow is active under the array solver the authoritative
-        count lives in the scheduler's slot array; otherwise in the
-        flow's own scalar.
+        While the flow is active the authoritative count lives in the
+        scheduler's slot array; otherwise in the flow's own scalar.
         """
         if self._slot >= 0:
             return float(self._sched._f_transferred[self._slot])
@@ -396,35 +343,16 @@ class FluidFlow:
 class FluidScheduler:
     """Allocates rates to active flows and schedules their completions.
 
-    ``solver`` picks the allocator backend (``"array"`` or ``"python"``);
-    ``None`` defers to :func:`default_solver` (the ``REPRO_FLUID_SOLVER``
-    environment variable, defaulting to the array backend).
-
-    ``churn`` picks how flow transitions are settled (``"coalesce"`` or
-    ``"eager"``); ``None`` defers to :func:`default_churn` (the
-    ``REPRO_CHURN`` environment variable, defaulting to coalescing).
-    Under coalescing, every transition still settles progress and marks
-    its components dirty immediately, but the rebalance itself is
-    deferred to one flush per simulated instant (an engine advance hook;
-    see :meth:`flush`) — same rates, same completion deadlines, a single
-    allocation for an arbitrarily large same-timestamp burst.
+    Flow transitions (start, finish, cap and capacity changes) settle
+    progress and mark their components dirty immediately, but the
+    rebalance itself is deferred to one flush per simulated instant (an
+    engine advance hook; see :meth:`flush`) — same rates, same completion
+    deadlines, a single allocation for an arbitrarily large
+    same-timestamp burst.
     """
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None,
-                 churn: Optional[str] = None):
-        if solver is None:
-            solver = default_solver()
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}, got {solver!r}")
-        if churn is None:
-            churn = default_churn()
-        if churn not in CHURN_MODES:
-            raise ValueError(f"churn must be one of {CHURN_MODES}, got {churn!r}")
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver
-        self.churn = churn
-        self._array = solver == "array"
-        self._eager = churn == "eager"
         self._pending = False
         self._hooked = False
         self._resources: list[FluidResource] = []
@@ -445,52 +373,46 @@ class FluidScheduler:
         # epoch, and the hub backfills declared sample channels then.
         self._hub = hub_for(sim)
         self._hub.attach_scheduler(self)
-        if self._array:
-            # Slot arrays (doubled on demand).  ``_hw`` is the high-water
-            # slot count: every vector op runs over ``[:_hw]`` and freed
-            # slots stay inert because their rate is 0 and size is inf.
-            n = 16
-            self._f_rate = np.zeros(n)
-            self._f_cap = np.full(n, np.inf)
-            self._f_size = np.full(n, np.inf)
-            self._f_transferred = np.zeros(n)
-            self._slot_flow: List[Optional[FluidFlow]] = [None] * n
-            self._free_slots: list[int] = list(range(n - 1, -1, -1))
-            self._hw = 0
-            # Charge incidence pool (CSR data: account row, flow-slot col,
-            # cost-per-byte value).  Appended on start; a stopping flow's
-            # entries are zeroed in place (dead), and the pool is rebuilt
-            # from the live flows once dead entries dominate.
-            self._c_slot = np.zeros(n, dtype=np.intp)
-            self._c_acct = np.zeros(n, dtype=np.intp)
-            self._c_cost = np.zeros(n)
-            self._c_len = 0
-            self._c_dead = 0
-            self._accounts: list[Any] = []
-            self._acct_index: dict[int, int] = {}
-            # Resource incidence pool (CSR data: flow-slot row, global
-            # resource col, weight value) covering every active flow.
-            # Appended on start; a stopping flow's entries are tombstoned
-            # (slot -1) and the pool is mask-compacted once a whole-graph
-            # allocation needs it or dead entries dominate.
-            self._e_res = np.zeros(n, dtype=np.intp)
-            self._e_w = np.zeros(n)
-            self._e_slot = np.zeros(n, dtype=np.intp)
-            self._e_used = 0
-            self._e_dead = 0
-            # Scratch map global-resource-id -> component-local id.
-            self._res_scratch = np.zeros(0, dtype=np.intp)
-            # Scratch map flow-slot -> component-local id.
-            self._flow_scratch = np.zeros(n, dtype=np.intp)
-            # Scratch for the per-round residual/wsum division.
-            self._div = np.empty(16)
+        # Slot arrays (doubled on demand).  ``_hw`` is the high-water
+        # slot count: every vector op runs over ``[:_hw]`` and freed
+        # slots stay inert because their rate is 0 and size is inf.
+        n = 16
+        self._f_rate = np.zeros(n)
+        self._f_cap = np.full(n, np.inf)
+        self._f_size = np.full(n, np.inf)
+        self._f_transferred = np.zeros(n)
+        self._slot_flow: List[Optional[FluidFlow]] = [None] * n
+        self._free_slots: list[int] = list(range(n - 1, -1, -1))
+        self._hw = 0
+        # Charge incidence pool (CSR data: account row, flow-slot col,
+        # cost-per-byte value).  Appended on start; a stopping flow's
+        # entries are zeroed in place (dead), and the pool is rebuilt
+        # from the live flows once dead entries dominate.
+        self._c_slot = np.zeros(n, dtype=np.intp)
+        self._c_acct = np.zeros(n, dtype=np.intp)
+        self._c_cost = np.zeros(n)
+        self._c_len = 0
+        self._c_dead = 0
+        self._accounts: list[Any] = []
+        self._acct_index: dict[int, int] = {}
+        # Resource incidence pool (CSR data: flow-slot row, global
+        # resource col, weight value) covering every active flow.
+        # Appended on start; a stopping flow's entries are tombstoned
+        # (slot -1) and the pool is mask-compacted once a whole-graph
+        # allocation needs it or dead entries dominate.
+        self._e_res = np.zeros(n, dtype=np.intp)
+        self._e_w = np.zeros(n)
+        self._e_slot = np.zeros(n, dtype=np.intp)
+        self._e_used = 0
+        self._e_dead = 0
+        # Scratch map global-resource-id -> component-local id.
+        self._res_scratch = np.zeros(0, dtype=np.intp)
+        # Scratch map flow-slot -> component-local id.
+        self._flow_scratch = np.zeros(n, dtype=np.intp)
+        # Scratch for the per-round residual/wsum division.
+        self._div = np.empty(16)
 
     # -- public API ------------------------------------------------------------
-    @property
-    def coalescing(self) -> bool:
-        """True when same-timestamp transitions share a deferred rebalance."""
-        return not self._eager
-
     def _admit(self, flow: FluidFlow) -> Event:
         """Activate *flow* (post-settle bookkeeping shared by start paths)."""
         flow.done = Event(self.sim, name=f"flow:{flow.name}")
@@ -502,15 +424,11 @@ class FluidScheduler:
             self._users.setdefault(r, {})[flow] = None
             self._dirty[r] = None
         self._dirty_flows[flow] = None
-        if self._array:
-            self._bind_slot(flow)
+        self._bind_slot(flow)
         return flow.done
 
     def _after_change(self) -> None:
-        """Rebalance now (eager) or defer to one flush per instant."""
-        if self._eager:
-            self._rebalance()
-            return
+        """Defer the rebalance to one flush per simulated instant."""
         self._pending = True
         if not self._hooked:
             self._hooked = True
@@ -527,8 +445,7 @@ class FluidScheduler:
         """Settle progress and apply any deferred (coalesced) rebalance.
 
         Mid-timestamp readers of rates or loads call this so they observe
-        exactly what an eager rebalance would have produced; under eager
-        churn it is equivalent to :meth:`settle`.
+        exactly what an immediate rebalance would have produced.
         """
         self.settle()
         if self._pending:
@@ -550,9 +467,9 @@ class FluidScheduler:
     def start_many(self, flows: Sequence[FluidFlow]) -> List[Event]:
         """Activate many flows; returns their completion events in order.
 
-        Equivalent to ``[start(f) for f in flows]`` — under coalescing
-        the whole batch shares one settle and one deferred rebalance, so
-        admitting N flows at one instant costs a single allocation.
+        Equivalent to ``[start(f) for f in flows]`` — the whole batch
+        shares one settle and one deferred rebalance, so admitting N flows
+        at one instant costs a single allocation.
         """
         self.settle()
         events: List[Event] = []
@@ -579,9 +496,9 @@ class FluidScheduler:
     def finish_many(self, flows: Sequence[FluidFlow]) -> List[float]:
         """Deactivate many flows; returns their transferred bytes in order.
 
-        Equivalent to ``[stop(f) for f in flows]`` — under coalescing the
-        batch shares one settle and one deferred rebalance (the bulk leg
-        of rail failover and drain paths).
+        Equivalent to ``[stop(f) for f in flows]`` — the batch shares one
+        settle and one deferred rebalance (the bulk leg of rail failover
+        and drain paths).
         """
         self.settle()
         moved: List[float] = []
@@ -600,8 +517,7 @@ class FluidScheduler:
         self.settle()
         flow.cap = cap
         if flow._active:
-            if flow._slot >= 0:
-                self._f_cap[flow._slot] = np.inf if cap is None else cap
+            self._f_cap[flow._slot] = np.inf if cap is None else cap
             for r in flow._weights:
                 self._dirty[r] = None
             self._dirty_flows[flow] = None
@@ -634,20 +550,14 @@ class FluidScheduler:
             self.stats.rebalances += 1
             FluidStats.total_rebalances += 1
             self._allocate()
-            if self._array:
-                self._settle_array(elapsed)
-            else:
-                self._settle_python(elapsed)
+            self._settle_array(elapsed)
             self._last_settle = now
             hub = self._hub
             if hub._channels:
                 hub.on_epoch(now)
             self._schedule_next_completion()
             return
-        if self._array:
-            self._settle_array(elapsed)
-        else:
-            self._settle_python(elapsed)
+        self._settle_array(elapsed)
         self._last_settle = now
         hub = self._hub
         if hub._channels:
@@ -658,30 +568,7 @@ class FluidScheduler:
         """Snapshot of the currently active flows."""
         return tuple(self._active)
 
-    # -- settle backends -------------------------------------------------------
-    def _settle_python(self, elapsed: float) -> None:
-        # Reference settle.  Invariants are hoisted out of the loop: the
-        # clock is read once (by settle()), per-flow attribute loads
-        # happen exactly once, and the charge loop is skipped outright
-        # for the (common) uncharged flows.
-        for flow in self._active:
-            rate = flow._rate
-            if rate <= 0:
-                continue
-            delta = rate * elapsed
-            size = flow.size
-            if size is not None:
-                remaining = size - flow._transferred
-                if delta > remaining:
-                    delta = remaining
-            if delta <= 0:
-                continue
-            flow._transferred += delta
-            charges = flow.charges
-            if charges:
-                for account, per_byte in charges:
-                    account.add(delta * per_byte)
-
+    # -- settle --------------------------------------------------------------
     def _settle_array(self, elapsed: float) -> None:
         hw = self._hw
         if not hw:
@@ -689,7 +576,7 @@ class FluidScheduler:
         active = self._active
         if len(active) < _VECTOR_MIN_FLOWS:
             # Small active set: per-element numpy dispatch costs more than
-            # it saves, so run the reference loop against the slot arrays
+            # it saves, so loop over the flows against the slot arrays
             # (same arithmetic, element by element).
             f_tr = self._f_transferred
             for flow in active:
@@ -731,7 +618,7 @@ class FluidScheduler:
                 for i in np.nonzero(amounts)[0].tolist():
                     accounts[i].add(float(amounts[i]))
 
-    # -- array-solver state management -----------------------------------------
+    # -- slot-array state management -------------------------------------------
     def _bind_slot(self, flow: FluidFlow) -> None:
         if not self._free_slots:
             self._grow_slots()
@@ -897,8 +784,7 @@ class FluidScheduler:
                 if not res_users:
                     del users[r]
             self._dirty[r] = None
-        if flow._slot >= 0:
-            self._release_slot(flow)
+        self._release_slot(flow)
         flow._rate = 0.0
         flow._sched = None
         if flow.done is not None and not flow.done.triggered:
@@ -978,7 +864,7 @@ class FluidScheduler:
             return
         if len(flows) == 1:
             self._allocate_single(flows[0], touched_res)
-        elif self._array and len(flows) >= _VECTOR_MIN_FLOWS:
+        elif len(flows) >= _VECTOR_MIN_FLOWS:
             self._allocate_array(flows, touched_res)
         else:
             self._allocate_scalar(flows, touched_res)
@@ -1007,8 +893,7 @@ class FluidScheduler:
         if delta < 0.0:
             delta = 0.0
         f.rate = delta
-        if f._slot >= 0:
-            self._f_rate[f._slot] = delta
+        self._f_rate[f._slot] = delta
         load = self._load
         weights = f._weights
         for r in touched_res:
@@ -1017,7 +902,7 @@ class FluidScheduler:
     def _allocate_scalar(
         self, flows: list[FluidFlow], touched_res: list[FluidResource]
     ) -> None:
-        """Reference progressive filling over one affected component.
+        """Scalar progressive filling over one small affected component.
 
         The component is assembled once into parallel lists indexed by a
         local resource id (list indexing beats dict iteration in the
@@ -1142,15 +1027,11 @@ class FluidScheduler:
                         # otherwise keep a fully-frozen resource in play.
                         wsum[i] = wsum[i] - w if n else 0.0
 
-        if self._array:
-            f_rate = self._f_rate
-            for f in flows:
-                r = rate[f]
-                f.rate = r
-                f_rate[f._slot] = r
-        else:
-            for f in flows:
-                f.rate = rate[f]
+        f_rate = self._f_rate
+        for f in flows:
+            r = rate[f]
+            f.rate = r
+            f_rate[f._slot] = r
         load = self._load
         for r in touched_res:
             load[r] = 0.0
@@ -1337,10 +1218,7 @@ class FluidScheduler:
     def _schedule_next_completion(self) -> None:
         self._timer_generation += 1
         gen = self._timer_generation
-        if self._array:
-            horizon = self._completion_horizon_array()
-        else:
-            horizon = self._completion_horizon_python()
+        horizon = self._completion_horizon()
         if horizon is None:
             return
         # The generation rides in the timeout's value so no per-rebalance
@@ -1349,24 +1227,7 @@ class FluidScheduler:
         timer = self.sim.timeout_at(self.sim.now + horizon, gen)
         timer.add_callback(self._on_timer_event)
 
-    def _completion_horizon_python(self) -> Optional[float]:
-        horizon = math.inf
-        for f in self._active:
-            size = f.size
-            if size is None or f._rate <= 0:
-                continue
-            remaining = size - f._transferred
-            if remaining <= _EPS * size:
-                horizon = 0.0
-                break
-            eta = remaining / f._rate
-            if eta < horizon:
-                horizon = eta
-        if not math.isfinite(horizon):
-            return None
-        return horizon
-
-    def _completion_horizon_array(self) -> Optional[float]:
+    def _completion_horizon(self) -> Optional[float]:
         hw = self._hw
         if not hw:
             return None
@@ -1403,32 +1264,25 @@ class FluidScheduler:
         if generation != self._timer_generation:
             return  # superseded by a later rebalance
         self.settle()
-        if self._array:
-            if len(self._active) < _VECTOR_MIN_FLOWS:
-                f_tr = self._f_transferred
-                finished = [
-                    f
-                    for f in self._active
-                    if f.size is not None
-                    and f.size - float(f_tr[f._slot]) <= _EPS * f.size
-                ]
-            else:
-                hw = self._hw
-                size = self._f_size[:hw]
-                fin = np.isfinite(size) & (
-                    size - self._f_transferred[:hw] <= _EPS * size
-                )
-                if fin.any():
-                    fin_slots = set(np.nonzero(fin)[0].tolist())
-                    finished = [f for f in self._active if f._slot in fin_slots]
-                else:
-                    finished = []
-        else:
+        if len(self._active) < _VECTOR_MIN_FLOWS:
+            f_tr = self._f_transferred
             finished = [
                 f
                 for f in self._active
-                if f.size is not None and f.size - f._transferred <= _EPS * f.size
+                if f.size is not None
+                and f.size - float(f_tr[f._slot]) <= _EPS * f.size
             ]
+        else:
+            hw = self._hw
+            size = self._f_size[:hw]
+            fin = np.isfinite(size) & (
+                size - self._f_transferred[:hw] <= _EPS * size
+            )
+            if fin.any():
+                fin_slots = set(np.nonzero(fin)[0].tolist())
+                finished = [f for f in self._active if f._slot in fin_slots]
+            else:
+                finished = []
         for f in finished:
             f.transferred = f.size  # snap away float dust
             self._deactivate(f)

@@ -17,40 +17,26 @@ This module exploits that.  Probes declare *channels* on a per-simulator
 * a **gauge** channel wraps an instantaneous value that is
   piecewise-constant between fluid epochs (resource utilization, load).
 
-Two backends implement the same sampling (``REPRO_SAMPLER``, default
-``backfill``):
+The hub subscribes to :class:`~repro.sim.fluid.FluidScheduler` rate
+epochs.  At every epoch boundary (rebalance/settle), and at run
+boundaries and channel ``stop()``, all elapsed sample points in
+``(last_epoch, now]`` are vectorized with NumPy: cumulative counters are
+linear within an epoch, so the backfilled rates are exact (``rate x
+dt``), and gauges hold one value per epoch.  Quiescent intervals are
+fast-forwarded with **zero heap events**.
 
-``backfill``
-    The hub subscribes to :class:`~repro.sim.fluid.FluidScheduler` rate
-    epochs.  At every epoch boundary (rebalance/settle), and at run
-    boundaries and channel ``stop()``, all elapsed sample points in
-    ``(last_epoch, now]`` are vectorized with NumPy: cumulative counters
-    are linear within an epoch, so the backfilled rates are exact
-    (``rate x dt``), and gauges hold one value per epoch.  Quiescent
-    intervals are fast-forwarded with **zero heap events**.
-
-``event``
-    The legacy reference: one :func:`periodic`-style generator process
-    per channel, one timeout event and one Python sample per tick.  Kept
-    fully functional for differential testing
-    (``tests/test_sampler_equivalence.py``).
-
-Both backends agree to floating-point tolerance on every fluid-driven
-series (throughput, CPU, utilization): the arithmetic differs only in
-settle chunking (``rate*dt1 + rate*dt2`` vs ``rate*(dt1+dt2)``).  The
-one exception is *kernel self-measurement*: event-rate channels count
-simulator events, and the event backend's own ticks are events, so their
-series are definitionally backend-dependent (the backfill backend
-linearly interpolates the dynamics-event count between epochs).
-
-The sampler backend is part of the result-cache identity
-(:mod:`repro.exec.task`): cached entries never replay across backends.
+The series equal what a per-tick sampler process would record (settle,
+then read the counter, once per interval) to floating-point tolerance;
+``tests/test_sampler_equivalence.py`` keeps such a shadow sampler as the
+oracle.  The one exception is kernel *self-measurement*: event-rate
+channels count simulator events, and a per-tick sampler's own ticks
+would be events, so there the backfilled series linearly interpolates
+the dynamics-only event count between epochs.
 """
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List
 
 import numpy as np
 
@@ -60,10 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.fluid import FluidScheduler
     from repro.sim.trace import TimeSeries
 
-__all__ = ["SAMPLERS", "default_sampler", "hub_for", "SamplerHub", "Channel"]
-
-#: Recognized sampler backends.
-SAMPLERS = ("backfill", "event")
+__all__ = ["hub_for", "SamplerHub", "Channel"]
 
 #: Channel kinds (see :class:`Channel`).
 KINDS = ("rate", "gauge")
@@ -71,18 +54,6 @@ KINDS = ("rate", "gauge")
 #: Sample points within this fraction of an interval of an epoch
 #: boundary are treated as landing exactly on it.
 _T_EPS = 1e-9
-
-
-def default_sampler() -> str:
-    """The backend named by ``REPRO_SAMPLER`` (default: ``backfill``)."""
-    kind = os.environ.get("REPRO_SAMPLER", "").strip().lower()
-    if not kind:
-        return "backfill"
-    if kind not in SAMPLERS:
-        raise ValueError(
-            f"REPRO_SAMPLER must be one of {SAMPLERS}, got {kind!r}"
-        )
-    return kind
 
 
 def hub_for(sim: Simulator) -> "SamplerHub":
@@ -101,14 +72,12 @@ class Channel:
     records per-interval average rates; ``kind="gauge"`` treats it as an
     instantaneous value (piecewise-constant between fluid epochs).
 
-    Under the ``event`` backend the channel runs the legacy per-tick
-    generator process; under ``backfill`` it only stores anchors and is
-    fast-forwarded by the hub at epoch/run boundaries.
+    The channel only stores anchors and is fast-forwarded by the hub at
+    epoch/run boundaries.
     """
 
-    __slots__ = ("hub", "counter", "interval", "series", "kind", "mode",
-                 "pre_sample", "_next_t", "_last_total", "_t0", "_c0",
-                 "_proc", "_stopped")
+    __slots__ = ("hub", "counter", "interval", "series", "kind",
+                 "_next_t", "_last_total", "_t0", "_c0", "_stopped")
 
     def __init__(
         self,
@@ -117,57 +86,25 @@ class Channel:
         interval: float,
         series: "TimeSeries",
         kind: str = "rate",
-        mode: Optional[str] = None,
-        pre_sample: Optional[Callable[[], None]] = None,
     ):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if mode is None:
-            mode = default_sampler()
-        elif mode not in SAMPLERS:
-            raise ValueError(f"mode must be one of {SAMPLERS}, got {mode!r}")
         self.hub = hub
         self.counter = counter
         self.interval = float(interval)
         self.series = series
         self.kind = kind
-        self.mode = mode
-        self.pre_sample = pre_sample
         self._stopped = False
         now = hub.sim.now
         self._next_t = now + self.interval
         self._t0 = now
         self._last_total = float(counter()) if kind == "rate" else 0.0
         self._c0 = self._last_total
-        self._proc = None
-        if mode == "event":
-            self._proc = hub.sim.process(
-                self._tick_loop(), name=f"sampler:{series.name}"
-            )
-        else:
-            hub._channels.append(self)
+        hub._channels.append(self)
 
-    # -- event backend (legacy per-tick sampling) -------------------------------
-    def _tick_loop(self):
-        sim = self.hub.sim
-        interval = self.interval
-        while True:
-            yield sim.timeout(interval)
-            self._sample_tick(sim.now)
-
-    def _sample_tick(self, now: float) -> None:
-        if self.pre_sample is not None:
-            self.pre_sample()
-        if self.kind == "gauge":
-            self.series.record(now, float(self.counter()))
-            return
-        total = float(self.counter())
-        self.series.record(now, (total - self._last_total) / self.interval)
-        self._last_total = total
-
-    # -- backfill backend -------------------------------------------------------
+    # -- backfill --------------------------------------------------------------
     def _pending(self, now: float) -> int:
         """How many sample points are due in ``(last, now]``."""
         span = now - self._next_t
@@ -223,30 +160,24 @@ class Channel:
     # -- lifecycle --------------------------------------------------------------
     def flush(self) -> None:
         """Materialize every sample due up to the current instant."""
-        if self.mode == "event" or self._stopped:
-            return
-        self.hub.flush()
+        if not self._stopped:
+            self.hub.flush()
 
     def stop(self) -> "TimeSeries":
         """Flush pending samples, detach the channel, return its series."""
         if self._stopped:
             return self.series
-        if self.mode == "event":
-            self._stopped = True
-            if self._proc.is_alive:
-                self._proc.interrupt("probe stopped")
-        else:
-            self.hub.flush()
-            self._stopped = True
-            try:
-                self.hub._channels.remove(self)
-            except ValueError:  # pragma: no cover - defensive
-                pass
+        self.hub.flush()
+        self._stopped = True
+        try:
+            self.hub._channels.remove(self)
+        except ValueError:  # pragma: no cover - defensive
+            pass
         return self.series
 
 
 class SamplerHub:
-    """Per-simulator registry of backfill channels and fluid schedulers.
+    """Per-simulator registry of sample channels and fluid schedulers.
 
     Created lazily by :func:`hub_for` and stored on
     ``Simulator.sampler_hub``.  :class:`~repro.sim.fluid.FluidScheduler`
@@ -277,16 +208,13 @@ class SamplerHub:
         interval: float,
         series: "TimeSeries",
         kind: str = "rate",
-        mode: Optional[str] = None,
-        pre_sample: Optional[Callable[[], None]] = None,
     ) -> Channel:
         """Declare a telemetry channel (see :class:`Channel`)."""
-        return Channel(self, counter, interval, series, kind=kind,
-                       mode=mode, pre_sample=pre_sample)
+        return Channel(self, counter, interval, series, kind=kind)
 
     @property
     def active(self) -> bool:
-        """True when any backfill channel is registered."""
+        """True when any channel is registered."""
         return bool(self._channels)
 
     # -- epoch fan-out ----------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.sampling import hub_for
 
-__all__ = ["TimeSeries", "ThroughputProbe", "EventRateProbe", "TraceLog", "periodic"]
+__all__ = ["TimeSeries", "ThroughputProbe", "EventRateProbe", "TraceLog"]
 
 
 @dataclass
@@ -114,19 +114,6 @@ class TimeSeries:
         return "".join(out)
 
 
-def periodic(sim: Simulator, interval: float, fn: Callable[[float], None]):
-    """A process generator calling ``fn(now)`` every *interval* seconds."""
-    if interval <= 0:
-        raise ValueError(f"interval must be > 0, got {interval}")
-
-    def _proc():
-        while True:
-            yield sim.timeout(interval)
-            fn(sim.now)
-
-    return sim.process(_proc(), name=f"periodic:{getattr(fn, '__name__', 'fn')}")
-
-
 class ThroughputProbe:
     """Samples a cumulative byte counter into a rate (bytes/s) time series.
 
@@ -136,12 +123,8 @@ class ThroughputProbe:
 
     The probe is a thin veneer over a :class:`~repro.sim.sampling.Channel`
     declared on the simulator's :class:`~repro.sim.sampling.SamplerHub`:
-    under the default ``backfill`` backend sample points are materialized
-    analytically at fluid-epoch boundaries (zero heap events), while
-    ``sampler="event"`` runs the classic per-tick generator process.
-    ``pre_sample`` (e.g. ``scheduler.settle``) runs before each per-tick
-    sample under the event backend; the backfill backend settles as part
-    of epoch handling and does not need it.
+    sample points are materialized analytically at fluid-epoch
+    boundaries (zero heap events).
     """
 
     def __init__(
@@ -150,22 +133,13 @@ class ThroughputProbe:
         counter: Callable[[], float],
         interval: float = 1.0,
         name: str = "",
-        pre_sample: Optional[Callable[[], None]] = None,
-        sampler: Optional[str] = None,
     ):
         self.sim = sim
         self.counter = counter
         self.interval = interval
         self.series = TimeSeries(name=name or "throughput")
         self._channel = hub_for(sim).channel(
-            counter, interval, self.series, kind="rate",
-            mode=sampler, pre_sample=pre_sample,
-        )
-
-    @property
-    def sampler(self) -> str:
-        """The backend this probe runs under (``backfill`` or ``event``)."""
-        return self._channel.mode
+            counter, interval, self.series, kind="rate")
 
     def flush(self) -> None:
         """Materialize every sample due up to the current instant."""
@@ -184,29 +158,19 @@ class EventRateProbe:
     pairs with :class:`ThroughputProbe`'s byte view.  Reads the
     :class:`~repro.sim.engine.SimStats` counters maintained by the engine.
 
-    This is kernel *self*-measurement, so the series depends on the
-    sampler backend by construction: under ``event`` each tick is itself
-    an event and contributes to the counts it samples, while ``backfill``
-    schedules no ticks and linearly interpolates the dynamics-only event
-    count across each fluid epoch.  Cross-backend comparisons should use
-    fluid-driven series (throughput, CPU, utilization) instead.
+    This is kernel *self*-measurement: the sampler schedules no ticks of
+    its own and linearly interpolates the dynamics-only event count across
+    each fluid epoch.
     """
 
-    def __init__(self, sim: Simulator, interval: float = 1.0, name: str = "",
-                 sampler: Optional[str] = None):
+    def __init__(self, sim: Simulator, interval: float = 1.0, name: str = ""):
         self.sim = sim
         self.interval = interval
         self.series = TimeSeries(name=name or "events/s")
         stats = sim.stats
         self._channel = hub_for(sim).channel(
             lambda: float(stats.events_processed), interval, self.series,
-            kind="rate", mode=sampler,
-        )
-
-    @property
-    def sampler(self) -> str:
-        """The backend this probe runs under (``backfill`` or ``event``)."""
-        return self._channel.mode
+            kind="rate")
 
     def flush(self) -> None:
         """Materialize every sample due up to the current instant."""

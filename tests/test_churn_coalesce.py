@@ -10,9 +10,9 @@ and nothing observable changes.  These tests pin
 * the bulk ``start_many``/``finish_many`` API and the rate/load
   read-triggered flush,
 * burst-arrival determinism: same-seed, same-timestamp arrival bursts
-  produce identical ledgers across ``REPRO_CHURN=eager|coalesce``,
-  ``REPRO_FLUID_SOLVER=python|array``, and sharded vs single-process
-  runs.
+  produce identical ledgers under the eager oracle
+  (:class:`EagerFluidScheduler`) and the coalescing production kernel,
+  under both allocator dispatch paths, and across shard counts.
 """
 
 import json
@@ -24,11 +24,18 @@ from repro.service import (BrokerConfig, RailFleet, TransferBroker,
                            WorkloadConfig)
 from repro.service.fabric import FabricSpec, run_fabric
 from repro.service.workload import WorkloadGenerator
+from repro.sim import context, fluid
 from repro.sim.context import Context
 from repro.sim.engine import Simulator
-from repro.sim.fluid import (FluidFlow, FluidResource, FluidScheduler,
-                             default_churn)
+from repro.sim.fluid import FluidFlow, FluidResource, FluidScheduler
 from repro.util.units import MIB
+
+
+class EagerFluidScheduler(FluidScheduler):
+    """The oracle: every transition rebalances at once, nothing deferred."""
+
+    def _after_change(self) -> None:
+        self._rebalance()
 
 # --- engine advance hooks ------------------------------------------------------
 
@@ -65,13 +72,9 @@ def test_advance_hook_scheduled_events_are_drained():
 # --- coalesced scheduler semantics ---------------------------------------------
 
 
-def _sched(sim, churn, solver="python"):
-    return FluidScheduler(sim, solver=solver, churn=churn)
-
-
 def test_same_instant_burst_coalesces_to_one_rebalance():
     sim = Simulator()
-    fl = _sched(sim, "coalesce")
+    fl = FluidScheduler(sim)
     res = FluidResource(fl, 100.0, "link")
     flows = [FluidFlow([(res, 1.0)], size=50.0, name=f"f{i}")
              for i in range(8)]
@@ -84,17 +87,18 @@ def test_same_instant_burst_coalesces_to_one_rebalance():
 
 def test_eager_burst_rebalances_per_transition():
     sim = Simulator()
-    fl = _sched(sim, "eager")
+    fl = EagerFluidScheduler(sim)
     res = FluidResource(fl, 100.0, "link")
     flows = [FluidFlow([(res, 1.0)], size=50.0, name=f"f{i}")
              for i in range(8)]
-    fl.start_many(flows)  # degrades to the exact per-flow loop
+    fl.start_many(flows)
     assert fl.stats.rebalances == 8
+    assert flows[0]._rate == pytest.approx(100.0 / 8)  # already settled
 
 
 def test_rate_read_flushes_pending_rebalance():
     sim = Simulator()
-    fl = _sched(sim, "coalesce")
+    fl = FluidScheduler(sim)
     res = FluidResource(fl, 100.0, "link")
     f = FluidFlow([(res, 1.0)], size=None, cap=30.0, name="f")
     fl.start(f)
@@ -105,9 +109,9 @@ def test_rate_read_flushes_pending_rebalance():
 
 
 def test_finish_many_freezes_bytes_in_one_settle():
-    for churn in ("coalesce", "eager"):
+    for scheduler in (FluidScheduler, EagerFluidScheduler):
         sim = Simulator()
-        fl = _sched(sim, churn)
+        fl = scheduler(sim)
         res = FluidResource(fl, 100.0, "link")
         flows = [FluidFlow([(res, 1.0)], size=None, name=f"f{i}")
                  for i in range(4)]
@@ -121,7 +125,7 @@ def test_finish_many_freezes_bytes_in_one_settle():
 def test_bulk_api_matches_sequential_loops():
     def run(bulk: bool):
         sim = Simulator()
-        fl = _sched(sim, "coalesce")
+        fl = FluidScheduler(sim)
         res = FluidResource(fl, 120.0, "link")
         flows = [FluidFlow([(res, 1.0)], size=60.0, name=f"f{i}")
                  for i in range(3)]
@@ -133,18 +137,6 @@ def test_bulk_api_matches_sequential_loops():
         return [(f.transferred, f.finished_at) for f in flows]
 
     assert run(bulk=True) == run(bulk=False)
-
-
-def test_default_churn_env(monkeypatch):
-    monkeypatch.delenv("REPRO_CHURN", raising=False)
-    assert default_churn() == "coalesce"
-    monkeypatch.setenv("REPRO_CHURN", "eager")
-    assert default_churn() == "eager"
-    monkeypatch.setenv("REPRO_CHURN", "lazy-ish")
-    with pytest.raises(ValueError, match="REPRO_CHURN"):
-        default_churn()
-    with pytest.raises(ValueError, match="churn"):
-        FluidScheduler(Simulator(), churn="bogus")
 
 
 # --- broker bulk lifecycle -----------------------------------------------------
@@ -213,28 +205,39 @@ def _canon(result: dict) -> str:
     return json.dumps(masked, sort_keys=True, default=str)
 
 
+#: ``_VECTOR_MIN_FLOWS`` per dispatch path: "python" sends every
+#: component through the scalar filling loop, "array" through the
+#: vectorized one.
+DISPATCH = {"python": 10 ** 9, "array": 2}
+
+
 @pytest.mark.parametrize("solver", ["python", "array"])
 def test_burst_ledgers_identical_across_churn_modes(monkeypatch, solver):
-    monkeypatch.setenv("REPRO_FLUID_SOLVER", solver)
+    monkeypatch.setattr(fluid, "_VECTOR_MIN_FLOWS", DISPATCH[solver])
     ledgers = set()
-    for churn in ("eager", "coalesce"):
-        monkeypatch.setenv("REPRO_CHURN", churn)
+    for scheduler in (EagerFluidScheduler, FluidScheduler):
+        monkeypatch.setattr(context, "FluidScheduler", scheduler)
         ledgers.add(_canon(run_fabric(BURST_SPEC, seed=11, sharded=False)))
     assert len(ledgers) == 1
 
 
 def test_burst_ledgers_identical_across_shards_and_workers(monkeypatch):
     # The sharded contract (MODELING.md §12): byte-identical ledgers at
-    # any worker or shard count; the single-process reference agrees on
-    # every job-census total (its un-quantized rates may shift
-    # individual latencies within an epoch).
-    monkeypatch.setenv("REPRO_CHURN", "coalesce")
+    # any worker or shard count, and under the eager oracle (in-process
+    # shards only: worker processes build the production scheduler); the
+    # single-process reference agrees on every job-census total (its
+    # un-quantized rates may shift individual latencies within an epoch).
     ledgers = set()
-    for jobs, n_shards in ((1, 1), (2, 2)):
+    for scheduler, jobs, n_shards in ((FluidScheduler, 1, 1),
+                                      (FluidScheduler, 2, 2),
+                                      (EagerFluidScheduler, 1, 1),
+                                      (EagerFluidScheduler, 1, 2)):
+        monkeypatch.setattr(context, "FluidScheduler", scheduler)
         with executor(jobs=jobs):
             ledgers.add(_canon(run_fabric(BURST_SPEC, seed=11,
                                           n_shards=n_shards,
                                           fixed_rounds=2)))
+    monkeypatch.setattr(context, "FluidScheduler", FluidScheduler)
     assert len(ledgers) == 1
 
     def totals(result):

@@ -7,6 +7,7 @@ corrupt or truncated on-disk entries.
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -65,6 +66,13 @@ def test_key_changes_with_any_calibration_field(tmp_path):
         value = getattr(CALIBRATION, field_name)
         perturbed = CALIBRATION.replace(**{field_name: value * 2})
         assert cache.key_for(make_task(cal=perturbed)) != base, field_name
+
+
+def test_identity_keys_are_exactly_the_result_inputs():
+    # One kernel, no backend switches: nothing but the task's own inputs,
+    # the ambient fault plan and the format version keys a cache entry.
+    identity = json.loads(make_task().identity())
+    assert set(identity) == {"target", "params", "seed", "cal", "faults", "v"}
 
 
 def test_key_changes_with_code_fingerprint(tmp_path):

@@ -1,20 +1,25 @@
-"""Differential suite: the array solver must reproduce the reference.
+"""Differential suite: the fluid kernel against two oracles.
 
 Each scenario is a randomized (seeded) churn script — flows arriving
 and departing over shared resources, rate caps, capacity shocks,
 open-ended flows stopped mid-flight, zero-capacity and duplicated path
-entries — executed twice, once per solver backend, on independent
-simulators.  The two executions must agree on every observable:
+entries — checked two ways:
 
-* per-flow transferred bytes and completion times (1e-6 relative);
-* per-category charge totals (1e-6 relative);
-* which flows completed at all;
-* :class:`FluidStats` counters (exactly equal, and monotone over time).
+1. **Against the textbook allocation.**  After every flush (an engine
+   advance hook) every active flow's rate must equal, to 1e-6, the
+   from-scratch progressive-filling :func:`fluid_reference.maxmin` of
+   the current active set.
+2. **Against itself under both dispatch paths.**  The scenario runs
+   once with ``_VECTOR_MIN_FLOWS`` lowered to 2 (every multi-flow
+   component and active set takes the vectorized path) and once raised
+   out of reach (every one takes the scalar loop).  The two executions
+   must agree on every observable: per-flow transferred bytes and
+   completion times and per-category charge totals (1e-6 relative),
+   which flows completed at all, and :class:`FluidStats` counters
+   (exactly equal, and monotone over time).
 
-Scenario sizes straddle ``_VECTOR_MIN_FLOWS`` so both the scalar
-dispatch (small components) and the vectorized kernel (large
-components) are exercised; the scenario count (~200) is the churn
-coverage promised in ISSUE 3.
+Scenario sizes straddle the production ``_VECTOR_MIN_FLOWS`` so the
+default dispatch sees both small and large components too.
 """
 
 import math
@@ -24,9 +29,15 @@ import pytest
 
 from repro.kernel.accounting import CpuAccounting
 from repro.sim import FluidFlow, FluidResource, FluidScheduler, Simulator
+from repro.sim import fluid
 from repro.sim.fluid import _VECTOR_MIN_FLOWS, FluidStats
+from tests.fluid_reference import maxmin
 
 N_SCENARIOS = 200
+
+#: ``_VECTOR_MIN_FLOWS`` settings: everything vectorized / everything scalar.
+VECTOR_ALWAYS = 2
+VECTOR_NEVER = 10 ** 9
 
 
 def _random_scenario(rng: random.Random) -> dict:
@@ -77,17 +88,45 @@ def _random_scenario(rng: random.Random) -> dict:
     return {"capacities": capacities, "flows": flows, "shocks": shocks}
 
 
-def _execute(scenario: dict, solver: str) -> dict:
-    """Run one scenario under one backend; return its observables."""
+def _check_against_reference(sched, specs, resources, seed) -> None:
+    """Every active flow's rate equals the textbook max-min allocation."""
+    active = sched.active_flows
+    if not active:
+        return
+    flows = []
+    for f in active:
+        path = {}
+        for j, w in specs[f][3]:
+            path[j] = path.get(j, 0.0) + w
+        flows.append((path, f.cap))
+    expected = maxmin(flows, {j: r.capacity for j, r in enumerate(resources)})
+    for f, want in zip(active, expected):
+        assert _close(f._rate, want), (
+            f"seed {seed} t={sched.sim.now} {f.name}: "
+            f"rate {f._rate!r} != reference {want!r}")
+
+
+def _execute(scenario: dict, vector_min: int, monkeypatch,
+             seed: int = -1) -> dict:
+    """Run one scenario at one dispatch threshold; return its observables."""
+    monkeypatch.setattr(fluid, "_VECTOR_MIN_FLOWS", vector_min)
     sim = Simulator()
-    sched = FluidScheduler(sim, solver=solver)
+    sched = FluidScheduler(sim)
     resources = [FluidResource(sched, c, f"r{i}")
                  for i, c in enumerate(scenario["capacities"])]
     ledger = CpuAccounting("equiv")
+    specs = {}
+
+    def check():
+        _check_against_reference(sched, specs, resources, seed)
 
     def starter(delay, flow, stop_after):
         yield sim.timeout(delay)
         sched.start(flow)
+        if check not in sim._advance_hooks:
+            # Registered after the scheduler's own flush hook (added by
+            # its first transition), so the check sees flushed rates.
+            sim.add_advance_hook(check)
         if stop_after is not None:
             yield sim.timeout(stop_after)
             if flow._active:
@@ -102,6 +141,7 @@ def _execute(scenario: dict, solver: str) -> dict:
                          charges=[(ledger.account(cat), per_byte)],
                          name=f"f{i}")
         flows.append(flow)
+        specs[flow] = scenario["flows"][i]
         sim.process(starter(start, flow, stop_after))
 
     def shocker(when, idx, new_cap):
@@ -141,42 +181,42 @@ def _close(a, b, rel=1e-6):
 
 
 @pytest.mark.parametrize("seed", range(N_SCENARIOS))
-def test_solvers_agree(seed):
+def test_solvers_agree(seed, monkeypatch):
     scenario = _random_scenario(random.Random(900_000 + seed))
-    ref = _execute(scenario, "python")
-    arr = _execute(scenario, "array")
+    ref = _execute(scenario, VECTOR_NEVER, monkeypatch, seed)
+    arr = _execute(scenario, VECTOR_ALWAYS, monkeypatch, seed)
 
     for i, (a, b) in enumerate(zip(ref["transferred"], arr["transferred"])):
         assert _close(a, b), (
-            f"seed {seed} flow {i}: transferred python={a!r} array={b!r}"
+            f"seed {seed} flow {i}: transferred scalar={a!r} vector={b!r}"
         )
     for i, (a, b) in enumerate(zip(ref["finished_at"], arr["finished_at"])):
         assert _close(a, b), (
-            f"seed {seed} flow {i}: finished_at python={a!r} array={b!r}"
+            f"seed {seed} flow {i}: finished_at scalar={a!r} vector={b!r}"
         )
     assert ref["completed"] == arr["completed"]
 
     assert set(ref["charges"]) == set(arr["charges"])
     for cat, total in ref["charges"].items():
         assert _close(total, arr["charges"][cat]), (
-            f"seed {seed} charge {cat}: python={total!r} "
-            f"array={arr['charges'][cat]!r}"
+            f"seed {seed} charge {cat}: scalar={total!r} "
+            f"vector={arr['charges'][cat]!r}"
         )
 
-    # Counters: identical across backends (same rebalance cadence) ...
+    # Counters: identical across dispatch paths (same rebalance cadence)
     assert ref["stats"] == arr["stats"], f"seed {seed}: stats diverged"
-    # ... and monotone over simulated time within each backend.
+    # ... and monotone over simulated time within each run.
     for trace in (ref["stats_trace"], arr["stats_trace"]):
         for earlier, later in zip(trace, trace[1:]):
             for key, value in earlier.items():
                 assert later[key] >= value, f"seed {seed}: {key} decreased"
 
 
-def test_process_totals_accumulate():
+def test_process_totals_accumulate(monkeypatch):
     """Class-level totals advance in step with instance counters."""
     before = FluidStats.process_totals()
     scenario = _random_scenario(random.Random(123456))
-    result = _execute(scenario, "array")
+    result = _execute(scenario, _VECTOR_MIN_FLOWS, monkeypatch)
     after = FluidStats.process_totals()
     assert after["rebalances"] - before["rebalances"] >= (
         result["stats"]["rebalances"]

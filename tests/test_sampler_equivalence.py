@@ -1,14 +1,18 @@
-"""Differential suite: the backfill sampler against the per-tick reference.
+"""Differential suite: the backfill sampler against a per-tick shadow.
 
-Every fluid-driven series (throughput, CPU accounting, resource
-utilization) must agree between ``REPRO_SAMPLER=event`` and
-``REPRO_SAMPLER=backfill`` to 1e-6 across application scenarios
-(RFTP / GridFTP / iSER), because the backfill backend only replaces
-*when* the piecewise-linear counters are read, never the dynamics.
+The :func:`shadow` fixture wraps :meth:`SamplerHub.channel`: every
+declared channel also gets a per-tick simulator process that, once per
+interval, settles the hub's fluid schedulers and records ``counter()``
+into a shadow :class:`TimeSeries` — what a sampler that ticks through
+the event loop would record.  Every fluid-driven series (throughput,
+CPU and memory utilization) must match its shadow to 1e-6 across
+application scenarios (RFTP / GridFTP / iSER), because backfilling only
+replaces *when* the piecewise-linear counters are read, never the
+dynamics.  Event-rate channels are kernel self-measurement (the
+shadow's own ticks are events), so they have no shadow to match.
 
 Also covers the array-backed ``TimeSeries.record_many`` bulk append
-(monotonic-time enforcement, summary helpers) and the result-cache
-identity (cache entries must not replay across sampler backends).
+(monotonic-time enforcement, summary helpers).
 """
 
 import numpy as np
@@ -16,22 +20,70 @@ import pytest
 
 from repro.core.system import EndToEndSystem
 from repro.core.tuning import TuningPolicy
-from repro.exec.task import SimTask
 from repro.kernel.monitor import HostMonitor
 from repro.sim import (
     FluidFlow,
     FluidResource,
     FluidScheduler,
+    SamplerHub,
     Simulator,
     ThroughputProbe,
     TimeSeries,
-    default_sampler,
     hub_for,
 )
-from repro.sim.context import Context
 from repro.util.units import GB, MIB
 
 TOL = 1e-6
+
+
+def _tick(hub, channel, counter, interval, series, kind, last):
+    """Per-tick sampler process: settle, read, record, once per interval.
+
+    The settle runs with the hub's channels hidden, so the shadow never
+    hands the backfill an epoch boundary at a sample point: backfilled
+    points keep being interpolated exactly as in an unshadowed run.
+    """
+    sim = hub.sim
+    while True:
+        yield sim.timeout(interval)
+        if channel._stopped:
+            return
+        channels, hub._channels = hub._channels, []
+        try:
+            for sched in hub._schedulers:
+                sched.settle()
+        finally:
+            hub._channels = channels
+        value = float(counter())
+        if kind == "gauge":
+            series.record(sim.now, value)
+        else:
+            series.record(sim.now, (value - last) / interval)
+            last = value
+
+
+@pytest.fixture
+def shadow(monkeypatch):
+    """Shadow every channel declared during the test; returns a lookup
+    from a channel's series to its per-tick shadow series."""
+    pairs = []
+    declare = SamplerHub.channel
+
+    def channel(self, counter, interval, series, kind="rate"):
+        ch = declare(self, counter, interval, series, kind=kind)
+        twin = TimeSeries(f"shadow:{series.name}")
+        last = float(counter()) if kind == "rate" else 0.0
+        self.sim.process(_tick(self, ch, counter, interval, twin, kind, last),
+                         name=f"shadow:{series.name}")
+        pairs.append((series, twin))
+        return ch
+
+    monkeypatch.setattr(SamplerHub, "channel", channel)
+
+    def lookup(series):
+        return next(twin for s, twin in pairs if s is series)
+
+    return lookup
 
 
 def assert_series_match(a: TimeSeries, b: TimeSeries) -> None:
@@ -44,32 +96,16 @@ def assert_series_match(a: TimeSeries, b: TimeSeries) -> None:
                                err_msg=f"values diverge in {a.name}")
 
 
-def assert_accounting_match(a, b) -> None:
-    da, db = a.seconds_by_category(), b.seconds_by_category()
-    assert set(da) == set(db)
-    for k in da:
-        assert da[k] == pytest.approx(db[k], rel=TOL, abs=TOL), k
-
-
-def per_sampler(monkeypatch, fn):
-    """Run *fn()* under each backend; returns (event_result, backfill_result)."""
-    out = {}
-    for backend in ("event", "backfill"):
-        monkeypatch.setenv("REPRO_SAMPLER", backend)
-        out[backend] = fn()
-    return out["event"], out["backfill"]
-
-
 # --- direct probe scenarios ----------------------------------------------------
 
 
-def _throttled_flow_run():
+def _throttled_flow_run(with_probe=True):
     sim = Simulator()
     sched = FluidScheduler(sim)
     link = FluidResource(sched, 100.0, "link")
     flow = FluidFlow([(link, 1.0)], size=None, name="f")
-    probe = ThroughputProbe(sim, lambda: flow.transferred, interval=1.0,
-                            name="tp", pre_sample=sched.settle)
+    probe = (ThroughputProbe(sim, lambda: flow.transferred, interval=1.0,
+                             name="tp") if with_probe else None)
     sched.start(flow)
 
     def driver():
@@ -83,25 +119,28 @@ def _throttled_flow_run():
     sim.run(until=done)
     sim.run(until=12.0)
     sched.settle()
-    series = probe.stop()
+    series = probe.stop() if probe is not None else None
     sched.stop(flow)
     return series, flow.transferred, sim.stats
 
 
-def test_probe_agrees_across_rate_epochs(monkeypatch):
-    (s_ev, total_ev, st_ev), (s_bf, total_bf, st_bf) = per_sampler(
-        monkeypatch, _throttled_flow_run)
-    assert_series_match(s_ev, s_bf)
-    assert total_ev == pytest.approx(total_bf, rel=TOL)
-    # the backfill leg materialized its samples without heap events
-    assert st_bf.samples_backfilled == len(s_bf) == 12
-    assert st_ev.samples_backfilled == 0
-    assert st_bf.events_processed < st_ev.events_processed
+def test_probe_agrees_across_rate_epochs(shadow):
+    series, _total, stats = _throttled_flow_run()
+    assert_series_match(shadow(series), series)
+    assert stats.samples_backfilled == len(series) == 12
 
 
-def test_probe_samples_between_epochs_are_linear(monkeypatch):
+def test_probe_schedules_no_events():
+    """Backfilled samples cost no heap events: a probed run processes
+    exactly the events of the same run without a probe."""
+    _, total, probed = _throttled_flow_run()
+    _, total_bare, bare = _throttled_flow_run(with_probe=False)
+    assert probed.events_processed == bare.events_processed
+    assert total == total_bare
+
+
+def test_probe_samples_between_epochs_are_linear():
     """Within one epoch the backfilled rates equal the constant fluid rate."""
-    monkeypatch.setenv("REPRO_SAMPLER", "backfill")
     series, total, _ = _throttled_flow_run()
     # epochs at 4.5 / 7.75 / 12.0; rates 100 / 50 / 200
     values = dict(zip(series.times, series.values))
@@ -117,63 +156,39 @@ def test_probe_samples_between_epochs_are_linear(monkeypatch):
 # --- application scenarios -----------------------------------------------------
 
 
-def test_rftp_wan_cell_agrees(monkeypatch):
+def test_rftp_wan_cell_agrees(shadow):
     from repro.core.experiments.exp_fig13_wan_bw import sweep
 
-    def run():
-        grid = sweep(quick=True, seed=3, block_sizes=(4 * MIB,),
-                     stream_counts=(2,))
-        return grid[(4 * MIB, 2)]
-
-    ev, bf = per_sampler(monkeypatch, run)
-    assert ev.total_bytes == pytest.approx(bf.total_bytes, rel=TOL)
-    assert_series_match(ev.series, bf.series)
-    assert_accounting_match(ev.sender_accounting, bf.sender_accounting)
-    assert_accounting_match(ev.receiver_accounting, bf.receiver_accounting)
-    assert ev.per_link_bytes.keys() == bf.per_link_bytes.keys()
-    for k in ev.per_link_bytes:
-        assert ev.per_link_bytes[k] == pytest.approx(
-            bf.per_link_bytes[k], rel=TOL)
+    grid = sweep(quick=True, seed=3, block_sizes=(4 * MIB,),
+                 stream_counts=(2,))
+    result = grid[(4 * MIB, 2)]
+    assert len(result.series) > 0
+    assert_series_match(shadow(result.series), result.series)
 
 
-def test_gridftp_run_agrees(monkeypatch):
-    def run():
-        system = EndToEndSystem.lan_testbed(
-            TuningPolicy.numa_bound(), seed=7, lun_size=2 * GB)
-        return system.run_gridftp_transfer(duration=10.0)
-
-    ev, bf = per_sampler(monkeypatch, run)
-    assert ev.total_bytes == pytest.approx(bf.total_bytes, rel=TOL)
-    assert_series_match(ev.series, bf.series)
-    assert ev.sender_cpu.by_category.keys() == bf.sender_cpu.by_category.keys()
-    for k, v in ev.sender_cpu.by_category.items():
-        assert v == pytest.approx(bf.sender_cpu.by_category[k], rel=TOL, abs=TOL)
+def test_gridftp_run_agrees(shadow):
+    system = EndToEndSystem.lan_testbed(
+        TuningPolicy.numa_bound(), seed=7, lun_size=2 * GB)
+    result = system.run_gridftp_transfer(duration=10.0)
+    assert len(result.series) > 0
+    assert_series_match(shadow(result.series), result.series)
 
 
-def test_iser_fio_with_host_monitor_agrees(monkeypatch):
+def test_iser_fio_with_host_monitor_agrees(shadow):
     from repro.apps.fio import FioJob, run_fio
     from repro.core.experiments.exp_fig07_iser_bw import _build
 
-    def run():
-        ctx, front, target, initiator = _build("numa", 11, None)
-        monitor = HostMonitor(front, interval=1.0)
-        devices = [initiator.devices[i] for i in sorted(initiator.devices)]
-        res = run_fio(ctx, front, devices,
-                      FioJob(rw="read", block_size=1 * MIB, runtime=10.0))
-        ctx.fluid.settle()
-        monitor.stop()
-        return res, monitor
-
-    (res_ev, mon_ev), (res_bf, mon_bf) = per_sampler(monkeypatch, run)
-    assert res_ev.total_bytes == pytest.approx(res_bf.total_bytes, rel=TOL)
-    assert_accounting_match(res_ev.accounting, res_bf.accounting)
-    for n in mon_ev.cpu:
-        assert_series_match(mon_ev.cpu[n], mon_bf.cpu[n])
-    for n in mon_ev.mem:
-        assert_series_match(mon_ev.mem[n], mon_bf.mem[n])
-    if len(mon_ev.qpi):
-        assert_series_match(mon_ev.qpi, mon_bf.qpi)
-    assert mon_ev.hottest_resource() == mon_bf.hottest_resource()
+    ctx, front, target, initiator = _build("numa", 11, None)
+    monitor = HostMonitor(front, interval=1.0)
+    devices = [initiator.devices[i] for i in sorted(initiator.devices)]
+    run_fio(ctx, front, devices,
+            FioJob(rw="read", block_size=1 * MIB, runtime=10.0))
+    ctx.fluid.settle()
+    monitor.stop()
+    series = [*monitor.cpu.values(), *monitor.mem.values(), monitor.qpi]
+    assert all(len(s) > 0 for s in series)
+    for s in series:
+        assert_series_match(shadow(s), s)
 
 
 # --- TimeSeries.record_many ----------------------------------------------------
@@ -227,16 +242,6 @@ def test_record_many_validates_shape_and_allows_empty():
 # --- sampler plumbing ----------------------------------------------------------
 
 
-def test_default_sampler_env(monkeypatch):
-    monkeypatch.delenv("REPRO_SAMPLER", raising=False)
-    assert default_sampler() == "backfill"
-    monkeypatch.setenv("REPRO_SAMPLER", "event")
-    assert default_sampler() == "event"
-    monkeypatch.setenv("REPRO_SAMPLER", "bogus")
-    with pytest.raises(ValueError, match="REPRO_SAMPLER"):
-        default_sampler()
-
-
 def test_channel_validation():
     sim = Simulator()
     hub = hub_for(sim)
@@ -246,30 +251,13 @@ def test_channel_validation():
         hub.channel(lambda: 0.0, 0.0, series)
     with pytest.raises(ValueError, match="kind"):
         hub.channel(lambda: 0.0, 1.0, series, kind="histogram")
-    with pytest.raises(ValueError, match="mode"):
-        hub.channel(lambda: 0.0, 1.0, series, mode="lazy")
 
 
-def test_probe_stop_is_idempotent(monkeypatch):
-    for backend in ("event", "backfill"):
-        monkeypatch.setenv("REPRO_SAMPLER", backend)
-        sim = Simulator()
-        probe = ThroughputProbe(sim, lambda: 0.0, interval=1.0)
-        assert probe.sampler == backend
-        sim.run(until=3.0)
-        first = probe.stop()
-        again = probe.stop()
-        assert first is again
-        assert len(first) == 3
-
-
-def test_sampler_backend_is_part_of_cache_identity(monkeypatch):
-    task = SimTask(target="repro.core.experiments.exp_fig13_wan_bw:run",
-                   params={"quick": True}, seed=0)
-    monkeypatch.setenv("REPRO_SAMPLER", "backfill")
-    id_bf, key_bf = task.identity(), task.cache_key("fp")
-    monkeypatch.setenv("REPRO_SAMPLER", "event")
-    id_ev, key_ev = task.identity(), task.cache_key("fp")
-    assert '"sampler":"backfill"' in id_bf
-    assert '"sampler":"event"' in id_ev
-    assert key_bf != key_ev
+def test_probe_stop_is_idempotent():
+    sim = Simulator()
+    probe = ThroughputProbe(sim, lambda: 0.0, interval=1.0)
+    sim.run(until=3.0)
+    first = probe.stop()
+    again = probe.stop()
+    assert first is again
+    assert len(first) == 3

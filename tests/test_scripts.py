@@ -104,12 +104,17 @@ def test_empty_baselines_dir_is_a_bad_invocation(tmp_path, capsys):
     assert "no baselines" in out
 
 
-def test_perf_regression_still_fails(tree, capsys):
+def test_events_per_sec_drop_is_not_gated(tree, capsys):
+    # Events/sec on a quick run rewards adding events; the gate judges
+    # check values only, and the retired --tolerance knob is rejected.
     baselines, results = tree
     _write(results / "fig99.json", _result(events_per_sec=100.0))
     rc, out = _run(baselines, results, capsys)
-    assert rc == 1
-    assert "regressed" in out
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        gate.main(["--baselines", str(baselines), "--results", str(results),
+                   "--tolerance", "0.25"])
+    assert exc.value.code == 2
 
 
 def test_folded_report_is_not_gated(tree, capsys):
@@ -145,7 +150,7 @@ def _summary_run(results, output, capsys):
     return rc, capsys.readouterr()
 
 
-def test_summary_folds_results_and_surfaces_speedup(tmp_path, capsys):
+def test_summary_folds_results(tmp_path, capsys):
     results = tmp_path / "results"
     _write(results / "fig99.json",
            _result(checks=[{"metric": "goodput", "ok": True}]) |
@@ -159,8 +164,7 @@ def test_summary_folds_results_and_surfaces_speedup(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     rows = {r["name"]: r for r in report["benchmarks"]}
     assert set(rows) == {"fig99", "churn99"}
-    assert rows["churn99"]["speedup"] == 4.2
-    assert "speedup" not in rows["fig99"]
+    assert "speedup" not in rows["churn99"]  # extras are not folded
     assert report["totals"] == {
         "benchmarks": 2, "wall_seconds": 2.0, "all_ok": True,
         "checks_total": 1, "checks_failed": 0}

@@ -142,21 +142,25 @@ def test_pooled_timeout_still_validates_delay():
 
 
 def test_fluid_stats_count_skipped_components():
-    # eager mode: each transition rebalances immediately, so the per-call
-    # recompute/skip deltas below are observable.
+    # flush after each transition so the per-call recompute/skip deltas
+    # below are observable (same-instant transitions otherwise share one
+    # deferred rebalance).
     sim = Simulator()
-    sched = FluidScheduler(sim, churn="eager")
+    sched = FluidScheduler(sim)
     ra = FluidResource(sched, 100.0, "ra")
     rb = FluidResource(sched, 200.0, "rb")
     fa = FluidFlow([(ra, 1.0)], size=None, cap=None, name="fa")
     fb = FluidFlow([(rb, 1.0)], size=None, cap=None, name="fb")
     sched.start(fa)
+    sched.flush()
     sched.start(fb)
+    sched.flush()
     recomputed = sched.stats.flows_recomputed
     skipped = sched.stats.flows_skipped
 
     # capping fa touches only ra's component; fb's cached rate is reused
     sched.set_cap(fa, 10.0)
+    sched.flush()
     assert sched.stats.flows_recomputed == recomputed + 1
     assert sched.stats.flows_skipped == skipped + 1
     assert fa.rate == pytest.approx(10.0)

@@ -62,7 +62,6 @@ def test_probe_measures_flow_rate():
         sim,
         counter=lambda: flow.transferred,
         interval=1.0,
-        pre_sample=sched.settle,
     )
     sim.run(until=10.0)
     series = probe.stop()
@@ -84,8 +83,7 @@ def test_probe_sees_rate_change():
 
     sim.process(throttle())
     probe = ThroughputProbe(
-        sim, counter=lambda: flow.transferred, interval=1.0, pre_sample=sched.settle
-    )
+        sim, counter=lambda: flow.transferred, interval=1.0)
     sim.run(until=10.0)
     series = probe.stop()
     assert series.values[0] == pytest.approx(100.0)
