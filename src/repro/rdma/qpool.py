@@ -74,11 +74,14 @@ class QpPoolConfig:
 
 
 class _NicState:
-    __slots__ = ("active", "pool")
+    __slots__ = ("active", "pool", "qps")
 
     def __init__(self) -> None:
         self.active: Dict[str, int] = {}
         self.pool: Dict[str, int] = {}
+        #: Active QPs on the NIC: the sum over tenants of their running
+        #: jobs, each tenant capped at ``qp_per_tenant`` when pooled.
+        self.qps = 0
 
 
 class QpPoolSet:
@@ -110,12 +113,6 @@ class QpPoolSet:
             self.cm_delay_max = delay
         return delay
 
-    def _active_qps(self, st: _NicState) -> int:
-        if self.config.mode == "pooled":
-            cap = self.config.qp_per_tenant
-            return sum(min(n, cap) for n in st.active.values())
-        return sum(st.active.values())
-
     def acquire(self, rail_index: int, tenant: str) -> Tuple[float, float]:
         """Admit one job on *rail_index* for *tenant*.
 
@@ -124,11 +121,16 @@ class QpPoolSet:
         before the flow starts.
         """
         cfg = self.config
-        st = self._nics.setdefault(rail_index, _NicState())
+        st = self._nics.get(rail_index)
+        if st is None:
+            st = self._nics[rail_index] = _NicState()
         running = st.active.get(tenant, 0) + 1
         st.active[tenant] = running
+        pooled = cfg.mode == "pooled"
+        if not pooled or running <= cfg.qp_per_tenant:
+            st.qps += 1
         delay = 0.0
-        if cfg.mode == "pooled":
+        if pooled:
             have = st.pool.get(tenant, 0)
             if running > have and have < cfg.qp_per_tenant:
                 st.pool[tenant] = have + 1
@@ -137,7 +139,7 @@ class QpPoolSet:
                 self.qp_reuses += 1
         else:
             delay = self._cm_setup()
-        active = self._active_qps(st)
+        active = st.qps
         if active > self.peak_active_qps:
             self.peak_active_qps = active
         derate = 1.0
@@ -149,7 +151,10 @@ class QpPoolSet:
     def release(self, rail_index: int, tenant: str) -> None:
         """Retire one job's census entry (pooled QPs stay warm)."""
         st = self._nics[rail_index]
-        st.active[tenant] -= 1
+        running = st.active[tenant]
+        st.active[tenant] = running - 1
+        if self.config.mode != "pooled" or running <= self.config.qp_per_tenant:
+            st.qps -= 1
 
     def as_dict(self) -> dict:
         """The cliff counters, JSON-canonical (one cell's ledger entry)."""

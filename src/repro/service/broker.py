@@ -283,7 +283,7 @@ class ServiceStats:
         }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Job:
     """Broker-internal job record (sessions render it to plain dicts)."""
 
@@ -409,14 +409,17 @@ class TransferBroker:
             # vanishes (no job record, no journal entry, no session id).
             self.stats.count_dropped()
             return None
+        size = float(size)
         job = _Job(
-            job_id=self._next_id, tenant=tenant, size=float(size),
+            job_id=self._next_id, tenant=tenant, size=size,
             touch_node=touch_node, submitted_at=self.ctx.now,
-            remaining=float(size),
+            remaining=size,
         )
         self._next_id += 1
         self.stats.count_submitted()
-        row = self.tenants.setdefault(tenant, _tenant_row())
+        row = self.tenants.get(tenant)
+        if row is None:
+            row = self.tenants[tenant] = _tenant_row()
         row["submitted"] += 1
         self._jobs[job.job_id] = job
         if self._browned_out(tenant):
@@ -508,11 +511,16 @@ class TransferBroker:
         # tenant that fails quota stays failed for the rest of the scan
         # and a budget failure ends it.  Skipping on those facts is a
         # pure shortcut: the skipped iterations had no side effects.
-        quota = self.config.tenant_quota
+        cfg = self.config
+        quota = cfg.tenant_quota
+        policy = cfg.policy
+        rails = self.fleet.rails
         running = self._running_by_tenant
+        nominal = self._nominal
+        budget = self._budget
         over_quota: set = set()
         for job in self._queue:
-            if self._budget_used + self._nominal > self._budget:
+            if self._budget_used + nominal > budget:
                 break  # budget exhausted: nothing else is admissible
             tenant = job.tenant
             if tenant in over_quota:
@@ -521,8 +529,7 @@ class TransferBroker:
                 over_quota.add(tenant)
                 continue
             rail, buffer_node, self._cursor = pick_rail(
-                self.fleet.rails, self.config.policy, job.touch_node,
-                self._cursor)
+                rails, policy, job.touch_node, self._cursor)
             if rail is None:
                 break  # no live rails: leave the queue intact
             self._start(job, rail, buffer_node, batch)

@@ -29,10 +29,18 @@ POLICIES = ("fifo", "numa-aware", "numa-blind")
 
 
 def _least_loaded(rails: List[Rail]) -> Optional[Rail]:
+    # One pass over the rails reading job counts directly; the first
+    # minimum wins, and an idle rail is a minimum nothing can undercut.
     best: Optional[Rail] = None
+    best_load = 0
     for r in rails:
-        if r.alive and (best is None or r.load < best.load):
-            best = r
+        if r.alive:
+            load = len(r.jobs)
+            if not load:
+                return r
+            if best is None or load < best_load:
+                best = r
+                best_load = load
     return best
 
 

@@ -126,23 +126,18 @@ class WorkloadGenerator:
         cfg = self.config
         if cfg.size_dist == "fixed":
             return float(cfg.size_mean)  # no draw: the stream is untouched
-        rng = self.ctx.rng.stream("service.sizes")
         if cfg.size_dist == "lognormal":
-            sigma = cfg.lognormal_sigma
-            mu = math.log(cfg.size_mean) - 0.5 * sigma * sigma
-            return float(rng.lognormal(mu, sigma))
-        # pareto: scale solved so the mean is size_mean
-        alpha = cfg.pareto_alpha
-        xm = cfg.size_mean * (alpha - 1.0) / alpha
-        return float(xm * (1.0 + rng.pareto(alpha)))
+            mu, sigma = self._size_params
+            return float(self._sizes.lognormal(mu, sigma))
+        xm, alpha = self._size_params
+        return float(xm * (1.0 + self._sizes.pareto(alpha)))
 
-    def _draw_tenant(self) -> str:
-        rng = self.ctx.rng.stream("service.tenants")
-        return f"tenant{int(rng.integers(self.config.n_tenants))}"
-
-    def _draw_touch_node(self) -> int:
-        rng = self.ctx.rng.stream("service.placement")
-        return int(rng.integers(self.n_nodes))
+    def _draw_job(self) -> tuple[str, float, int]:
+        """One job's draws, in the per-job order: tenant, size, touch node."""
+        names = self._tenant_names
+        tenant = names[int(self._tenants.integers(len(names)))]
+        size = self._draw_size()
+        return tenant, size, int(self._touch.integers(self.n_nodes))
 
     def _intensity(self, t: float) -> float:
         """Diurnal intensity at simulated time *t* (peak = config.rate)."""
@@ -153,7 +148,27 @@ class WorkloadGenerator:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
-        """Begin submitting (schedules the arrival process)."""
+        """Begin submitting (schedules the arrival process).
+
+        The per-job RNG streams, size-distribution parameters and tenant
+        names are resolved here, once, rather than on every arrival.
+        """
+        cfg = self.config
+        rng = self.ctx.rng
+        self._tenants = rng.stream("service.tenants")
+        self._touch = rng.stream("service.placement")
+        self._tenant_names = [f"tenant{i}" for i in range(cfg.n_tenants)]
+        if cfg.size_dist == "lognormal":
+            # mu solved so the draw mean is size_mean
+            sigma = cfg.lognormal_sigma
+            self._size_params = (
+                math.log(cfg.size_mean) - 0.5 * sigma * sigma, sigma)
+        elif cfg.size_dist == "pareto":
+            # scale solved so the mean is size_mean
+            alpha = cfg.pareto_alpha
+            self._size_params = (cfg.size_mean * (alpha - 1.0) / alpha, alpha)
+        if cfg.size_dist != "fixed":
+            self._sizes = rng.stream("service.sizes")
         self.ctx.sim.process(self._run(), name="service/arrivals")
 
     def stop(self) -> None:
@@ -164,27 +179,29 @@ class WorkloadGenerator:
         sim = self.ctx.sim
         cfg = self.config
         arrivals = self.ctx.rng.stream("service.arrivals")
+        scale = 1.0 / cfg.rate
+        diurnal = cfg.arrival == "diurnal"
+        burst = cfg.burst
+        draw_job = self._draw_job
         while not self._stopped:
-            gap = float(arrivals.exponential(1.0 / cfg.rate))
+            gap = float(arrivals.exponential(scale))
             yield sim.timeout(gap)
             if self._stopped:
                 return
-            if cfg.arrival == "diurnal":
+            if diurnal:
                 # Thinning: candidate points arrive at the peak rate and
                 # survive with probability intensity(t)/peak.
                 if arrivals.random() >= self._intensity(sim.now) / cfg.rate:
                     continue
-            if cfg.burst == 1:
+            if burst == 1:
                 # The classic per-tick process, draw-for-draw identical
                 # to every pre-burst seed.
                 self.submitted += 1
-                self.submit(self._draw_tenant(), self._draw_size(),
-                            self._draw_touch_node())
+                self.submit(*draw_job())
                 continue
             # Burst: one arrival event carries cfg.burst jobs, each with
             # its own draws in the per-job order (tenant, size, touch).
-            jobs = [(self._draw_tenant(), self._draw_size(),
-                     self._draw_touch_node()) for _ in range(cfg.burst)]
+            jobs = [draw_job() for _ in range(burst)]
             self.submitted += len(jobs)
             if self.submit_many is not None:
                 self.submit_many(jobs)

@@ -64,15 +64,15 @@ class Event:
     (callbacks ran).  ``succeed``/``fail`` trigger it; ``value`` holds the
     payload (or the exception for failed events).
 
-    Events are their own heap entries: ``_time``/``_prio``/``_seq`` are the
-    scheduling key (set by :meth:`Simulator._push`), so scheduling allocates
-    no per-event wrapper tuple.  The callback list is allocated lazily on
-    the first ``add_callback`` — most timeouts carry exactly one waiter and
-    many events none at all.
+    The heap holds ``(time, priority, seq, event)`` entries (see
+    :meth:`Simulator._push`): the unique schedule sequence settles every
+    tie, so heap comparisons stay inside C tuple compares and never reach
+    the event.  The callback list is allocated lazily on the first
+    ``add_callback`` — most timeouts carry exactly one waiter and many
+    events none at all.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name",
-                 "_time", "_prio", "_seq")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "name")
 
     _PENDING = object()
 
@@ -83,17 +83,6 @@ class Event:
         self._value: Any = Event._PENDING
         self._ok: Optional[bool] = None
         self._processed = False
-        self._time = 0.0
-        self._prio = NORMAL
-        self._seq = 0
-
-    def __lt__(self, other: "Event") -> bool:
-        # Heap ordering: (time, priority, schedule sequence).
-        if self._time != other._time:
-            return self._time < other._time
-        if self._prio != other._prio:
-            return self._prio < other._prio
-        return self._seq < other._seq
 
     # -- state ------------------------------------------------------------
     @property
@@ -368,11 +357,13 @@ class Simulator:
     #: created in this interpreter.  The benchmark harness snapshots this
     #: around an experiment to derive an events/sec figure without needing
     #: a handle on the (often many) simulators the experiment builds.
+    #: :meth:`run` adds its events when it returns, so the count is exact
+    #: between runs.
     events_processed_total = 0
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._timeout_pool: list[Timeout] = []
         self.stats = SimStats()
@@ -417,12 +408,10 @@ class Simulator:
     # -- scheduling -----------------------------------------------------------
     def _push(self, event: Event, priority: int, delay: float = 0.0,
               at: Optional[float] = None) -> None:
-        event._time = self._now + delay if at is None else at
-        event._prio = priority
         self._seq = seq = self._seq + 1
-        event._seq = seq
         heap = self._heap
-        heappush(heap, event)
+        heappush(heap, (self._now + delay if at is None else at, priority,
+                        seq, event))
         stats = self.stats
         stats.events_scheduled += 1
         if len(heap) > stats.heap_peak:
@@ -495,23 +484,31 @@ class Simulator:
     # -- running ---------------------------------------------------------------
     def step(self) -> None:
         """Process exactly one event."""
+        self._step()
+        Simulator.events_processed_total += 1
+
+    def _step(self) -> None:
+        # One event, without the process-global count: run() adds its
+        # events to that class attribute once, when it returns, because
+        # rebinding a class attribute per event also invalidates
+        # CPython's attribute caches for the class every time.
         heap = self._heap
         if not heap:
             raise SimulationError("step() on an empty schedule")
-        if self._advance_hooks and heap[0]._time > self._now:
+        if self._advance_hooks and heap[0][0] > self._now:
             # The current instant is over: flush deferred work before any
             # later event runs (hooks may schedule earlier events, e.g. a
             # coalesced rebalance's completion timer — heappop finds them).
             for hook in self._advance_hooks:
                 hook()
-        event = heappop(heap)
-        t = event._time
+        # Unpacked at once: the entry tuple dies here, so the event's
+        # reference count below is the timeout-recycling test's own.
+        t, _prio, _seq, event = heappop(heap)
         if t < self._now - 1e-12:
             raise SimulationError(f"time went backwards: {t} < {self._now}")
         if t > self._now:
             self._now = t
         self.stats.events_processed += 1
-        Simulator.events_processed_total += 1
         callbacks, event.callbacks = event.callbacks, None
         event._processed = True
         if callbacks:
@@ -529,7 +526,7 @@ class Simulator:
 
     def peek(self) -> float:
         """Time of the next event, or +inf if none."""
-        return self._heap[0]._time if self._heap else float("inf")
+        return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -540,11 +537,12 @@ class Simulator:
           (raising if the event failed).
         """
         t0 = time.perf_counter()
+        processed = self.stats.events_processed
         try:
             if until is None:
                 while True:
                     while self._heap:
-                        self.step()
+                        self._step()
                     # A deferred flush may schedule the next completion;
                     # keep going until the hooks add nothing new.
                     if not self._flush_advance_hooks():
@@ -559,7 +557,7 @@ class Simulator:
                         raise SimulationError(
                             f"simulation starved before {target!r} fired"
                         )
-                    self.step()
+                    self._step()
                 if target._ok:
                     return target._value
                 raise target._value
@@ -569,14 +567,14 @@ class Simulator:
                 raise SimulationError(f"cannot run until {horizon} < now={self._now}")
             heap = self._heap
             while True:
-                while heap and heap[0]._time <= horizon:
-                    self.step()
+                while heap and heap[0][0] <= horizon:
+                    self._step()
                 # Flush deferred work before the clock jumps to the
                 # horizon: a coalesced rebalance may schedule completions
                 # inside the horizon, in which case the loop resumes.
                 if not self._flush_advance_hooks():
                     break
-                if not (heap and heap[0]._time <= horizon):
+                if not (heap and heap[0][0] <= horizon):
                     break
             self._now = horizon
             return None
@@ -587,4 +585,6 @@ class Simulator:
             hub = self.sampler_hub
             if hub is not None and hub._channels:
                 hub.flush()
+            Simulator.events_processed_total += (
+                self.stats.events_processed - processed)
             self.stats.wall_seconds += time.perf_counter() - t0

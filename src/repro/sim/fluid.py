@@ -29,15 +29,17 @@ byte of protocol processing, reproducing the paper's getrusage/perf
 measurements (Fig. 4, 8, 10, 12, 14).
 
 Flow state lives in flat numpy arrays (rate, cap, size, transferred,
-indexed by a per-scheduler *slot*); each flow's resource incidence is
-cached as index/weight arrays, assembled per affected component into a
-CSR-like (entry-list) structure, and progressive filling runs as a
-vectorized water-filling loop over boolean freeze masks.  ``settle`` is
-one fused ``transferred += rate·dt`` update plus a sparse matrix-vector
-product over the charge incidence, and next-completion selection is an
-``argmin`` over ``remaining / rate``.  Components (and active sets)
-smaller than :data:`_VECTOR_MIN_FLOWS` take a scalar loop over the same
-slot arrays instead, where numpy's per-call overhead would dominate.
+indexed by a per-scheduler *slot*).  For a component of at least
+:data:`_VECTOR_MIN_FLOWS` flows, each member's resource incidence (index
+and weight arrays, built on first use and cached on the flow) is
+concatenated into a CSR-like entry list, and progressive filling runs as
+a vectorized water-filling loop over boolean freeze masks.  ``settle``
+is one fused ``transferred += rate·dt`` update plus a sparse
+matrix-vector product over the charge incidence, and next-completion
+selection is an ``argmin`` over ``remaining / rate``.  Smaller
+components (and active sets) take scalar loops over plain lists and the
+same slot arrays instead, where numpy's per-call overhead would
+dominate.
 
 Only the connected components of the flow/resource sharing graph touched
 by a change are recomputed, and flow transitions at one simulated
@@ -77,6 +79,13 @@ _VECTOR_MIN_FLOWS = 16
 _CHARGE_COMPACT_MIN = 128
 
 
+#: Process-global allocator totals across all schedulers, counted in place
+#: (a class attribute rebound on every count would also invalidate
+#: CPython's attribute caches for its class every time).
+_TOTALS = {"rebalances": 0, "allocations": 0, "flows_recomputed": 0,
+           "flows_skipped": 0}
+
+
 class FluidStats:
     """Allocator counters: how much work incremental rebalancing avoids.
 
@@ -86,19 +95,13 @@ class FluidStats:
     filling, and ``flows_skipped`` the active flows whose cached rates
     were provably unaffected and therefore reused.
 
-    The class attributes with the same names aggregate across **all**
+    :meth:`process_totals` aggregates the same counters across **all**
     schedulers ever created in this process (like
     :attr:`Simulator.events_processed_total`) so report footers can show
     allocator telemetry without a handle on every scheduler.
     """
 
     __slots__ = ("rebalances", "allocations", "flows_recomputed", "flows_skipped")
-
-    #: Process-global totals across all schedulers (class-level).
-    total_rebalances = 0
-    total_allocations = 0
-    total_flows_recomputed = 0
-    total_flows_skipped = 0
 
     def __init__(self) -> None:
         self.rebalances = 0
@@ -109,12 +112,7 @@ class FluidStats:
     @classmethod
     def process_totals(cls) -> dict[str, int]:
         """The process-global counters as a plain dict."""
-        return {
-            "rebalances": cls.total_rebalances,
-            "allocations": cls.total_allocations,
-            "flows_recomputed": cls.total_flows_recomputed,
-            "flows_skipped": cls.total_flows_skipped,
-        }
+        return dict(_TOTALS)
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for reports and JSON)."""
@@ -256,14 +254,15 @@ class FluidFlow:
         charges: Sequence[tuple[Any, float]] = (),
         name: str = "",
     ):
+        # `not x > 0` rejects zero, negatives and NaN in one compare.
         weights: dict[FluidResource, float] = {}
         for res, w in path:
-            if w <= 0 or math.isnan(w):
+            if not w > 0:
                 raise ValueError(f"flow weight must be > 0, got {w}")
             weights[res] = weights.get(res, 0.0) + w
-        if size is not None and (size <= 0 or math.isnan(size)):
+        if size is not None and not size > 0:
             raise ValueError(f"flow size must be > 0 or None, got {size}")
-        if cap is not None and (cap <= 0 or math.isnan(cap)):
+        if cap is not None and not cap > 0:
             raise ValueError(f"flow cap must be > 0 or None, got {cap}")
         if cap is None and not any(
             math.isfinite(r.capacity) for r in weights
@@ -316,7 +315,7 @@ class FluidFlow:
         scheduler's slot array; otherwise in the flow's own scalar.
         """
         if self._slot >= 0:
-            return float(self._sched._f_transferred[self._slot])
+            return self._sched._f_transferred.item(self._slot)
         return self._transferred
 
     @transferred.setter
@@ -381,7 +380,6 @@ class FluidScheduler:
         self._f_cap = np.full(n, np.inf)
         self._f_size = np.full(n, np.inf)
         self._f_transferred = np.zeros(n)
-        self._slot_flow: List[Optional[FluidFlow]] = [None] * n
         self._free_slots: list[int] = list(range(n - 1, -1, -1))
         self._hw = 0
         # Charge incidence pool (CSR data: account row, flow-slot col,
@@ -395,16 +393,6 @@ class FluidScheduler:
         self._c_dead = 0
         self._accounts: list[Any] = []
         self._acct_index: dict[int, int] = {}
-        # Resource incidence pool (CSR data: flow-slot row, global
-        # resource col, weight value) covering every active flow.
-        # Appended on start; a stopping flow's entries are tombstoned
-        # (slot -1) and the pool is mask-compacted once a whole-graph
-        # allocation needs it or dead entries dominate.
-        self._e_res = np.zeros(n, dtype=np.intp)
-        self._e_w = np.zeros(n)
-        self._e_slot = np.zeros(n, dtype=np.intp)
-        self._e_used = 0
-        self._e_dead = 0
         # Scratch map global-resource-id -> component-local id.
         self._res_scratch = np.zeros(0, dtype=np.intp)
         # Scratch map flow-slot -> component-local id.
@@ -420,9 +408,15 @@ class FluidScheduler:
         flow._sched = self
         flow.started_at = self.sim.now
         self._active.append(flow)
+        users = self._users
+        dirty = self._dirty
         for r in flow._weights:
-            self._users.setdefault(r, {})[flow] = None
-            self._dirty[r] = None
+            res_users = users.get(r)
+            if res_users is None:
+                users[r] = {flow: None}
+            else:
+                res_users[flow] = None
+            dirty[r] = None
         self._dirty_flows[flow] = None
         self._bind_slot(flow)
         return flow.done
@@ -548,7 +542,7 @@ class FluidScheduler:
             # apply the allocation first, then accrue at the fresh rates.
             self._pending = False
             self.stats.rebalances += 1
-            FluidStats.total_rebalances += 1
+            _TOTALS["rebalances"] += 1
             self._allocate()
             self._settle_array(elapsed)
             self._last_settle = now
@@ -577,7 +571,7 @@ class FluidScheduler:
         if len(active) < _VECTOR_MIN_FLOWS:
             # Small active set: per-element numpy dispatch costs more than
             # it saves, so loop over the flows against the slot arrays
-            # (same arithmetic, element by element).
+            # (same arithmetic, element by element, in Python floats).
             f_tr = self._f_transferred
             for flow in active:
                 rate = flow._rate
@@ -586,13 +580,14 @@ class FluidScheduler:
                 delta = rate * elapsed
                 size = flow.size
                 slot = flow._slot
+                done = f_tr.item(slot)
                 if size is not None:
-                    remaining = size - float(f_tr[slot])
+                    remaining = size - done
                     if delta > remaining:
                         delta = remaining
                 if delta <= 0:
                     continue
-                f_tr[slot] += delta
+                f_tr[slot] = done + delta
                 charges = flow.charges
                 if charges:
                     for account, per_byte in charges:
@@ -620,36 +615,21 @@ class FluidScheduler:
 
     # -- slot-array state management -------------------------------------------
     def _bind_slot(self, flow: FluidFlow) -> None:
+        # A free slot already reads rate 0, cap inf and size inf (see
+        # _grow_slots and _release_slot): only finite values are written.
         if not self._free_slots:
             self._grow_slots()
         slot = self._free_slots.pop()
         flow._slot = slot
-        flow._sched = self
-        self._slot_flow[slot] = flow
         if slot >= self._hw:
             self._hw = slot + 1
-        self._f_rate[slot] = 0.0
-        self._f_cap[slot] = np.inf if flow.cap is None else flow.cap
-        self._f_size[slot] = np.inf if flow.size is None else flow.size
+        if flow.cap is not None:
+            self._f_cap[slot] = flow.cap
+        if flow.size is not None:
+            self._f_size[slot] = flow.size
         self._f_transferred[slot] = flow._transferred
-        ids = flow._res_ids
-        if ids is None:
-            n = len(flow._weights)
-            ids = np.fromiter(
-                (r._idx for r in flow._weights), dtype=np.intp, count=n
-            )
-            flow._res_ids = ids
-            flow._res_ws = np.fromiter(
-                flow._weights.values(), dtype=float, count=n
-            )
-        ne = ids.size
-        start = self._e_used
-        if start + ne > self._e_slot.size:
-            self._grow_entries(start + ne)
-        self._e_res[start: start + ne] = ids
-        self._e_w[start: start + ne] = flow._res_ws
-        self._e_slot[start: start + ne] = slot
-        self._e_used = start + ne
+        if not flow.charges:
+            return
         charges = [(a, c) for a, c in flow.charges if c != 0.0]
         if charges:
             start = self._c_len
@@ -692,32 +672,10 @@ class FluidScheduler:
         self._f_size[old:] = np.inf
         self._f_rate[old:] = 0.0
         self._f_transferred[old:] = 0.0
-        self._slot_flow.extend([None] * old)
         self._free_slots.extend(range(new - 1, old - 1, -1))
         fsc = np.zeros(new, dtype=np.intp)
         fsc[:old] = self._flow_scratch
         self._flow_scratch = fsc
-
-    def _grow_entries(self, need: int) -> None:
-        new = max(need, self._e_slot.size * 2)
-        for name, dtype in (("_e_res", np.intp), ("_e_w", float),
-                            ("_e_slot", np.intp)):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=dtype)
-            grown[: arr.size] = arr
-            setattr(self, name, grown)
-
-    def _compact_entries(self) -> None:
-        """Drop tombstoned incidence entries (churn-threshold rebuild)."""
-        u = self._e_used
-        alive = self._e_slot[:u] >= 0
-        k = int(alive.sum())
-        if k != u:
-            self._e_res[:k] = self._e_res[:u][alive]
-            self._e_w[:k] = self._e_w[:u][alive]
-            self._e_slot[:k] = self._e_slot[:u][alive]
-        self._e_used = k
-        self._e_dead = 0
 
     def _grow_charges(self, need: int) -> None:
         new = max(need, self._c_slot.size * 2)
@@ -730,19 +688,14 @@ class FluidScheduler:
 
     def _release_slot(self, flow: FluidFlow) -> None:
         slot = flow._slot
-        flow._transferred = float(self._f_transferred[slot])
+        flow._transferred = self._f_transferred.item(slot)
         self._f_rate[slot] = 0.0
-        self._f_cap[slot] = np.inf
-        self._f_size[slot] = np.inf
+        if flow.cap is not None:
+            self._f_cap[slot] = np.inf
+        if flow.size is not None:
+            self._f_size[slot] = np.inf
         flow._slot = -1
-        flow._sched = None
-        self._slot_flow[slot] = None
         self._free_slots.append(slot)
-        es = self._e_slot[: self._e_used]
-        es[es == slot] = -1
-        self._e_dead += flow._res_ids.size
-        if self._e_dead * 2 > self._e_used:
-            self._compact_entries()
         if flow._c_n:
             # Zero the costs in place: the entries become inert even if
             # the slot is reused before the next compaction.
@@ -793,7 +746,7 @@ class FluidScheduler:
     def _rebalance(self) -> None:
         """Recompute the max-min fair rates; reschedule next completion."""
         self.stats.rebalances += 1
-        FluidStats.total_rebalances += 1
+        _TOTALS["rebalances"] += 1
         self._allocate()
         self._schedule_next_completion()
 
@@ -807,18 +760,17 @@ class FluidScheduler:
         """
         users = self._users
         affected_flows: list[FluidFlow] = []
-        affected_res: list[FluidResource] = []
         # Visit stamps instead of membership sets: one epoch counter per
         # closure, one attribute compare per membership test (the BFS runs
-        # on every rebalance, so constant factors matter).
+        # on every rebalance, so constant factors matter).  The dirty
+        # resources are distinct and none carries the fresh epoch yet, so
+        # they seed the closure wholesale.
         epoch = self._visit_epoch + 1
         self._visit_epoch = epoch
-        stack: list[FluidResource] = []
-        for r in self._dirty:
-            if r._visit != epoch:
-                r._visit = epoch
-                affected_res.append(r)
-                stack.append(r)
+        affected_res: list[FluidResource] = list(self._dirty)
+        for r in affected_res:
+            r._visit = epoch
+        stack = affected_res.copy()
         for f in self._dirty_flows:
             if f._active and f._visit != epoch:
                 f._visit = epoch
@@ -850,21 +802,23 @@ class FluidScheduler:
         flows, touched_res = self._affected()
         self._dirty.clear()
         self._dirty_flows.clear()
+        nf = len(flows)
+        skipped = len(self._active) - nf
         stats = self.stats
         stats.allocations += 1
-        stats.flows_recomputed += len(flows)
-        stats.flows_skipped += len(self._active) - len(flows)
-        FluidStats.total_allocations += 1
-        FluidStats.total_flows_recomputed += len(flows)
-        FluidStats.total_flows_skipped += len(self._active) - len(flows)
+        stats.flows_recomputed += nf
+        stats.flows_skipped += skipped
+        _TOTALS["allocations"] += 1
+        _TOTALS["flows_recomputed"] += nf
+        _TOTALS["flows_skipped"] += skipped
         load = self._load
         if not flows:
             for r in touched_res:
                 load[r] = 0.0
             return
-        if len(flows) == 1:
+        if nf == 1:
             self._allocate_single(flows[0], touched_res)
-        elif len(flows) >= _VECTOR_MIN_FLOWS:
+        elif nf >= _VECTOR_MIN_FLOWS:
             self._allocate_array(flows, touched_res)
         else:
             self._allocate_scalar(flows, touched_res)
@@ -892,7 +846,7 @@ class FluidScheduler:
             raise SimulationError(f"unbounded flows in allocation: {[f.name]}")
         if delta < 0.0:
             delta = 0.0
-        f.rate = delta
+        f._rate = delta
         self._f_rate[f._slot] = delta
         load = self._load
         weights = f._weights
@@ -904,11 +858,11 @@ class FluidScheduler:
     ) -> None:
         """Scalar progressive filling over one small affected component.
 
-        The component is assembled once into parallel lists indexed by a
-        local resource id (list indexing beats dict iteration in the
-        filling rounds), and the per-round constants — saturation and
-        cap-freeze thresholds — are precomputed instead of re-derived
-        every round.
+        Flows are numbered by their position in *flows* and shared
+        resources by first appearance, so the filling rounds index plain
+        lists.  All unfrozen flows grow in lockstep from zero, so their
+        common rate is one scalar ``level``, the running sum of the
+        rounds' increments, and a flow's rate is the level it froze at.
 
         Resources with a single user never arbitrate between flows: such a
         *private* resource is exactly a rate cap of ``capacity / weight``
@@ -921,122 +875,126 @@ class FluidScheduler:
         """
         nf = len(flows)
         users = self._users
-        rate = dict.fromkeys(flows, 0.0)
-        unfrozen = dict.fromkeys(flows)
-        # Per-shared-resource residual capacity and weight-sum over
-        # *unfrozen* users; the weight sums are maintained incrementally
-        # as flows freeze instead of being recomputed every filling round.
+        inf = math.inf
+        # Per shared resource: residual capacity, weight sum and count of
+        # *unfrozen* users (maintained incrementally as flows freeze),
+        # member flows, and saturation threshold.
         res_index: dict[FluidResource, int] = {}
         residual: list[float] = []
         wsum: list[float] = []
-        ucount: list[int] = []  # unfrozen users (exact)
-        res_users: list[list[FluidFlow]] = []
+        ucount: list[int] = []
+        res_users: list[list[int]] = []
         sat_thresh: list[float] = []
-        f_entries: dict[FluidFlow, list[tuple[int, float]]] = {}
-        cap_eff: dict[FluidFlow, float] = {}
-        cap_thresh: dict[FluidFlow, float] = {}
-        capped: list[FluidFlow] = []
-        for f in flows:
-            bound = f.cap if f.cap is not None else math.inf
+        # Per flow: its shared entries (resource, weight).  ``capped``
+        # holds ``(flow, effective cap, freeze threshold)`` for every
+        # unfrozen flow whose effective cap is finite.
+        f_entries: list[list[tuple[int, float]]] = []
+        capped: list[tuple[int, float, float]] = []
+        for j, f in enumerate(flows):
+            bound = f.cap
+            if bound is None:
+                bound = inf
             ents = []
             for r, w in f._weights.items():
                 if len(users[r]) == 1:
                     c = r._capacity
-                    if c < math.inf:
+                    if c < inf:
                         b = c / w
                         if b < bound:
                             bound = b
                     continue
                 i = res_index.get(r)
                 if i is None:
-                    i = len(residual)
-                    res_index[r] = i
+                    i = res_index[r] = len(residual)
                     c = r._capacity
                     residual.append(c)
-                    wsum.append(0.0)
-                    ucount.append(0)
-                    res_users.append([])
+                    wsum.append(w)
+                    ucount.append(1)
+                    res_users.append([j])
                     # An infinite-capacity resource can never saturate:
                     # its threshold must be -inf, not inf * eps (= inf,
                     # which would satisfy `residual <= thresh` forever and
                     # spuriously freeze every user in the first round).
                     sat_thresh.append(
-                        _EPS * (c if c > 1.0 else 1.0)
-                        if c < math.inf else -math.inf
-                    )
-                wsum[i] += w
-                ucount[i] += 1
-                res_users[i].append(f)
+                        _EPS * (c if c > 1.0 else 1.0) if c < inf else -inf)
+                else:
+                    wsum[i] += w
+                    ucount[i] += 1
+                    res_users[i].append(j)
                 ents.append((i, w))
-            f_entries[f] = ents
-            if bound < math.inf:
-                capped.append(f)
-                cap_eff[f] = bound
-                cap_thresh[f] = bound - _EPS * (bound if bound > 1.0 else 1.0)
-        nres = len(residual)
+            f_entries.append(ents)
+            if bound < inf:
+                capped.append(
+                    (j, bound, bound - _EPS * (bound if bound > 1.0 else 1.0)))
 
+        rate = [0.0] * nf
+        frozen = [False] * nf
+        n_unfrozen = nf
+        level = 0.0
         guard = 0
-        while unfrozen:
+        while n_unfrozen:
             guard += 1
             if guard > 4 * nf + 8:  # pragma: no cover - safety net
                 raise SimulationError("progressive filling failed to converge")
-            delta = math.inf
+            delta = inf
             for ws, rest in zip(wsum, residual):
-                if ws > 0 and rest < math.inf:
+                if ws > 0 and rest < inf:
                     d = rest / ws
                     if d < delta:
                         delta = d if d > 0.0 else 0.0
-            for f in capped:
-                if f in unfrozen:
-                    d = cap_eff[f] - rate[f]
-                    if d < delta:
-                        delta = d
-            if not math.isfinite(delta):
-                names = sorted(f.name for f in unfrozen)
+            for _j, cap, _thresh in capped:
+                d = cap - level
+                if d < delta:
+                    delta = d
+            if delta == inf:
+                names = sorted(f.name for f, z in zip(flows, frozen) if not z)
                 raise SimulationError(f"unbounded flows in allocation: {names}")
             if delta < 0.0:
                 delta = 0.0
             if delta > 0:
-                for f in unfrozen:
-                    rate[f] += delta
-                for i in range(nres):
-                    ws = wsum[i]
+                level += delta
+                for i, ws in enumerate(wsum):
                     if ws > 0:
                         residual[i] -= delta * ws
-            # freeze flows at their cap, then flows on saturated resources
-            newly_frozen = [
-                f for f in capped if f in unfrozen and rate[f] >= cap_thresh[f]
-            ]
-            frozen_set = set(newly_frozen)
-            for i in range(nres):
-                if residual[i] <= sat_thresh[i]:
-                    for f in res_users[i]:
-                        if f in unfrozen and f not in frozen_set:
-                            frozen_set.add(f)
-                            newly_frozen.append(f)
-            if not newly_frozen:  # pragma: no cover - numerical corner
-                newly_frozen = list(unfrozen)
-            for f in newly_frozen:
-                if f in unfrozen:
-                    del unfrozen[f]
-                    for i, w in f_entries[f]:
-                        n = ucount[i] - 1
-                        ucount[i] = n
-                        # Zero exactly when the last user freezes: the
-                        # incremental subtraction leaves fp dust that would
-                        # otherwise keep a fully-frozen resource in play.
-                        wsum[i] = wsum[i] - w if n else 0.0
+            # Freeze flows at their cap, then flows on saturated resources.
+            # A saturated resource loses every unfrozen user this round, so
+            # its residual is parked at inf to keep it out of later scans.
+            newly = []
+            for j, _cap, thresh in capped:
+                if level >= thresh:
+                    frozen[j] = True
+                    newly.append(j)
+            for i, rest in enumerate(residual):
+                if rest <= sat_thresh[i]:
+                    residual[i] = inf
+                    for j in res_users[i]:
+                        if not frozen[j]:
+                            frozen[j] = True
+                            newly.append(j)
+            if not newly:  # pragma: no cover - numerical corner
+                newly = [j for j in range(nf) if not frozen[j]]
+                for j in newly:
+                    frozen[j] = True
+            for j in newly:
+                rate[j] = level
+                for i, w in f_entries[j]:
+                    n = ucount[i] - 1
+                    ucount[i] = n
+                    # Zero exactly when the last user freezes: the
+                    # incremental subtraction leaves fp dust that would
+                    # otherwise keep a fully-frozen resource in play.
+                    wsum[i] = wsum[i] - w if n else 0.0
+            n_unfrozen -= len(newly)
+            if capped:
+                capped = [c for c in capped if not frozen[c[0]]]
 
         f_rate = self._f_rate
-        for f in flows:
-            r = rate[f]
-            f.rate = r
-            f_rate[f._slot] = r
         load = self._load
         for r in touched_res:
             load[r] = 0.0
-        for f in flows:
-            rf = rate[f]
+        for f, rf in zip(flows, rate):
+            f._rate = rf
+            f_rate[f._slot] = rf
             for r, w in f._weights.items():
                 load[r] += w * rf
 
@@ -1054,27 +1012,35 @@ class FluidScheduler:
         F = len(flows)
         R = len(touched_res)
         slots = np.fromiter((f._slot for f in flows), dtype=np.intp, count=F)
+        local = np.arange(F)
+        order = flows
         if F == len(self._active):
-            # Whole-graph allocation (the common churn regime): the
-            # incrementally-maintained incidence pool already holds every
-            # entry; compact tombstones away and use it in place.
-            if self._e_dead:
-                self._compact_entries()
-            u = self._e_used
-            ent_res_g = self._e_res[:u]
-            ent_w = self._e_w[:u]
+            # Whole-graph allocation: entries go in activation order, the
+            # order the per-resource bincount sums below have always added
+            # up in (another order can move a result by an ulp).
+            order = self._active
             fsc = self._flow_scratch
-            fsc[slots] = np.arange(F)
-            ent_flow = fsc[self._e_slot[:u]]
-        else:
-            # Sub-component: gather the member flows' cached rows.
-            res_rows = [f._res_ids for f in flows]
-            ent_res_g = np.concatenate(res_rows)
-            ent_w = np.concatenate([f._res_ws for f in flows])
-            counts = np.fromiter(
-                (a.size for a in res_rows), dtype=np.intp, count=F
-            )
-            ent_flow = np.repeat(np.arange(F), counts)
+            fsc[slots] = local
+            local = fsc[np.fromiter(
+                (f._slot for f in order), dtype=np.intp, count=F)]
+        # Concatenate the member flows' incidence rows, built on a flow's
+        # first array allocation and cached on it.
+        res_rows = []
+        w_rows = []
+        for f in order:
+            ids = f._res_ids
+            if ids is None:
+                n = len(f._weights)
+                ids = f._res_ids = np.fromiter(
+                    (r._idx for r in f._weights), dtype=np.intp, count=n)
+                f._res_ws = np.fromiter(
+                    f._weights.values(), dtype=float, count=n)
+            res_rows.append(ids)
+            w_rows.append(f._res_ws)
+        ent_res_g = np.concatenate(res_rows)
+        ent_w = np.concatenate(w_rows)
+        counts = np.fromiter((a.size for a in res_rows), dtype=np.intp, count=F)
+        ent_flow = np.repeat(local, counts)
         # Map global resource ids to component-local [0, R) via scratch.
         if self._res_scratch.size < len(self._resources):
             self._res_scratch = np.zeros(len(self._resources), dtype=np.intp)
@@ -1207,7 +1173,7 @@ class FluidScheduler:
 
         self._f_rate[slots] = rate_l
         for f, r in zip(flows, rate_l.tolist()):
-            f.rate = r
+            f._rate = r
         loads = np.bincount(
             ent_full_res, weights=ent_full_w * rate_l[ent_full_flow], minlength=R
         )
@@ -1239,7 +1205,7 @@ class FluidScheduler:
                 size = f.size
                 if size is None or f._rate <= 0:
                     continue
-                remaining = size - float(f_tr[f._slot])
+                remaining = size - f_tr.item(f._slot)
                 if remaining <= _EPS * size:
                     return 0.0
                 eta = remaining / f._rate
@@ -1270,7 +1236,7 @@ class FluidScheduler:
                 f
                 for f in self._active
                 if f.size is not None
-                and f.size - float(f_tr[f._slot]) <= _EPS * f.size
+                and f.size - f_tr.item(f._slot) <= _EPS * f.size
             ]
         else:
             hw = self._hw

@@ -6,6 +6,7 @@ import pytest
 
 from repro.service import WorkloadConfig, WorkloadGenerator
 from repro.sim.context import Context
+from repro.sim.rng import RngRegistry
 from repro.util.units import MIB
 
 
@@ -108,3 +109,72 @@ def test_config_validation():
         WorkloadConfig(diurnal_depth=1.0)
     with pytest.raises(ValueError):
         WorkloadConfig(pareto_alpha=1.0)
+
+
+def _expected_draws(config, seed, until, n_nodes=2):
+    """The documented draw order, replayed on fresh streams of one seed.
+
+    Arrival candidates draw a gap (and, for ``diurnal``, a thinning
+    uniform) from ``service.arrivals``; each job of a surviving arrival
+    then draws its tenant, size and first-touch node, in that order,
+    from ``service.tenants``, ``service.sizes`` and ``service.placement``.
+    """
+    rng = RngRegistry(seed)
+    arrivals = rng.stream("service.arrivals")
+    tenants = rng.stream("service.tenants")
+    sizes = rng.stream("service.sizes")
+    touch = rng.stream("service.placement")
+    sigma = config.lognormal_sigma
+    alpha = config.pareto_alpha
+    out = []
+    t = 0.0
+    while True:
+        t = t + float(arrivals.exponential(1.0 / config.rate))
+        if t > until:
+            return out
+        if config.arrival == "diurnal":
+            depth = config.diurnal_depth
+            phase = math.sin(2.0 * math.pi * t / config.diurnal_period)
+            intensity = config.rate * (1.0 + depth * phase) / (1.0 + depth)
+            if arrivals.random() >= intensity / config.rate:
+                continue
+        for _ in range(config.burst):
+            tenant = f"tenant{int(tenants.integers(config.n_tenants))}"
+            if config.size_dist == "lognormal":
+                mu = math.log(config.size_mean) - 0.5 * sigma * sigma
+                size = float(sizes.lognormal(mu, sigma))
+            elif config.size_dist == "pareto":
+                xm = config.size_mean * (alpha - 1.0) / alpha
+                size = float(xm * (1.0 + sizes.pareto(alpha)))
+            else:
+                size = float(config.size_mean)
+            out.append((t, tenant, size, int(touch.integers(n_nodes))))
+
+
+@pytest.mark.parametrize("config,bulk", [
+    (WorkloadConfig(rate=40.0), False),
+    (WorkloadConfig(rate=40.0, arrival="diurnal", diurnal_period=3.0), False),
+    (WorkloadConfig(rate=25.0, burst=3, size_dist="pareto", n_tenants=5), True),
+    (WorkloadConfig(rate=25.0, burst=3, size_dist="pareto", n_tenants=5), False),
+    (WorkloadConfig(rate=25.0, burst=2, size_dist="fixed"), True),
+], ids=["poisson", "diurnal", "burst-submit_many", "burst-submit",
+        "burst-fixed"])
+def test_draws_follow_the_documented_order(config, bulk):
+    """Every submission equals the scalar draws taken in documented order."""
+    ctx = Context.create(seed=11)
+    got = []
+
+    def submit(tenant, size, node):
+        got.append((ctx.now, tenant, size, node))
+
+    def submit_many(jobs):
+        got.extend((ctx.now, *job) for job in jobs)
+
+    gen = WorkloadGenerator(ctx, config, submit, n_nodes=3,
+                            submit_many=submit_many if bulk else None)
+    gen.start()
+    ctx.sim.run(until=6.0)
+    expected = _expected_draws(config, seed=11, until=6.0, n_nodes=3)
+    assert len(expected) > 50
+    assert got == expected
+    assert gen.submitted == len(expected)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -9,6 +11,7 @@ from repro.sim import (
     SimulationError,
     Simulator,
 )
+from repro.sim.engine import NORMAL, URGENT, Event
 
 
 def test_clock_starts_at_zero():
@@ -69,6 +72,39 @@ def test_simultaneous_events_fifo():
         sim.timeout(1.0).add_callback(lambda ev, i=i: order.append(i))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
+
+
+#: Schedule entries: a time drawn from a few values (so exact ties are
+#: common) or anywhere in [0, 10], a priority, and whether the entry goes
+#: through the public ``timeout_at`` (always NORMAL priority).
+_schedule = st.lists(
+    st.tuples(st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                        st.floats(0.0, 10.0)),
+              st.sampled_from([URGENT, NORMAL]),
+              st.booleans()),
+    max_size=60)
+
+
+@given(_schedule)
+@settings(max_examples=200, deadline=None)
+def test_events_fire_in_time_priority_schedule_order(entries):
+    sim = Simulator()
+    fired = []
+    expected = []
+    for seq, (t, prio, public) in enumerate(entries):
+        if public:
+            ev = sim.timeout_at(t)
+            prio = NORMAL
+        else:
+            ev = Event(sim)
+            ev._ok = True
+            ev._value = None
+            sim._push(ev, prio, at=t)
+        key = (t, prio, seq)
+        expected.append(key)
+        ev.add_callback(lambda _ev, key=key: fired.append(key))
+    sim.run()
+    assert fired == sorted(expected)
 
 
 def test_process_basic_sequence():

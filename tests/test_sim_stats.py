@@ -104,6 +104,31 @@ def test_timeout_pool_recycles_unreferenced_timeouts():
     assert sim.stats.timeouts_reused >= 8
 
 
+def test_timeout_pool_recycles_in_a_timeout_heavy_run():
+    """Fluid completion timers and process sleeps both reuse timeouts.
+
+    Recycling is silent when it stops: it needs the processed timeout to
+    have no reference left but the engine's own, so a heap entry or
+    callback that kept a second one would turn every reuse into an
+    allocation without failing anything else.
+    """
+    sim = Simulator()
+    sched = FluidScheduler(sim)
+    link = FluidResource(sched, 100.0, "link")
+
+    def sender(i):
+        for k in range(20):
+            yield sim.timeout(0.01 * (i + 1))
+            yield sched.start(FluidFlow([(link, 1.0)], size=5.0 + k,
+                                        name=f"s{i}-{k}"))
+
+    for i in range(4):
+        sim.process(sender(i))
+    sim.run()
+    stats = sim.stats
+    assert stats.timeouts_reused > stats.events_processed // 4
+
+
 def test_timeout_pool_skips_referenced_timeouts():
     sim = Simulator()
     keep = sim.timeout(0.0)
