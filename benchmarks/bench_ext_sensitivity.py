@@ -26,8 +26,9 @@ import json
 import os
 import time
 
+from repro import metrics
 from repro.core.experiments import ext_sensitivity
-from repro.exec import GangStats, executor
+from repro.exec import executor
 from repro.sim.engine import Simulator
 
 def _min_speedup(quick: bool) -> float:
@@ -48,19 +49,18 @@ def _min_speedup(quick: bool) -> float:
 
 def _run_once(gang: str, quick: bool) -> dict:
     """One cold run of the grid under one gang mode; observables + wall."""
-    gang_before = GangStats.process_totals()
+    counts_before = metrics.snapshot()
     events_before = Simulator.events_processed_total
     t0 = time.perf_counter()
     with executor(gang=gang):
         report = ext_sensitivity.run(quick=quick)
     wall = time.perf_counter() - t0
-    gang_after = GangStats.process_totals()
     return {
         "wall": wall,
         "events": Simulator.events_processed_total - events_before,
         "report": report,
         "text": report.render(),
-        "gang": {k: gang_after[k] - gang_before[k] for k in gang_after},
+        "gang": metrics.delta(counts_before)["gang"],
     }
 
 

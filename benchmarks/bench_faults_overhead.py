@@ -28,8 +28,8 @@ import json
 import os
 import time
 
+from repro import metrics
 from repro.core.experiments import exp_fig09_e2e
-from repro.faults.injector import FaultStats
 from repro.faults.plan import REPRO_FAULTS_ENV
 
 #: A valid plan whose only fault fires ~31 years into the simulation.
@@ -65,7 +65,7 @@ def _run_once(plan: str | None) -> dict:
 
 
 def test_faults_overhead(results_dir):
-    fired_before = FaultStats.process_totals()
+    counts_before = metrics.snapshot()
 
     # Interleave repetitions so machine-load drift hits both arms; score
     # each arm by its best (least-disturbed) wall.
@@ -78,9 +78,8 @@ def test_faults_overhead(results_dir):
     wall_armed = min(r["wall"] for r in runs["armed"])
     overhead = wall_armed / wall_off - 1.0 if wall_off > 0 else float("inf")
 
-    fired = FaultStats.process_totals()
-    fired_delta = {k: fired[k] - fired_before[k] for k in fired}
-    nothing_fired = all(v == 0 for v in fired_delta.values())
+    fired = metrics.delta(counts_before)["faults"]
+    nothing_fired = all(v == 0 for v in fired.values())
     checks_identical = off["checks"] == armed["checks"]
 
     checks = [

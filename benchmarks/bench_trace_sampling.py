@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import time
 
+from repro import metrics
 from repro.core.experiments import exp_fig13_wan_bw, exp_fig14_wan_cpu
 from repro.sim import Simulator
-from repro.sim.sampling import SamplerHub
 
 #: Full-scale fig13+fig14 runs per timed leg (stacks ~30-100 ms walls
 #: into something a wall clock can resolve).
@@ -35,14 +35,14 @@ SEED = 20130417  # same vintage as bench_fluid_solver; any fixed value works
 def _run_leg() -> dict:
     """INNER paper-scale fig13+fig14 runs."""
     events_before = Simulator.events_processed_total
-    totals_before = SamplerHub.process_totals()
+    counts_before = metrics.snapshot()
     reports = []
     t0 = time.perf_counter()
     for _ in range(INNER):
         reports.append(exp_fig13_wan_bw.run(quick=False, seed=SEED % 1000))
         reports.append(exp_fig14_wan_cpu.run(quick=False, seed=SEED % 1000))
     wall = time.perf_counter() - t0
-    totals_after = SamplerHub.process_totals()
+    sampler = metrics.delta(counts_before)["sampler"]
     values = [[(c.metric, repr(c.measured)) for c in r.checks]
               for r in reports]
     assert values[0::2] == values[:1] * INNER, "fig13 nondeterministic"
@@ -50,8 +50,7 @@ def _run_leg() -> dict:
     return {
         "wall": wall,
         "events": Simulator.events_processed_total - events_before,
-        "backfilled": (totals_after["samples_backfilled"]
-                       - totals_before["samples_backfilled"]),
+        "backfilled": sampler["samples_backfilled"],
         "reports": reports[:2],
     }
 

@@ -9,13 +9,17 @@ asserts the cache did its job:
 * the **warm** run was served entirely from cache — zero misses, zero
   simulations executed, every task a hit;
 * the warm run was at least ``--speedup`` times faster wall-clock
-  (default 2.0).
+  (default 2.0);
+* the cold run's layer counters include the work its worker processes
+  did: a non-null ``service`` section and ``fluid.rebalances > 0`` (the
+  full ledger runs the broker and the fluid allocator in every mode).
 
 Usage::
 
     python scripts/check_report_cache.py cold.json warm.json [--speedup 2.0]
 
-Exit status: 0 = gate passes, 1 = cache ineffective, 2 = bad invocation.
+Exit status: 0 = gate passes, 1 = cache ineffective or worker counters
+lost, 2 = bad invocation.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ def main(argv: list[str] | None = None) -> int:
         errors.append(f"warm run missed {warm['cache']['misses']} task(s)")
     if warm.get("executed"):
         errors.append(f"warm run re-executed {warm['executed']} simulation(s)")
+    if cold.get("service") is None:
+        errors.append("cold run counted no broker work — worker counters lost?")
+    if not (cold.get("fluid") or {}).get("rebalances"):
+        errors.append("cold run counted no fluid rebalances — worker counters lost?")
     if warm["cache"]["hits"] != warm["tasks"]:
         errors.append(
             f"warm run: {warm['cache']['hits']} hits != {warm['tasks']} tasks")

@@ -27,6 +27,7 @@ import os
 import sys
 import time
 
+from repro import metrics
 from repro.core import experiments as E
 from repro.core.reportgen import generate_experiments_md
 from repro.exec import ResultCache, executor
@@ -128,48 +129,12 @@ def cmd_report(args) -> int:
     print(f"[report] jobs={stats['jobs']}  tasks={stats['tasks']} "
           f"(executed {stats['executed']})  {cache_note}  "
           f"wall={stats['wall_seconds']:.2f}s")
-    fluid = stats.get("fluid")
-    if fluid is not None:
-        print(f"[fluid] rebalances={fluid['rebalances']}  "
-              f"allocations={fluid['allocations']}  "
-              f"recomputed={fluid['flows_recomputed']}  "
-              f"skipped={fluid['flows_skipped']}")
-    sampler = stats.get("sampler")
-    if sampler is not None:
-        print(f"[sampler] samples_backfilled={sampler['samples_backfilled']}  "
-              f"events_skipped={sampler['events_skipped']}")
-    faults = stats.get("faults")
-    if faults is not None:
-        plan_note = "ambient" if faults.get("plan") else "none"
-        print(f"[faults] plan={plan_note}  "
-              f"injected={faults['faults_injected']}  "
-              f"domains={faults['domain_faults']}  "
-              f"retransmitted_bytes={faults['retransmitted_bytes']:.0f}  "
-              f"reconnects={faults['reconnects']}  "
-              f"recovery_seconds={faults['recovery_seconds']:.2f}")
-    service = stats.get("service")
-    if service is not None:
-        print(f"[service] submitted={service['submitted']}  "
-              f"completed={service['completed']}  "
-              f"shed={service['shed']}  "
-              f"rescheduled={service['rescheduled']}  "
-              f"remote_placements={service['remote_placements']}  "
-              f"crashes={service['crashes']}  "
-              f"replayed={service['replayed']}  "
-              f"lost={service['lost']}")
-    gang = stats.get("gang")
-    if gang is not None:
-        print(f"[gang] scenarios_ganged={gang['scenarios_ganged']}  "
-              f"defected={gang['scenarios_defected']}  "
-              f"solo={gang['scenarios_solo']}  "
-              f"groups={gang['groups']}")
-    shard = stats.get("shard")
-    if shard is not None:
-        print(f"[shard] runs={shard['runs']}  "
-              f"rounds={shard['rounds']}  "
-              f"cells_run={shard['cells_run']}  "
-              f"early_accepts={shard['early_accepts']}  "
-              f"unconverged={shard['unconverged']}")
+    for layer in sorted(metrics.snapshot()):
+        counts = stats.get(layer)
+        if counts is not None:
+            print(f"[{layer}] " + "  ".join(
+                f"{name}={value:.6g}" if isinstance(value, float)
+                else f"{name}={value}" for name, value in counts.items()))
     if args.stats_json:
         with open(args.stats_json, "w") as fh:
             json.dump(stats, fh, indent=2, sort_keys=True)

@@ -455,8 +455,8 @@ class RftpTransfer:
             self._lost_bytes += lost
             self.retransmitted_bytes += lost
             self.streams_failed += 1
-            inj.stats.count_retransmit(lost)
-            inj.stats.count_stream_failed()
+            inj.stats.count("retransmitted_bytes", lost)
+            inj.stats.count("streams_failed")
         rail.alive = False
 
     def _account_loss(self, rail: _LinkRail, fraction: float) -> None:
@@ -469,7 +469,7 @@ class RftpTransfer:
             lost = window if window < flow.transferred else flow.transferred
             self._lost_bytes += lost
             self.retransmitted_bytes += lost
-            inj.stats.count_retransmit(lost)
+            inj.stats.count("retransmitted_bytes", lost)
 
     def _reconnect(self, rail: _LinkRail, t_down: float):
         """Pay the CM handshake, rebuild the rail, release the boost."""
@@ -486,7 +486,7 @@ class RftpTransfer:
         dt = self.ctx.sim.now - t_down
         self.reconnects += 1
         self.recovery_seconds += dt
-        inj.stats.count_reconnect(dt)
+        inj.stats.count("reconnects", 1, "recovery_seconds", dt)
         self.ctx.trace.emit("fault", "reconnected", link=link.name,
                             transfer=self.name, recovery_seconds=dt)
         return True
@@ -515,7 +515,7 @@ class RftpTransfer:
         while not self._stopped:
             if permanent or attempt >= rec.retransmit_budget:
                 rail.gave_up = True
-                inj.stats.count_giveup()
+                inj.stats.count("giveups")
                 break
             yield sim.timeout(rec.backoff(attempt))
             attempt += 1

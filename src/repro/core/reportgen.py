@@ -19,22 +19,16 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro import metrics
 from repro.core import experiments as E
 from repro.core.calibration import Calibration
 from repro.exec import (
     ExecContext,
-    GangStats,
     ResultCache,
     SimTask,
     get_exec_context,
     run_tasks,
 )
-from repro.faults.injector import FaultStats
-from repro.faults.plan import ambient_spec
-from repro.service.broker import ServiceStats
-from repro.sim.fluid import FluidStats
-from repro.sim.sampling import SamplerHub
-from repro.sim.shard import ShardStats
 
 __all__ = ["generate_experiments_md"]
 
@@ -147,16 +141,13 @@ def generate_experiments_md(
     means one worker per CPU core).  ``only`` restricts generation to the
     named experiments (tests).  ``stats``, if given, is filled in place
     with executor telemetry: jobs, task count, cache counters, wall
-    seconds.  The returned text depends only on ``quick``/``seed``/
-    ``cal``/``only`` — never on jobs or cache state.
+    seconds, and per registry layer (:mod:`repro.metrics`) the counters'
+    growth over this run, worker processes included (None if idle).
+    The returned text depends only on ``quick``/``seed``/``cal``/
+    ``only`` — never on jobs or cache state.
     """
     t_start = time.perf_counter()
-    fluid_before = FluidStats.process_totals()
-    sampler_before = SamplerHub.process_totals()
-    faults_before = FaultStats.process_totals()
-    service_before = ServiceStats.process_totals()
-    gang_before = GangStats.process_totals()
-    shard_before = ShardStats.process_totals()
+    counts_before = metrics.snapshot()
     if jobs is None and cache is None:
         ctx = get_exec_context()
     else:
@@ -204,29 +195,10 @@ def generate_experiments_md(
         "reproduce.**\n",
     )
     if stats is not None:
-        # Fluid-solver counters are deltas over this run, in-process only:
-        # with jobs > 1 the worker processes' schedulers do the allocating
-        # and the parent's totals stay near zero.  Footer telemetry, never
-        # ledger content.
-        fluid_after = FluidStats.process_totals()
-        sampler_after = SamplerHub.process_totals()
-        faults_after = FaultStats.process_totals()
-        service_after = ServiceStats.process_totals()
-        gang_after = GangStats.process_totals()
-        sampler_delta = {k: sampler_after[k] - sampler_before[k]
-                         for k in sampler_after}
-        faults_delta = {k: faults_after[k] - faults_before[k]
-                        for k in faults_after}
-        service_delta = {k: service_after[k] - service_before[k]
-                         for k in service_after}
-        gang_delta = {k: gang_after[k] - gang_before[k] for k in gang_after}
-        shard_after = ShardStats.process_totals()
-        shard_delta = {k: shard_after[k] - shard_before[k]
-                       for k in shard_after}
-        # A subsystem that did nothing this run reports None, and the
-        # CLI suppresses its footer line: a report slice without probes
-        # backfills nothing, a fault-free run injects nothing, a report
-        # slice without the service experiment brokers nothing.
+        # Footer telemetry, never ledger content.  A layer that counted
+        # nothing this run (no probes, no faults, no broker) reports None;
+        # the fluid allocator, the kernel every simulation runs on, is
+        # always reported.
         stats.update({
             "jobs": ctx.effective_jobs,
             "tasks": len(flat),
@@ -234,25 +206,8 @@ def generate_experiments_md(
             "cache": (ctx.cache.stats.as_dict()
                       if ctx.cache is not None else None),
             "wall_seconds": time.perf_counter() - t_start,
-            "fluid": {k: fluid_after[k] - fluid_before[k] for k in fluid_after},
-            "sampler": (
-                None if not any(sampler_delta.values()) else sampler_delta
-            ),
-            "faults": (
-                None if not ambient_spec() and not faults_delta["faults_injected"]
-                else {"plan": ambient_spec(), **faults_delta}
-            ),
-            "service": (
-                None if not service_delta["submitted"]
-                else service_delta
-            ),
-            "gang": (
-                None if not any(gang_delta.values())
-                else gang_delta
-            ),
-            "shard": (
-                None if not shard_delta["runs"]
-                else shard_delta
-            ),
         })
+        for layer, counts in metrics.delta(counts_before).items():
+            active = layer == "fluid" or any(counts.values())
+            stats[layer] = counts if active else None
     return "\n".join(sections)

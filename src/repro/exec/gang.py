@@ -60,6 +60,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Tuple
 
+from repro import metrics
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.calibration import Calibration
     from repro.exec.task import SimTask
@@ -147,43 +149,23 @@ class GangSpec:
             )
 
 
+#: Process-wide gang counters (the ``gang`` registry layer):
+#: ``scenarios_ganged`` counts tasks whose result came out of a gang
+#: kernel, ``scenarios_defected`` those a kernel handed back to the
+#: per-task path, ``scenarios_solo`` gang-eligible tasks that ran
+#: per-task because their group had a single member, and ``groups`` the
+#: kernel invocations.  The task runner counts them.
+_TOTALS = metrics.counters("gang", scenarios_ganged=0, scenarios_defected=0,
+                           scenarios_solo=0, groups=0)
+
+
 class GangStats:
-    """Process-wide gang counters (mirrors :class:`~repro.sim.fluid.FluidStats`).
+    """Process-wide gang counters (report footers, benchmarks)."""
 
-    ``scenarios_ganged`` counts tasks whose result came out of a gang
-    kernel, ``scenarios_defected`` those a kernel handed back to the
-    per-task path, ``scenarios_solo`` gang-eligible tasks that ran
-    per-task because their group had a single member, and ``groups``
-    the kernel invocations.  The class-level totals aggregate across
-    the whole process so report footers need no handle on the runner.
-    """
-
-    total_ganged = 0
-    total_defected = 0
-    total_solo = 0
-    total_groups = 0
-
-    @classmethod
-    def process_totals(cls) -> dict[str, int]:
-        """The process-global counters as a plain dict."""
-        return {
-            "scenarios_ganged": cls.total_ganged,
-            "scenarios_defected": cls.total_defected,
-            "scenarios_solo": cls.total_solo,
-            "groups": cls.total_groups,
-        }
-
-    @classmethod
-    def note_group(cls, ganged: int, defected: int) -> None:
-        """Record one kernel invocation's outcome."""
-        cls.total_groups += 1
-        cls.total_ganged += ganged
-        cls.total_defected += defected
-
-    @classmethod
-    def note_solo(cls, n: int = 1) -> None:
-        """Record gang-eligible tasks that ran per-task (group of one)."""
-        cls.total_solo += n
+    @staticmethod
+    def process_totals() -> dict[str, int]:
+        """The ``gang`` registry layer as a plain dict."""
+        return dict(_TOTALS)
 
 
 def resolve_kernel(path: str) -> Callable[[Sequence["SimTask"]], List[Any]]:

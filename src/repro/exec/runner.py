@@ -42,8 +42,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro import metrics
 from repro.exec.cache import CacheStats, ResultCache
-from repro.exec.gang import DEFECT, GANG_MODES, GangStats, gang_mode, resolve_kernel
+from repro.exec.gang import DEFECT, GANG_MODES, gang_mode, resolve_kernel
 from repro.exec.task import SimTask
 
 __all__ = ["ExecContext", "default_jobs", "executor", "get_exec_context",
@@ -152,8 +153,24 @@ def executor(jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
         _CURRENT = previous
 
 
-def _execute(task: SimTask) -> Any:
-    return task.execute()
+#: The ``gang`` registry layer (declared by :mod:`repro.exec.gang`).
+_GANG = metrics.counters("gang")
+
+
+def _execute(task: SimTask) -> tuple:
+    """Run *task*; return its result and the counters it added.
+
+    The counts start from zero (a forked worker inherits the parent's
+    totals) and the caller merges them in task order, so serial and
+    parallel runs add up even the float counters identically.
+    """
+    saved = metrics.snapshot()
+    metrics.reset()
+    try:
+        return task.execute(), metrics.snapshot()
+    finally:
+        metrics.reset()
+        metrics.merge(saved)
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -211,7 +228,7 @@ def run_tasks(tasks: Sequence[SimTask],
                 gangs.setdefault((spec.kernel, spec.key), []).append(i)
         for (kernel, _key), idxs in gangs.items():
             if len(idxs) < 2:
-                GangStats.note_solo(len(idxs))
+                _GANG["scenarios_solo"] += len(idxs)
                 continue
             try:
                 values = resolve_kernel(kernel)([tasks[i] for i in idxs])
@@ -231,21 +248,23 @@ def run_tasks(tasks: Sequence[SimTask],
                 else:
                     computed[i] = value
                     ganged.add(i)
-            GangStats.note_group(ganged=len(idxs) - defected,
-                                 defected=defected)
+            _GANG["groups"] += 1
+            _GANG["scenarios_ganged"] += len(idxs) - defected
+            _GANG["scenarios_defected"] += defected
 
     remaining = [i for i in leaders if i not in ganged]
     workers = min(ctx.effective_jobs, len(remaining))
     if multiprocessing.parent_process() is not None:
         workers = 1  # never nest process pools inside a worker
     if workers <= 1:
-        for i in remaining:
-            computed[i] = tasks[i].execute()
+        outcomes = [_execute(tasks[i]) for i in remaining]
     else:
         with _pool(workers) as pool:
-            futures = {i: pool.submit(_execute, tasks[i]) for i in remaining}
-            for i, future in futures.items():
-                computed[i] = future.result()
+            futures = [pool.submit(_execute, tasks[i]) for i in remaining]
+            outcomes = [future.result() for future in futures]
+    for i, (value, counts) in zip(remaining, outcomes):
+        computed[i] = value
+        metrics.merge(counts)
     ctx.executed += len(leaders)
 
     for indices in groups.values():

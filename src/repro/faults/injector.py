@@ -19,104 +19,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro import metrics
 from repro.faults.plan import FaultPlan, FaultSpec, parse_range
 
 __all__ = ["FaultInjector", "FaultStats", "faults_active"]
 
 
-class FaultStats:
+#: Process-wide fault counters (the ``faults`` registry layer).
+_TOTALS = metrics.counters(
+    "faults", faults_injected=0, unresolved=0, retransmitted_bytes=0.0,
+    streams_failed=0, reconnects=0, giveups=0, recovery_seconds=0.0,
+    domain_faults=0)
+
+
+class FaultStats(metrics.Counters):
     """Counters for injected faults and the recoveries they triggered.
 
-    The class attributes with the same names aggregate across **all**
-    injectors ever created in this process (mirroring
-    :class:`~repro.sim.fluid.FluidStats`), so report footers can show
-    fault telemetry without a handle on every context.
+    Each also counts into the ``faults`` registry layer.
     """
 
-    __slots__ = (
-        "faults_injected", "unresolved", "retransmitted_bytes",
-        "streams_failed", "reconnects", "giveups", "recovery_seconds",
-        "domain_faults",
-    )
-
-    #: Process-global totals across all injectors (class-level).
-    total_faults_injected = 0
-    total_unresolved = 0
-    total_retransmitted_bytes = 0.0
-    total_streams_failed = 0
-    total_reconnects = 0
-    total_giveups = 0
-    total_recovery_seconds = 0.0
-    total_domain_faults = 0
-
-    def __init__(self) -> None:
-        self.faults_injected = 0
-        self.unresolved = 0
-        self.retransmitted_bytes = 0.0
-        self.streams_failed = 0
-        self.reconnects = 0
-        self.giveups = 0
-        self.recovery_seconds = 0.0
-        self.domain_faults = 0
-
-    # Increment helpers keep the instance counter and the process-global
-    # class total in lockstep (single call site per event kind).
-    def count_injected(self) -> None:
-        self.faults_injected += 1
-        FaultStats.total_faults_injected += 1
-
-    def count_unresolved(self) -> None:
-        self.unresolved += 1
-        FaultStats.total_unresolved += 1
-
-    def count_retransmit(self, nbytes: float) -> None:
-        self.retransmitted_bytes += nbytes
-        FaultStats.total_retransmitted_bytes += nbytes
-
-    def count_stream_failed(self) -> None:
-        self.streams_failed += 1
-        FaultStats.total_streams_failed += 1
-
-    def count_reconnect(self, recovery_seconds: float) -> None:
-        self.reconnects += 1
-        self.recovery_seconds += recovery_seconds
-        FaultStats.total_reconnects += 1
-        FaultStats.total_recovery_seconds += recovery_seconds
-
-    def count_giveup(self) -> None:
-        self.giveups += 1
-        FaultStats.total_giveups += 1
-
-    def count_domain(self) -> None:
-        self.domain_faults += 1
-        FaultStats.total_domain_faults += 1
-
-    @classmethod
-    def process_totals(cls) -> dict:
-        """The process-global counters as a plain dict."""
-        return {
-            "faults_injected": cls.total_faults_injected,
-            "unresolved": cls.total_unresolved,
-            "retransmitted_bytes": cls.total_retransmitted_bytes,
-            "streams_failed": cls.total_streams_failed,
-            "reconnects": cls.total_reconnects,
-            "giveups": cls.total_giveups,
-            "recovery_seconds": cls.total_recovery_seconds,
-            "domain_faults": cls.total_domain_faults,
-        }
-
-    def as_dict(self) -> dict:
-        """The counters as a plain dict (for reports and JSON)."""
-        return {
-            "faults_injected": self.faults_injected,
-            "unresolved": self.unresolved,
-            "retransmitted_bytes": self.retransmitted_bytes,
-            "streams_failed": self.streams_failed,
-            "reconnects": self.reconnects,
-            "giveups": self.giveups,
-            "recovery_seconds": self.recovery_seconds,
-            "domain_faults": self.domain_faults,
-        }
+    _totals = _TOTALS
 
 
 def faults_active(ctx) -> "Optional[FaultInjector]":
@@ -282,12 +204,12 @@ class FaultInjector:
                 self.ctx.trace.emit("fault", "domain not local",
                                     kind=spec.kind, target=spec.target)
             else:
-                self.stats.count_unresolved()
+                self.stats.count("unresolved")
                 self.ctx.trace.emit("fault", "unresolved target",
                                     kind=spec.kind, target=spec.target)
             return
         if spec.is_domain:
-            self.stats.count_domain()
+            self.stats.count("domain_faults")
         if spec.stagger > 0.0:
             # Correlated-but-cascading failure: every component of the
             # expansion fires after its own seeded exponential offset,
@@ -305,7 +227,7 @@ class FaultInjector:
             self._apply_one(spec, component)
 
     def _apply_one(self, spec: FaultSpec, component) -> None:
-        self.stats.count_injected()
+        self.stats.count("faults_injected")
         self.ctx.trace.emit(
             "fault", spec.kind,
             target=getattr(component, "name", spec.target),

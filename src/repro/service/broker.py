@@ -67,6 +67,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro import metrics
 from repro.faults.injector import faults_active
 from repro.faults.recovery import REQUEUE_EPSILON_BYTES as _EPSILON_BYTES
 from repro.service.fleet import Rail, RailFleet
@@ -147,140 +148,22 @@ class BrokerConfig:
             raise ValueError("retry_backoff_cap must be >= retry_backoff_base")
 
 
-class ServiceStats:
-    """Broker counters, with process-global totals for report footers.
+#: Process-wide broker counters (the ``service`` registry layer).
+_TOTALS = metrics.counters(
+    "service", submitted=0, completed=0, shed=0, cancelled=0,
+    rescheduled=0, remote_placements=0, bytes_completed=0.0, crashes=0,
+    replayed=0, lost=0, lost_bytes=0.0, dropped=0, failed=0, browned_out=0)
 
-    Mirrors :class:`~repro.faults.injector.FaultStats`: instance
-    counters track one broker, the class attributes aggregate across
-    every broker ever created in this process.
-    """
 
-    __slots__ = ("submitted", "completed", "shed", "cancelled",
-                 "rescheduled", "remote_placements", "bytes_completed",
-                 "crashes", "replayed", "lost", "lost_bytes", "dropped",
-                 "failed", "browned_out")
+class ServiceStats(metrics.Counters):
+    """One broker's counters; each also counts into the ``service`` layer."""
 
-    total_submitted = 0
-    total_completed = 0
-    total_shed = 0
-    total_cancelled = 0
-    total_rescheduled = 0
-    total_remote_placements = 0
-    total_bytes_completed = 0.0
-    total_crashes = 0
-    total_replayed = 0
-    total_lost = 0
-    total_lost_bytes = 0.0
-    total_dropped = 0
-    total_failed = 0
-    total_browned_out = 0
+    _totals = _TOTALS
 
-    def __init__(self) -> None:
-        self.submitted = 0
-        self.completed = 0
-        self.shed = 0
-        self.cancelled = 0
-        self.rescheduled = 0
-        self.remote_placements = 0
-        self.bytes_completed = 0.0
-        self.crashes = 0
-        self.replayed = 0
-        self.lost = 0
-        self.lost_bytes = 0.0
-        self.dropped = 0
-        self.failed = 0
-        self.browned_out = 0
-
-    def count_submitted(self) -> None:
-        self.submitted += 1
-        ServiceStats.total_submitted += 1
-
-    def count_completed(self, nbytes: float) -> None:
-        self.completed += 1
-        self.bytes_completed += nbytes
-        ServiceStats.total_completed += 1
-        ServiceStats.total_bytes_completed += nbytes
-
-    def count_shed(self) -> None:
-        self.shed += 1
-        ServiceStats.total_shed += 1
-
-    def count_cancelled(self) -> None:
-        self.cancelled += 1
-        ServiceStats.total_cancelled += 1
-
-    def count_rescheduled(self) -> None:
-        self.rescheduled += 1
-        ServiceStats.total_rescheduled += 1
-
-    def count_remote_placement(self) -> None:
-        self.remote_placements += 1
-        ServiceStats.total_remote_placements += 1
-
-    def count_crash(self) -> None:
-        self.crashes += 1
-        ServiceStats.total_crashes += 1
-
-    def count_replayed(self) -> None:
-        self.replayed += 1
-        ServiceStats.total_replayed += 1
-
-    def count_lost(self, nbytes: float) -> None:
-        self.lost += 1
-        self.lost_bytes += nbytes
-        ServiceStats.total_lost += 1
-        ServiceStats.total_lost_bytes += nbytes
-
-    def count_dropped(self) -> None:
-        self.dropped += 1
-        ServiceStats.total_dropped += 1
-
-    def count_failed(self) -> None:
-        self.failed += 1
-        ServiceStats.total_failed += 1
-
-    def count_browned_out(self) -> None:
-        self.browned_out += 1
-        ServiceStats.total_browned_out += 1
-
-    @classmethod
-    def process_totals(cls) -> dict:
-        """The process-global counters as a plain dict."""
-        return {
-            "submitted": cls.total_submitted,
-            "completed": cls.total_completed,
-            "shed": cls.total_shed,
-            "cancelled": cls.total_cancelled,
-            "rescheduled": cls.total_rescheduled,
-            "remote_placements": cls.total_remote_placements,
-            "bytes_completed": cls.total_bytes_completed,
-            "crashes": cls.total_crashes,
-            "replayed": cls.total_replayed,
-            "lost": cls.total_lost,
-            "lost_bytes": cls.total_lost_bytes,
-            "dropped": cls.total_dropped,
-            "failed": cls.total_failed,
-            "browned_out": cls.total_browned_out,
-        }
-
-    def as_dict(self) -> dict:
-        """The instance counters as a plain dict."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "cancelled": self.cancelled,
-            "rescheduled": self.rescheduled,
-            "remote_placements": self.remote_placements,
-            "bytes_completed": self.bytes_completed,
-            "crashes": self.crashes,
-            "replayed": self.replayed,
-            "lost": self.lost,
-            "lost_bytes": self.lost_bytes,
-            "dropped": self.dropped,
-            "failed": self.failed,
-            "browned_out": self.browned_out,
-        }
+    @staticmethod
+    def process_totals() -> dict:
+        """The ``service`` registry layer as a plain dict."""
+        return dict(_TOTALS)
 
 
 @dataclass(eq=False, slots=True)
@@ -407,7 +290,7 @@ class TransferBroker:
         if self._crashed:
             # A dead control plane accepts nothing: the client's request
             # vanishes (no job record, no journal entry, no session id).
-            self.stats.count_dropped()
+            self.stats.count("dropped")
             return None
         size = float(size)
         job = _Job(
@@ -416,7 +299,7 @@ class TransferBroker:
             remaining=size,
         )
         self._next_id += 1
-        self.stats.count_submitted()
+        self.stats.count("submitted")
         row = self.tenants.get(tenant)
         if row is None:
             row = self.tenants[tenant] = _tenant_row()
@@ -426,8 +309,8 @@ class TransferBroker:
             # Brownout admission: capacity dropped, low tiers shed first.
             job.state = JobState.SHED
             job.finished_at = self.ctx.now
-            self.stats.count_shed()
-            self.stats.count_browned_out()
+            self.stats.count("shed")
+            self.stats.count("browned_out")
             row["shed"] += 1
             return None
         self._queue.append(job)
@@ -441,7 +324,7 @@ class TransferBroker:
             job.finished_at = self.ctx.now
             if self.journal is not None:
                 self.journal.log_terminal(job.job_id)
-            self.stats.count_shed()
+            self.stats.count("shed")
             row["shed"] += 1
             return None
         return job.job_id
@@ -579,7 +462,7 @@ class TransferBroker:
         """
         path, cap, remote = self._base_route(rail, buffer_node)
         if remote:
-            self.stats.count_remote_placement()
+            self.stats.count("remote_placements")
         return path, cap, 0.0, ()
 
     def _start(self, job: _Job, rail: Rail, buffer_node: int,
@@ -672,7 +555,7 @@ class TransferBroker:
         if release:
             self._release(job)
         self._latencies.append(job.finished_at - job.submitted_at)
-        self.stats.count_completed(job.size)
+        self.stats.count("completed", 1, "bytes_completed", job.size)
         if self.journal is not None:
             self.journal.log_terminal(job.job_id)
         if self._inj is not None:
@@ -738,7 +621,7 @@ class TransferBroker:
         job.finished_at = self.ctx.now
         if self.journal is not None:
             self.journal.log_terminal(job.job_id)
-        self.stats.count_cancelled()
+        self.stats.count("cancelled")
         self.tenants[job.tenant]["cancelled"] += 1
         self._dispatch()
         return True
@@ -762,7 +645,7 @@ class TransferBroker:
             self._release(job)
             job.remaining = job.size - job.banked
             job.reschedules += 1
-            self.stats.count_rescheduled()
+            self.stats.count("rescheduled")
             self.tenants[job.tenant]["rescheduled"] += 1
             if job.remaining <= _EPSILON_BYTES:
                 # it was done modulo float dust: count the completion
@@ -772,7 +655,7 @@ class TransferBroker:
                 # it bounce between dying rails forever.
                 job.state = JobState.FAILED
                 job.finished_at = self.ctx.now
-                self.stats.count_failed()
+                self.stats.count("failed")
                 if self.journal is not None:
                     self.journal.log_terminal(job.job_id)
         base = self.config.retry_backoff_base
@@ -884,7 +767,7 @@ class TransferBroker:
         if self._crashed:
             return
         self._crashed = True
-        self.stats.count_crash()
+        self.stats.count("crashes")
         self._pacer_gen += 1  # orphan any in-flight recovery pacer
         self._recovering = False
         self.ctx.trace.emit("service", "crash", broker=self.name,
@@ -923,18 +806,18 @@ class TransferBroker:
             job.state = JobState.LOST
             job.finished_at = self.ctx.now
             self._release(job)
-            self.stats.count_lost(job.banked)
+            self.stats.count("lost", 1, "lost_bytes", job.banked)
         for rail in self.fleet.rails:
             for job in sorted(rail.jobs, key=lambda j: j.job_id):
                 job.banked += self._halt(job)
                 self._release(job)
                 job.state = JobState.LOST
                 job.finished_at = self.ctx.now
-                self.stats.count_lost(job.banked)
+                self.stats.count("lost", 1, "lost_bytes", job.banked)
         for job in list(self._queue):
             job.state = JobState.LOST
             job.finished_at = self.ctx.now
-            self.stats.count_lost(job.banked)
+            self.stats.count("lost", 1, "lost_bytes", job.banked)
         self._queue.clear()
         self._dispatch()
 
@@ -953,7 +836,7 @@ class TransferBroker:
                 continue  # superseded while crashed (e.g. rail death raced)
             job.banked += flow.transferred
             self._complete(job)
-            self.stats.count_replayed()
+            self.stats.count("replayed")
         snap = self.journal.replay()
         # Rebuild the queue from the replayed snapshot.  Jobs the live
         # queue still holds are re-adopted; the rebuild also restores
@@ -969,7 +852,7 @@ class TransferBroker:
                 job.banked = banked
             job.remaining = job.size - job.banked
             self._queue.append(job)
-            self.stats.count_replayed()
+            self.stats.count("replayed")
         # Dead rails that still hold stranded jobs (their link died while
         # the control plane was down) reschedule now.
         for rail in self.fleet.rails:

@@ -177,7 +177,7 @@ class FleetBroker(TransferBroker):
         if wan:
             path, cap, remote = self._wan_route(rail, buffer_node)
             if remote:
-                self.stats.count_remote_placement()
+                self.stats.count("remote_placements")
             delay, charges = 0.0, ()
         else:
             path, cap, delay, charges = super()._job_path(

@@ -54,6 +54,7 @@ from typing import Any, Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro import metrics
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.sampling import hub_for
 
@@ -79,11 +80,9 @@ _VECTOR_MIN_FLOWS = 16
 _CHARGE_COMPACT_MIN = 128
 
 
-#: Process-global allocator totals across all schedulers, counted in place
-#: (a class attribute rebound on every count would also invalidate
-#: CPython's attribute caches for its class every time).
-_TOTALS = {"rebalances": 0, "allocations": 0, "flows_recomputed": 0,
-           "flows_skipped": 0}
+#: Process-wide allocator counters (the ``fluid`` registry layer).
+_TOTALS = metrics.counters("fluid", rebalances=0, allocations=0,
+                           flows_recomputed=0, flows_skipped=0)
 
 
 class FluidStats:
@@ -93,12 +92,8 @@ class FluidStats:
     ``allocations`` those that actually recomputed rates (a dirty set was
     pending), ``flows_recomputed`` the flows touched by progressive
     filling, and ``flows_skipped`` the active flows whose cached rates
-    were provably unaffected and therefore reused.
-
-    :meth:`process_totals` aggregates the same counters across **all**
-    schedulers ever created in this process (like
-    :attr:`Simulator.events_processed_total`) so report footers can show
-    allocator telemetry without a handle on every scheduler.
+    were provably unaffected and therefore reused.  The scheduler counts
+    each into the ``fluid`` registry layer as well.
     """
 
     __slots__ = ("rebalances", "allocations", "flows_recomputed", "flows_skipped")
@@ -109,19 +104,14 @@ class FluidStats:
         self.flows_recomputed = 0
         self.flows_skipped = 0
 
-    @classmethod
-    def process_totals(cls) -> dict[str, int]:
-        """The process-global counters as a plain dict."""
+    @staticmethod
+    def process_totals() -> dict[str, int]:
+        """The ``fluid`` registry layer as a plain dict."""
         return dict(_TOTALS)
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for reports and JSON)."""
-        return {
-            "rebalances": self.rebalances,
-            "allocations": self.allocations,
-            "flows_recomputed": self.flows_recomputed,
-            "flows_skipped": self.flows_skipped,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return (

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Callable, List
 
 import numpy as np
 
+from repro import metrics
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +55,9 @@ KINDS = ("rate", "gauge")
 #: Sample points within this fraction of an interval of an epoch
 #: boundary are treated as landing exactly on it.
 _T_EPS = 1e-9
+
+#: Process-wide backfill counters (the ``sampler`` registry layer).
+_TOTALS = metrics.counters("sampler", samples_backfilled=0, events_skipped=0)
 
 
 def hub_for(sim: Simulator) -> "SamplerHub":
@@ -187,10 +191,6 @@ class SamplerHub:
     current when control returns to the caller.
     """
 
-    #: Process-global totals (like FluidStats), for report footers.
-    total_samples_backfilled = 0
-    total_events_skipped = 0
-
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._channels: List[Channel] = []
@@ -234,8 +234,8 @@ class SamplerHub:
             stats = self.sim.stats
             stats.samples_backfilled += total
             stats.events_skipped += total
-            SamplerHub.total_samples_backfilled += total
-            SamplerHub.total_events_skipped += total
+            _TOTALS["samples_backfilled"] += total
+            _TOTALS["events_skipped"] += total
 
     def flush(self) -> None:
         """Settle fluid progress and fast-forward all channels to now.
@@ -249,11 +249,3 @@ class SamplerHub:
         for sched in self._schedulers:
             sched.settle()
         self.on_epoch(self.sim.now)
-
-    @classmethod
-    def process_totals(cls) -> dict[str, int]:
-        """The process-global counters as a plain dict."""
-        return {
-            "samples_backfilled": cls.total_samples_backfilled,
-            "events_skipped": cls.total_events_skipped,
-        }

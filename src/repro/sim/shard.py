@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import metrics
 from repro.exec import SimTask, run_tasks
 from repro.net.link import CutLinkStub
 from repro.sim.context import Context
@@ -82,35 +83,18 @@ class BoundaryLink:
     capacity: float
 
 
+#: Process-wide exchange counters (the ``shard`` registry layer).
+_TOTALS = metrics.counters("shard", runs=0, rounds=0, cells_run=0,
+                           early_accepts=0, unconverged=0)
+
+
 class ShardStats:
-    """Process-global exchange counters (report footers, tests)."""
+    """Process-wide exchange counters (report footers, tests)."""
 
-    total_runs = 0
-    total_rounds = 0
-    total_cells_run = 0
-    total_early_accepts = 0
-    total_unconverged = 0
-
-    @classmethod
-    def note_run(cls, rounds: int, cells_run: int, early: bool,
-                 converged: bool) -> None:
-        cls.total_runs += 1
-        cls.total_rounds += rounds
-        cls.total_cells_run += cells_run
-        if early:
-            cls.total_early_accepts += 1
-        if not converged:
-            cls.total_unconverged += 1
-
-    @classmethod
-    def process_totals(cls) -> dict:
-        return {
-            "runs": cls.total_runs,
-            "rounds": cls.total_rounds,
-            "cells_run": cls.total_cells_run,
-            "early_accepts": cls.total_early_accepts,
-            "unconverged": cls.total_unconverged,
-        }
+    @staticmethod
+    def process_totals() -> dict:
+        """The ``shard`` registry layer as a plain dict."""
+        return dict(_TOTALS)
 
 
 def cell_seed(seed: int, cell: int) -> int:
@@ -447,7 +431,11 @@ def run_sharded(*, target: str, n_cells: int,
     for name, row in exchange["boundaries"].items():
         row["utilization"] = row["bytes"] / (
             exchange["boundaries"][name]["capacity"] * horizon)
-    ShardStats.note_run(rounds_run, rounds_run * n_cells, early, converged)
+    _TOTALS["runs"] += 1
+    _TOTALS["rounds"] += rounds_run
+    _TOTALS["cells_run"] += rounds_run * n_cells
+    _TOTALS["early_accepts"] += early
+    _TOTALS["unconverged"] += not converged
     return {"cells": [r["ledger"] for r in results], "exchange": exchange}
 
 

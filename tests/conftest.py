@@ -1,31 +1,23 @@
 """Shared pytest fixtures.
 
-The service and fault stats classes keep process-global ``total_*``
-class attributes (report-footer telemetry).  Left alone, every test
-that runs a broker or an injector would bleed its counts into the next
-test's view of the totals, so any assertion on ``process_totals()``
-would depend on test ordering.  The autouse fixture below zeroes the
-class-level totals before each test; instance counters are unaffected.
+Every layer counts into the process-wide registry in
+:mod:`repro.metrics` (report-footer telemetry).  Left alone, every test
+that runs a scheduler, broker, injector, shard exchange or gang kernel
+would bleed its counts into the next test's view of the totals, so any
+assertion on them would depend on test ordering.  The autouse fixture
+below zeroes the registry before each test; instance counters are
+unaffected.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.injector import FaultStats
-from repro.service.broker import ServiceStats
-
-
-def _reset_process_totals(cls) -> None:
-    """Zero every ``total_*`` class attribute back to its declared type."""
-    for name, value in list(vars(cls).items()):
-        if name.startswith("total_"):
-            setattr(cls, name, 0.0 if isinstance(value, float) else 0)
+from repro import metrics
 
 
 @pytest.fixture(autouse=True)
-def fresh_process_totals():
-    """Isolate each test from process-global stats accumulation."""
-    _reset_process_totals(ServiceStats)
-    _reset_process_totals(FaultStats)
+def fresh_metrics():
+    """Isolate each test from process-wide counter accumulation."""
+    metrics.reset()
     yield

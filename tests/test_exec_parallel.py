@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from repro import metrics
 from repro.__main__ import main
 from repro.core.reportgen import generate_experiments_md
 from repro.core.sensitivity import run_sensitivity
@@ -65,6 +66,20 @@ def test_sensitivity_grid_parallel_matches_serial():
     assert fanned.outcomes == serial.outcomes
     assert set(fanned.outcomes) == {("qpi_bandwidth", "-20%"),
                                     ("qpi_bandwidth", "+20%")}
+
+
+def test_layer_counters_include_worker_processes():
+    """Footer counters count the same work whatever the worker count."""
+    layers = {}
+    for jobs in (1, 2):
+        metrics.reset()
+        stats: dict = {}
+        generate_experiments_md(quick=True, only={"service", "fig09"},
+                                jobs=jobs, cache=None, stats=stats)
+        layers[jobs] = {layer: stats[layer] for layer in metrics.snapshot()}
+    assert layers[2]["service"] is not None
+    assert layers[2]["fluid"]["rebalances"] > 0
+    assert layers[1] == layers[2]
 
 
 def test_cli_report_jobs_and_cache_flags(tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_solvers_agree(seed, monkeypatch):
 
 
 def test_process_totals_accumulate(monkeypatch):
-    """Class-level totals advance in step with instance counters."""
+    """The ``fluid`` registry layer advances in step with instance counters."""
     before = FluidStats.process_totals()
     scenario = _random_scenario(random.Random(123456))
     result = _execute(scenario, _VECTOR_MIN_FLOWS, monkeypatch)

@@ -5,7 +5,9 @@ corrupt baseline or an ungated result file must fail the build with the
 benchmark's name in the output, not degrade into a skipped comparison.
 These tests drive the script in-process (``main(argv)``) against
 temporary result/baseline trees.  ``scripts/bench_summary.py`` — the
-folded ``BENCH_report.json`` CI artifact — gets the same treatment.
+folded ``BENCH_report.json`` CI artifact — and
+``scripts/check_report_cache.py`` — the parallel report smoke gate — get
+the same treatment.
 """
 
 import importlib.util
@@ -199,3 +201,38 @@ def test_summary_empty_results_dir_is_an_error(tmp_path, capsys):
     rc, cap = _summary_run(results, tmp_path / "out.json", capsys)
     assert rc == 2
     assert "no benchmark results" in cap.err
+
+
+# --- check_report_cache: the parallel report + cache smoke gate --------------
+
+_CACHE_GATE = _SCRIPT.parent / "check_report_cache.py"
+_cspec = importlib.util.spec_from_file_location("check_report_cache",
+                                                _CACHE_GATE)
+cache_gate = importlib.util.module_from_spec(_cspec)
+_cspec.loader.exec_module(cache_gate)
+
+
+def _report_stats(hits, misses, executed, wall, **layers):
+    return {"tasks": 4, "executed": executed, "wall_seconds": wall,
+            "cache": {"hits": hits, "misses": misses},
+            "fluid": {"rebalances": 7}, "service": {"submitted": 3}} | layers
+
+
+def _cache_gate_run(tmp_path, cold):
+    _write(tmp_path / "cold.json", cold)
+    _write(tmp_path / "warm.json", _report_stats(4, 0, 0, 1.0))
+    return cache_gate.main([str(tmp_path / "cold.json"),
+                            str(tmp_path / "warm.json")])
+
+
+def test_cache_gate_passes_with_worker_counters(tmp_path, capsys):
+    assert _cache_gate_run(tmp_path, _report_stats(0, 4, 4, 5.0)) == 0
+
+
+@pytest.mark.parametrize("layers", [{"service": None},
+                                    {"fluid": {"rebalances": 0}}])
+def test_cache_gate_fails_when_worker_counters_are_lost(tmp_path, capsys,
+                                                         layers):
+    cold = _report_stats(0, 4, 4, 5.0, **layers)
+    assert _cache_gate_run(tmp_path, cold) == 1
+    assert "worker counters lost" in capsys.readouterr().out
