@@ -2,12 +2,13 @@
 
 The ±20% perturbation grid is the library's densest sweep and the gang
 subsystem's flagship workload: every cell shares the grid's structure
-and differs only in one calibration constant, so ``REPRO_GANG=auto``
-batches the whole grid through the sensitivity gang kernel
-(:func:`repro.core.sensitivity.gang_cells`) while ``off`` runs the same
-cells one event-kernel task at a time.
+and differs only in one calibration constant, so the runner batches the
+whole grid through the sensitivity gang kernel
+(:func:`repro.core.sensitivity.gang_cells`).  The per-task side ("off")
+runs the same cells with their ``GangSpec`` stripped, one event-kernel
+task at a time.
 
-Both modes run cold (no result cache), interleaved so machine-load
+Both sides run cold (no result cache), interleaved so machine-load
 drift hits both; each is scored by its best wall.  The checks hold the
 two modes to *byte-identical* rendered reports — gang execution is a
 pure wall-clock optimisation — plus the grid's own shape checks and the
@@ -25,10 +26,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import replace
 
 from repro import metrics
 from repro.core.experiments import ext_sensitivity
-from repro.exec import executor
+from repro.exec import run_tasks
 from repro.sim.engine import Simulator
 
 def _min_speedup(quick: bool) -> float:
@@ -40,20 +42,22 @@ def _min_speedup(quick: bool) -> float:
     (that is what makes it a good smoke), so almost every leg re-runs
     and the honest quick floor is only "not slower"; the full grid adds
     the narrowly-read constants and the dedup win shows (~1.7x measured,
-    floored conservatively — CI machines are noisy).  The batched-solver
-    tier itself is gated at 5x by bench_gang_solver.
+    floored conservatively — CI machines are noisy).
     """
     default = "0.90" if quick else "1.25"
     return float(os.environ.get("REPRO_GANG_BENCH_MIN_SPEEDUP", default))
 
 
-def _run_once(gang: str, quick: bool) -> dict:
-    """One cold run of the grid under one gang mode; observables + wall."""
+def _run_once(mode: str, quick: bool) -> dict:
+    """One cold run of the grid, ganged ("auto") or per-task ("off");
+    observables + wall."""
     counts_before = metrics.snapshot()
     events_before = Simulator.events_processed_total
     t0 = time.perf_counter()
-    with executor(gang=gang):
-        report = ext_sensitivity.run(quick=quick)
+    tasks = ext_sensitivity.plan(quick=quick)
+    if mode == "off":
+        tasks = [replace(t, gang=None) for t in tasks]
+    report = ext_sensitivity.assemble(run_tasks(tasks), quick=quick)
     wall = time.perf_counter() - t0
     return {
         "wall": wall,

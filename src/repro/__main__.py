@@ -30,7 +30,7 @@ import time
 from repro import metrics
 from repro.core import experiments as E
 from repro.core.reportgen import generate_experiments_md
-from repro.exec import ResultCache, executor
+from repro.exec import ResultCache, executor, parse_jobs
 
 
 def _all_modules():
@@ -72,8 +72,7 @@ def _apply_faults_flag(args) -> int:
 
 def cmd_run(args) -> int:
     """Run one experiment (or all) and print its report."""
-    rc = (_apply_faults_flag(args) or _apply_service_flags(args)
-          or _apply_availability_flags(args) or _apply_gang_flag(args))
+    rc = _apply_faults_flag(args) or _apply_knob_flags(args)
     if rc:
         return rc
     mods = _all_modules()
@@ -100,8 +99,7 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     """Regenerate the EXPERIMENTS.md ledger."""
-    rc = (_apply_faults_flag(args) or _apply_service_flags(args)
-          or _apply_availability_flags(args) or _apply_gang_flag(args))
+    rc = _apply_faults_flag(args) or _apply_knob_flags(args)
     if rc:
         return rc
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -155,23 +153,16 @@ def _profiled(fn, top: int):
 
 
 def _jobs_type(text: str) -> int:
-    """Parse ``--jobs``: a positive integer, or ``auto`` for one per core.
+    """Parse ``--jobs`` with :func:`repro.exec.runner.parse_jobs`.
 
-    0 and negative counts are rejected here, at the argparse boundary,
-    so the error names the flag instead of surfacing as a hung pool or
-    a ValueError from deep inside the executor.
+    Bad counts are rejected here, at the argparse boundary, so the
+    error names the flag instead of surfacing as a hung pool or a
+    ValueError from deep inside the executor.
     """
-    if text.strip().lower() == "auto":
-        return 0  # the executor's one-worker-per-core sentinel
     try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {text!r}") from None
-    if jobs <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 1 (or 'auto' for one worker per CPU core), got {jobs}")
-    return jobs
+        return parse_jobs(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
@@ -198,7 +189,7 @@ def _add_service_flags(parser: argparse.ArgumentParser) -> None:
         "numa-aware against: numa-blind (default) or fifo (sets "
         "REPRO_SERVICE_POLICY; part of the result-cache identity)")
     parser.add_argument(
-        "--arrival-rate", default=None, type=float, metavar="JOBS_PER_S",
+        "--arrival-rate", default=None, metavar="JOBS_PER_S",
         help="ext-service offered load in jobs/s per host (sets "
         "REPRO_SERVICE_ARRIVAL; part of the result-cache identity)")
 
@@ -216,76 +207,38 @@ def _add_availability_flags(parser: argparse.ArgumentParser) -> None:
         "the result-cache identity)")
 
 
-def _apply_availability_flags(args) -> int:
-    """Export the ext-availability sweep knobs (inherited by workers).
+#: Flags that set an experiment knob: ``(dest, flag, env var, parser)``.
+#: The parser is the experiment module's own — the one that reads the
+#: variable — so the CLI holds no second copy of its validation.
+_KNOB_FLAGS = (
+    ("service_policy", "--service-policy", "REPRO_SERVICE_POLICY",
+     E.ext_service.parse_policy),
+    ("arrival_rate", "--arrival-rate", "REPRO_SERVICE_ARRIVAL",
+     E.ext_service.parse_rate),
+    ("availability_hosts", "--availability-hosts", "REPRO_AVAIL_HOSTS",
+     E.ext_availability.parse_hosts),
+    ("availability_rates", "--availability-rates", "REPRO_AVAIL_RATE",
+     E.ext_availability.parse_rates),
+)
 
-    Validated up front like ``--faults``: a malformed list fails here
-    with the flag's name, not from inside a worker mid-run.
+
+def _apply_knob_flags(args) -> int:
+    """Export the experiment-knob flags (inherited by worker processes).
+
+    Validated up front like ``--faults``: a bad value fails here with
+    the flag's name, not from inside a worker mid-run.
     """
-    hosts = getattr(args, "availability_hosts", None)
-    if hosts is not None:
+    for dest, flag, env, parse in _KNOB_FLAGS:
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        text = text.strip()
         try:
-            parsed = [int(tok) for tok in hosts.split(",") if tok.strip()]
-            if not parsed or any(h <= 0 for h in parsed):
-                raise ValueError
-        except ValueError:
-            print(f"bad --availability-hosts: expected positive integers, "
-                  f"got {hosts!r}", file=sys.stderr)
+            parse(text)
+        except ValueError as exc:
+            print(f"bad {flag}: {exc}", file=sys.stderr)
             return 2
-        os.environ["REPRO_AVAIL_HOSTS"] = hosts
-    rates = getattr(args, "availability_rates", None)
-    if rates is not None:
-        try:
-            parsed_r = [float(tok) for tok in rates.split(",") if tok.strip()]
-            if not parsed_r or any(r < 0 for r in parsed_r):
-                raise ValueError
-        except ValueError:
-            print(f"bad --availability-rates: expected non-negative "
-                  f"numbers, got {rates!r}", file=sys.stderr)
-            return 2
-        os.environ["REPRO_AVAIL_RATE"] = rates
-    return 0
-
-
-def _add_gang_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--gang", default=None, choices=("auto", "off"),
-        help="gang execution of dense scenario sweeps: 'auto' batches "
-        "grids sharing a gang kernel into one scenario-axis program, "
-        "'off' forces the per-task path (sets REPRO_GANG; results are "
-        "byte-identical either way — only the wall clock changes)")
-
-
-def _apply_gang_flag(args) -> int:
-    """Export ``--gang`` as REPRO_GANG (inherited by worker processes)."""
-    mode = getattr(args, "gang", None)
-    if mode is not None:
-        os.environ["REPRO_GANG"] = mode
-    return 0
-
-
-def _apply_service_flags(args) -> int:
-    """Export the service-experiment knobs (inherited by workers).
-
-    Validated up front like ``--faults``: a bad policy or rate fails
-    here with the flag's name, not from inside a worker mid-run.
-    """
-    policy = getattr(args, "service_policy", None)
-    if policy is not None:
-        from repro.service import POLICIES
-
-        if policy not in POLICIES:
-            print(f"bad --service-policy: must be one of "
-                  f"{', '.join(POLICIES)}, got {policy!r}", file=sys.stderr)
-            return 2
-        os.environ["REPRO_SERVICE_POLICY"] = policy
-    rate = getattr(args, "arrival_rate", None)
-    if rate is not None:
-        if rate <= 0:
-            print(f"bad --arrival-rate: must be > 0, got {rate:g}",
-                  file=sys.stderr)
-            return 2
-        os.environ["REPRO_SERVICE_ARRIVAL"] = repr(rate)
+        os.environ[env] = text
     return 0
 
 
@@ -315,7 +268,6 @@ def main(argv=None) -> int:
     _add_faults_flag(p_run)
     _add_service_flags(p_run)
     _add_availability_flags(p_run)
-    _add_gang_flag(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_rep = sub.add_parser(
@@ -335,7 +287,6 @@ def main(argv=None) -> int:
     _add_faults_flag(p_rep)
     _add_service_flags(p_rep)
     _add_availability_flags(p_rep)
-    _add_gang_flag(p_rep)
     p_rep.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="directory of the content-addressed result cache "

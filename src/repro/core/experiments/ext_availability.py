@@ -26,13 +26,13 @@ the result-cache identity):
 
 from __future__ import annotations
 
-import os
-
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
+from repro.util.validation import env_override
 
-__all__ = ["run", "plan", "assemble", "avail_sizes", "fault_rates"]
+__all__ = ["run", "plan", "assemble", "avail_sizes", "fault_rates",
+           "parse_hosts", "parse_rates"]
 
 _LEGS = "repro.core.experiments.availability_legs"
 
@@ -40,31 +40,50 @@ _LEGS = "repro.core.experiments.availability_legs"
 VARIANTS = (True, False)  # journal on / off
 
 
-def _env_tuple(name: str, kind, default):
-    text = os.environ.get(name, "").strip()
-    if not text:
-        return default
+def _parse_list(text: str, kind) -> tuple:
     try:
         values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
+        values = ()
+    if not values:
         raise ValueError(
-            f"{name} must be comma-separated {kind.__name__}s, "
-            f"got {text!r}") from None
-    if not values or any(v < 0 for v in values):
-        raise ValueError(f"{name} must be non-negative, got {text!r}")
+            f"must be comma-separated {kind.__name__}s, got {text!r}")
+    if any(v < 0 for v in values):
+        raise ValueError(f"must be non-negative, got {text!r}")
     return values
+
+
+def parse_hosts(text: str) -> tuple[int, ...]:
+    """Parse a host-count list such as ``"128,512"`` (each >= 1).
+
+    The one validator behind both ``REPRO_AVAIL_HOSTS`` and the CLI's
+    ``--availability-hosts``; raises ``ValueError`` on bad input.
+    """
+    hosts = _parse_list(text, int)
+    if 0 in hosts:
+        raise ValueError(f"must be >= 1, got {text!r}")
+    return hosts
+
+
+def parse_rates(text: str) -> tuple[float, ...]:
+    """Parse a ToR fault-rate list such as ``"0.25,0.5"`` (each >= 0).
+
+    The one validator behind both ``REPRO_AVAIL_RATE`` and the CLI's
+    ``--availability-rates``; raises ``ValueError`` on bad input.
+    """
+    return _parse_list(text, float)
 
 
 def avail_sizes(quick: bool = True) -> tuple:
     """Host counts to sweep (``REPRO_AVAIL_HOSTS`` override)."""
-    return _env_tuple("REPRO_AVAIL_HOSTS", int,
-                      (16,) if quick else (128, 512))
+    return env_override("REPRO_AVAIL_HOSTS", parse_hosts,
+                        (16,) if quick else (128, 512))
 
 
 def fault_rates(quick: bool = True) -> tuple:
     """ToR fault rates to sweep (``REPRO_AVAIL_RATE`` override)."""
-    return _env_tuple("REPRO_AVAIL_RATE", float,
-                      (0.5, 1.0) if quick else (0.25, 0.5, 1.0))
+    return env_override("REPRO_AVAIL_RATE", parse_rates,
+                        (0.5, 1.0) if quick else (0.25, 0.5, 1.0))
 
 
 def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None

@@ -33,13 +33,13 @@ ordinary leg parameters):
 
 from __future__ import annotations
 
-import os
-
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
+from repro.util.validation import env_override
 
-__all__ = ["run", "plan", "assemble", "baseline_policy", "arrival_rate"]
+__all__ = ["run", "plan", "assemble", "baseline_policy", "arrival_rate",
+           "parse_policy", "parse_rate"]
 
 _LEGS = "repro.core.experiments.service_legs"
 
@@ -48,31 +48,36 @@ _LEGS = "repro.core.experiments.service_legs"
 DEFAULT_RATE = 55.0
 
 
-def baseline_policy() -> str:
-    """The comparison baseline (``REPRO_SERVICE_POLICY``, else numa-blind)."""
+def parse_policy(text: str) -> str:
+    """Validate a baseline policy name (``REPRO_SERVICE_POLICY``,
+    ``--service-policy``); raises ``ValueError`` on bad input."""
     from repro.service import POLICIES
 
-    policy = os.environ.get("REPRO_SERVICE_POLICY", "").strip() or "numa-blind"
-    if policy not in POLICIES:
-        raise ValueError(
-            f"REPRO_SERVICE_POLICY must be one of {POLICIES}, got {policy!r}")
-    return policy
+    if text not in POLICIES:
+        raise ValueError(f"must be one of {', '.join(POLICIES)}, got {text!r}")
+    return text
+
+
+def parse_rate(text: str) -> float:
+    """Parse an offered load in jobs/s per host (``REPRO_SERVICE_ARRIVAL``,
+    ``--arrival-rate``); raises ``ValueError`` on bad input."""
+    try:
+        rate = float(text)
+    except ValueError:
+        raise ValueError(f"must be a number, got {text!r}") from None
+    if not rate > 0:
+        raise ValueError(f"must be > 0, got {text!r}")
+    return rate
+
+
+def baseline_policy() -> str:
+    """The comparison baseline (``REPRO_SERVICE_POLICY``, else numa-blind)."""
+    return env_override("REPRO_SERVICE_POLICY", parse_policy, "numa-blind")
 
 
 def arrival_rate() -> float:
     """Offered jobs/s per host (``REPRO_SERVICE_ARRIVAL``, else default)."""
-    text = os.environ.get("REPRO_SERVICE_ARRIVAL", "").strip()
-    if not text:
-        return DEFAULT_RATE
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SERVICE_ARRIVAL must be a number, got {text!r}") from None
-    if rate <= 0:
-        raise ValueError(
-            f"REPRO_SERVICE_ARRIVAL must be > 0, got {rate}")
-    return rate
+    return env_override("REPRO_SERVICE_ARRIVAL", parse_rate, DEFAULT_RATE)
 
 
 def _shape(quick: bool):

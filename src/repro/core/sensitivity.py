@@ -341,9 +341,9 @@ def sensitivity_tasks(
     """The ±delta perturbation grid as independent tasks, in grid order.
 
     Every cell carries the grid's :class:`~repro.exec.GangSpec`, so a
-    batch of cells gangs through :func:`gang_cells` under
-    ``REPRO_GANG=auto`` while staying an ordinary per-task grid under
-    ``off`` (and for whatever cells a partial cache leaves unserved).
+    batch of cells gangs through :func:`gang_cells`; the same cells with
+    the spec stripped (``dataclasses.replace(t, gang=None)``) are the
+    ordinary per-task grid that defines the correct result.
     """
     cal = None if base is CALIBRATION else base
     spec = GangSpec(

@@ -21,9 +21,9 @@ invariants that make this safe.
 
 from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.fingerprint import code_fingerprint
-from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid, gang_mode
+from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid
 from repro.exec.runner import (ExecContext, default_jobs, executor,
-                               get_exec_context, run_tasks)
+                               get_exec_context, parse_jobs, run_tasks)
 from repro.exec.task import SimTask
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "default_jobs",
     "executor",
     "gang_calgrid",
-    "gang_mode",
     "get_exec_context",
+    "parse_jobs",
     "run_tasks",
 ]

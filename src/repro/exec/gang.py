@@ -29,8 +29,10 @@ partially cached grid gangs only the misses and the
 :class:`~repro.exec.cache.ResultCache` stays oblivious to how an entry
 was produced (the entry records ``via`` provenance for humans only).
 
-``REPRO_GANG=auto|off`` (default ``auto``) switches the subsystem; the
-CLI's ``report --gang`` flag is the explicit spelling.
+The runner always hands a group to its kernel; the per-task path serves
+the scenarios it defects.  The same tasks with their spec stripped
+(``dataclasses.replace(task, gang=None)``) run one at a time, which is
+how tests and benchmarks reach the per-task reference.
 
 Two kernels ship with the library:
 
@@ -44,10 +46,6 @@ Two kernels ship with the library:
 * ``repro.core.sensitivity:gang_cells`` — the sensitivity grid's
   kernel, which decomposes every cell into shape *legs* and runs each
   leg through :func:`run_projected` across all cells at once.
-
-For the batched-numerics tier — solving many scenarios of one fluid
-program with the scenario index as a leading array axis — see
-:class:`repro.sim.fluid.GangFluidProgram`.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ import dataclasses
 import hashlib
 import importlib
 import json
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, List, Sequence, Tuple
 
@@ -69,19 +66,13 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFECT",
     "EvalError",
-    "GANG_MODES",
     "GangSpec",
     "GangStats",
     "calgrid_key",
     "calgrid_kernel",
     "gang_calgrid",
-    "gang_mode",
     "run_projected",
 ]
-
-#: Recognized ``REPRO_GANG`` values.
-GANG_MODES = ("auto", "off")
-
 
 class _Defect:
     """Sentinel: this scenario must fall back to the per-task path."""
@@ -112,18 +103,6 @@ class EvalError:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EvalError {self.exception!r}>"
-
-
-def gang_mode() -> str:
-    """The mode named by ``REPRO_GANG`` (default: ``auto``)."""
-    mode = os.environ.get("REPRO_GANG", "").strip().lower()
-    if not mode:
-        return "auto"
-    if mode not in GANG_MODES:
-        raise ValueError(
-            f"REPRO_GANG must be one of {GANG_MODES}, got {mode!r}"
-        )
-    return mode
 
 
 @dataclass(frozen=True)

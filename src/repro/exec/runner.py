@@ -11,8 +11,8 @@ scheduled.  Execution is:
    GridFTP leg are the same simulation);
 3. **gang grouping** — cache-missed tasks carrying the same
    :class:`~repro.exec.gang.GangSpec` run as one batch through their
-   gang kernel (scenario-axis execution; ``REPRO_GANG=off`` disables);
-   scenarios the kernel defects fall through to step 4 unchanged;
+   gang kernel (scenario-axis execution); scenarios the kernel defects
+   fall through to step 4 unchanged;
 4. **fan-out** — remaining tasks run serially (``jobs=1``, the default:
    determinism-by-default, no pickling, no subprocesses) or on a
    ``ProcessPoolExecutor`` of ``jobs`` workers.  ``REPRO_JOBS`` changes
@@ -39,42 +39,49 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro import metrics
 from repro.exec.cache import CacheStats, ResultCache
-from repro.exec.gang import DEFECT, GANG_MODES, gang_mode, resolve_kernel
+from repro.exec.gang import DEFECT, resolve_kernel
 from repro.exec.task import SimTask
+from repro.util.validation import env_override
 
 __all__ = ["ExecContext", "default_jobs", "executor", "get_exec_context",
-           "run_tasks"]
+           "parse_jobs", "run_tasks"]
 
 
-def default_jobs() -> int:
-    """The worker-count default: ``REPRO_JOBS``, else 1 (fully serial).
+def parse_jobs(text: str) -> int:
+    """Parse a worker count: a positive integer, or ``auto`` (returned as
+    0, one worker per CPU core).
 
-    ``REPRO_JOBS`` accepts a positive integer or ``auto`` (one worker
-    per CPU core).  An explicit jobs count — the CLI's ``--jobs``, a
-    benchmark's ``executor(jobs=N)`` — always wins over the
-    environment; the variable only fills the default.
+    The one validator behind both ``REPRO_JOBS`` and the CLI's
+    ``--jobs``; raises ``ValueError`` on bad input.
     """
-    text = os.environ.get("REPRO_JOBS", "").strip()
-    if not text:
-        return 1
-    if text.lower() == "auto":
+    if text.strip().lower() == "auto":
         return 0
     try:
         jobs = int(text)
     except ValueError:
         raise ValueError(
-            f"REPRO_JOBS must be a positive integer or 'auto', "
-            f"got {text!r}") from None
+            f"must be a positive integer or 'auto', got {text!r}") from None
     if jobs <= 0:
         raise ValueError(
-            f"REPRO_JOBS must be >= 1 (or 'auto' for one worker per "
-            f"CPU core), got {jobs}")
+            f"must be >= 1 (or 'auto' for one worker per CPU core), "
+            f"got {jobs}")
     return jobs
+
+
+def default_jobs() -> int:
+    """The worker-count default: ``REPRO_JOBS``, else 1 (fully serial).
+
+    ``REPRO_JOBS`` accepts what :func:`parse_jobs` does.  An explicit
+    jobs count — the CLI's ``--jobs``, a benchmark's
+    ``executor(jobs=N)`` — always wins over the environment; the
+    variable only fills the default.
+    """
+    return env_override("REPRO_JOBS", parse_jobs, 1)
 
 
 @dataclass
@@ -87,21 +94,6 @@ class ExecContext:
     cache: Optional[ResultCache] = None
     #: Tasks actually executed (not served from cache) under this context.
     executed: int = 0
-    #: Gang-execution mode override ("auto"/"off"); None defers to the
-    #: ``REPRO_GANG`` environment variable (default: auto).
-    gang: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.gang is not None and self.gang not in GANG_MODES:
-            raise ValueError(
-                f"gang must be one of {GANG_MODES} or None, got {self.gang!r}"
-            )
-
-    @property
-    def gang_enabled(self) -> bool:
-        """Whether gang grouping applies under this context."""
-        mode = self.gang if self.gang is not None else gang_mode()
-        return mode != "off"
 
     @property
     def effective_jobs(self) -> int:
@@ -132,19 +124,18 @@ def get_exec_context() -> ExecContext:
 
 @contextmanager
 def executor(jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
-             cache_dir: Optional[os.PathLike | str] = None,
-             gang: Optional[str] = None) -> Iterator[ExecContext]:
+             cache_dir: Optional[os.PathLike | str] = None
+             ) -> Iterator[ExecContext]:
     """Install an ambient :class:`ExecContext` for the duration of a block.
 
     *jobs* = None defers to ``REPRO_JOBS`` (see :func:`default_jobs`).
     Pass either a ready-made *cache* or a *cache_dir* to enable result
-    caching (neither = no cache).  *gang* overrides ``REPRO_GANG``
-    ("auto"/"off"; None defers to the environment).
+    caching (neither = no cache).
     """
     global _CURRENT
     if cache is None and cache_dir is not None:
         cache = ResultCache(cache_dir)
-    ctx = ExecContext(jobs=jobs, cache=cache, gang=gang)
+    ctx = ExecContext(jobs=jobs, cache=cache)
     previous = _CURRENT
     _CURRENT = ctx
     try:
@@ -219,39 +210,37 @@ def run_tasks(tasks: Sequence[SimTask],
     # ordinary per-task path below.  Kernels run in-process — their
     # parallelism is the scenario axis, not worker processes.
     computed: Dict[int, Any] = {}
-    ganged: set = set()
-    if ctx.gang_enabled:
-        gangs: Dict[tuple, List[int]] = {}
-        for i in leaders:
-            spec = tasks[i].gang
-            if spec is not None:
-                gangs.setdefault((spec.kernel, spec.key), []).append(i)
-        for (kernel, _key), idxs in gangs.items():
-            if len(idxs) < 2:
-                _GANG["scenarios_solo"] += len(idxs)
-                continue
-            try:
-                values = resolve_kernel(kernel)([tasks[i] for i in idxs])
-                if len(values) != len(idxs):
-                    raise ValueError(
-                        f"gang kernel {kernel!r} returned {len(values)} "
-                        f"results for {len(idxs)} tasks")
-            except Exception:
-                # A broken kernel must never break the run: defect the
-                # whole group to the per-task path (whose results are
-                # correct by definition) and keep going.
-                values = [DEFECT] * len(idxs)
-            defected = 0
-            for i, value in zip(idxs, values):
-                if value is DEFECT:
-                    defected += 1
-                else:
-                    computed[i] = value
-                    ganged.add(i)
-            _GANG["groups"] += 1
-            _GANG["scenarios_ganged"] += len(idxs) - defected
-            _GANG["scenarios_defected"] += defected
+    gangs: Dict[tuple, List[int]] = {}
+    for i in leaders:
+        spec = tasks[i].gang
+        if spec is not None:
+            gangs.setdefault((spec.kernel, spec.key), []).append(i)
+    for (kernel, _key), idxs in gangs.items():
+        if len(idxs) < 2:
+            _GANG["scenarios_solo"] += len(idxs)
+            continue
+        try:
+            values = resolve_kernel(kernel)([tasks[i] for i in idxs])
+            if len(values) != len(idxs):
+                raise ValueError(
+                    f"gang kernel {kernel!r} returned {len(values)} "
+                    f"results for {len(idxs)} tasks")
+        except Exception:
+            # A broken kernel must never break the run: defect the
+            # whole group to the per-task path (whose results are
+            # correct by definition) and keep going.
+            values = [DEFECT] * len(idxs)
+        defected = 0
+        for i, value in zip(idxs, values):
+            if value is DEFECT:
+                defected += 1
+            else:
+                computed[i] = value
+        _GANG["groups"] += 1
+        _GANG["scenarios_ganged"] += len(idxs) - defected
+        _GANG["scenarios_defected"] += defected
 
+    ganged = set(computed)
     remaining = [i for i in leaders if i not in ganged]
     workers = min(ctx.effective_jobs, len(remaining))
     if multiprocessing.parent_process() is not None:

@@ -49,7 +49,6 @@ instant share one deferred rebalance (see :meth:`FluidScheduler.flush`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
@@ -64,8 +63,6 @@ __all__ = [
     "FluidScheduler",
     "FluidStats",
     "ChargeAccount",
-    "GangFluidProgram",
-    "GangRunResult",
 ]
 
 _EPS = 1e-9
@@ -1243,349 +1240,3 @@ class FluidScheduler:
             f.transferred = f.size  # snap away float dust
             self._deactivate(f)
         self._after_change()
-
-
-# ---------------------------------------------------------------------------
-# Gang mode: one fluid program, many scenarios, scenario index as axis 0.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GangRunResult:
-    """Outcome of :meth:`GangFluidProgram.run_steady` for all scenarios."""
-
-    #: Bytes delivered per scenario and flow, shape ``(S, F)``.
-    transferred: np.ndarray
-    #: Completion time per scenario and flow (NaN = never finished).
-    finished_at: np.ndarray
-    #: Final rate allocation, shape ``(S, F)``.
-    rates: np.ndarray
-    #: Scenarios whose completion *order* diverged from the pilot
-    #: (scenario 0).  Their numbers are still exact — per-scenario
-    #: active masks keep the math correct under any order — but a
-    #: caller coupling events to completion order (the simulator
-    #: integration) can only replay the pilot's order, so these
-    #: scenarios must defect to the scalar event kernel.
-    defected: np.ndarray
-    #: Batched solve/settle rounds the run took (all scenarios share them).
-    rounds: int
-
-
-class GangFluidProgram:
-    """S scenarios of one structurally-shared fluid program, batched.
-
-    The gang counterpart of :class:`FluidScheduler`: the *structure*
-    (which flows cross which resources, with what incidence) is shared
-    by every scenario, while capacities, weights, caps and sizes may
-    vary per scenario — the scenario index is the leading axis of every
-    array.  One progressive-filling round updates the fill level of
-    **all** scenarios at once (a level *vector* where the array solver
-    keeps a level scalar), with per-scenario freeze masks, batched
-    residual/weight-sum accounting, and per-scenario settle/charge
-    updates — so solving S scenarios costs one round-loop instead of S.
-
-    Semantics mirror the scalar solver exactly: max-min fair sharing by
-    progressive filling, per-flow caps, private-resource folding, and
-    the same epsilon freeze bands (:data:`_EPS`).  The max-min
-    allocation is unique, so per-scenario results agree with an
-    equivalent :class:`FluidScheduler` run to floating-point tolerance;
-    the differential suite (``tests/test_gang_solver.py``) holds every
-    observable to 1e-6 and the batched/scalar walls are gated by
-    ``benchmarks/bench_gang_solver.py``.
-
-    What this class deliberately does **not** model is event feedback:
-    a program whose completions trigger control flow (new flows, cap
-    changes, recovery) is only batchable while every scenario agrees
-    with the pilot's event order — :meth:`run_steady` reports scenarios
-    whose completion order diverges as *defected* so the caller can
-    re-run them on the ordinary event kernel.
-    """
-
-    def __init__(self, scenarios: int):
-        if scenarios < 1:
-            raise ValueError(f"need at least one scenario, got {scenarios}")
-        self.S = int(scenarios)
-        self._r_cap: list[np.ndarray] = []
-        self._r_names: list[str] = []
-        self._flows: list[dict] = []
-        self._sealed = False
-        # Built by _seal():
-        self._size: Optional[np.ndarray] = None
-        self._cap: Optional[np.ndarray] = None
-        self.transferred: Optional[np.ndarray] = None
-        self.finished_at: Optional[np.ndarray] = None
-        #: account key -> (S,) accumulated charges.
-        self.charged: dict = {}
-
-    # -- construction ------------------------------------------------------
-
-    def _per_scenario(self, value, what: str, allow_inf: bool = False
-                      ) -> np.ndarray:
-        out = np.broadcast_to(np.asarray(value, dtype=float),
-                              (self.S,)).copy()
-        if np.isnan(out).any() or (not allow_inf and np.isinf(out).any()):
-            raise ValueError(f"{what} must be finite, got {value!r}")
-        return out
-
-    def add_resource(self, capacity, name: str = "") -> int:
-        """Add a resource; *capacity* is a scalar or per-scenario ``(S,)``."""
-        cap = self._per_scenario(capacity, f"capacity of {name!r}",
-                                 allow_inf=True)
-        if (cap < 0).any():
-            raise ValueError(f"capacity must be >= 0, got {capacity!r}")
-        self._r_cap.append(cap)
-        self._r_names.append(name)
-        return len(self._r_cap) - 1
-
-    def add_flow(self, path, size=None, cap=None, charges=(), name: str = ""
-                 ) -> int:
-        """Add a flow crossing ``path`` = ``(resource_id, weight)`` pairs.
-
-        Weights, *size* and *cap* may each be scalars or per-scenario
-        ``(S,)`` arrays; ``size=None`` is an open-ended flow, ``cap=None``
-        uncapped.  *charges* are ``(account_key, cost_per_byte)`` pairs
-        debited into :attr:`charged` as the flow progresses.
-        """
-        weights: dict[int, np.ndarray] = {}
-        for rid, w in path:
-            if not 0 <= rid < len(self._r_cap):
-                raise ValueError(f"flow {name!r}: unknown resource id {rid}")
-            wv = self._per_scenario(w, f"weight of {name!r}")
-            if (wv <= 0).any():
-                raise ValueError(f"flow weight must be > 0, got {w!r}")
-            weights[rid] = weights.get(rid, 0.0) + wv
-        size_v = None if size is None else self._per_scenario(
-            size, f"size of {name!r}")
-        if size_v is not None and (size_v <= 0).any():
-            raise ValueError(f"flow size must be > 0 or None, got {size!r}")
-        cap_v = None if cap is None else self._per_scenario(
-            cap, f"cap of {name!r}")
-        if cap_v is not None and (cap_v <= 0).any():
-            raise ValueError(f"flow cap must be > 0 or None, got {cap!r}")
-        if cap_v is None and not any(
-            np.isfinite(self._r_cap[rid]).all() for rid in weights
-        ):
-            raise ValueError(
-                f"flow {name!r} is unbounded: no cap and no finite "
-                "resource on path"
-            )
-        self._flows.append({
-            "weights": weights,
-            "size": size_v,
-            "cap": cap_v,
-            "charges": tuple((key, self._per_scenario(c, "charge"))
-                             for key, c in charges),
-            "name": name or f"flow{len(self._flows)}",
-        })
-        self._sealed = False
-        return len(self._flows) - 1
-
-    def _seal(self) -> None:
-        """Freeze structure into batch arrays (idempotent until edited)."""
-        if self._sealed:
-            return
-        S, F, R = self.S, len(self._flows), len(self._r_cap)
-        self._size = np.full((S, F), np.inf)
-        self._cap = np.full((S, F), np.inf)
-        for j, f in enumerate(self._flows):
-            if f["size"] is not None:
-                self._size[:, j] = f["size"]
-            if f["cap"] is not None:
-                self._cap[:, j] = f["cap"]
-        if self.transferred is None:
-            self.transferred = np.zeros((S, F))
-            self.finished_at = np.full((S, F), np.nan)
-        elif self.transferred.shape != (S, F):
-            raise SimulationError(
-                "cannot add flows or resources after a gang run started")
-        # Structural incidence (entry lists, CSR-style like the array
-        # solver) and the private/shared split.  A resource with one
-        # structural user never arbitrates in any scenario — fold it
-        # into that flow's effective cap, exactly as the scalar solver
-        # folds private resources at assembly.
-        users = np.zeros(R, dtype=np.intp)
-        for f in self._flows:
-            for rid in f["weights"]:
-                users[rid] += 1
-        self._cap_eff = self._cap.copy()
-        ent_flow: list[int] = []
-        ent_res: list[int] = []
-        ent_w: list[np.ndarray] = []
-        for j, f in enumerate(self._flows):
-            for rid, w in f["weights"].items():
-                if users[rid] == 1:
-                    cap_r = self._r_cap[rid]
-                    finite = np.isfinite(cap_r)
-                    if finite.any():
-                        bound = np.where(finite, cap_r / w, np.inf)
-                        np.minimum(self._cap_eff[:, j], bound,
-                                   out=self._cap_eff[:, j])
-                    continue
-                ent_flow.append(j)
-                ent_res.append(rid)
-                ent_w.append(w)
-        shared = sorted(set(ent_res))
-        self._shared_cap = (
-            np.stack([self._r_cap[rid] for rid in shared], axis=1)
-            if shared else np.zeros((S, 0))
-        )
-        local = {rid: k for k, rid in enumerate(shared)}
-        E, Rs = len(ent_flow), len(shared)
-        self._ent_flow = np.asarray(ent_flow, dtype=np.intp)
-        self._ent_res = np.asarray([local[r] for r in ent_res], dtype=np.intp)
-        self._ent_w = (np.stack(ent_w, axis=1) if ent_w
-                       else np.zeros((S, 0)))
-        # Flattened scatter indices, built once: per-round weight sums and
-        # saturation fan-out are single bincounts over these.
-        rows = np.repeat(np.arange(S), E)
-        self._idx_res = (rows * max(Rs, 1) + np.tile(self._ent_res, S)
-                         if E else np.zeros(0, dtype=np.intp))
-        self._idx_flow = (rows * F + np.tile(self._ent_flow, S)
-                          if E else np.zeros(0, dtype=np.intp))
-        self._sealed = True
-
-    # -- the batched water-fill --------------------------------------------
-
-    def solve(self, active: Optional[np.ndarray] = None) -> np.ndarray:
-        """Max-min fair rates for all scenarios at once, shape ``(S, F)``.
-
-        *active* masks flows per scenario (default: everything not yet
-        finished).  Mirrors the scalar solver round for round: one
-        common fill level **per scenario** (a level vector), per-round
-        residual/weight-sum updates over the shared entry list, cap and
-        saturation freezes with the scalar solver's epsilon bands.
-        """
-        self._seal()
-        S, F = self.S, len(self._flows)
-        if F == 0:
-            return np.zeros((S, 0))
-        if active is None:
-            active = ~np.isfinite(self.finished_at) & (
-                self.transferred < self._size)
-        Rs = self._shared_cap.shape[1]
-        rate = np.zeros((S, F))
-        unfrozen = active.copy()
-        level = np.zeros(S)
-        residual = self._shared_cap.copy()
-        # Inactive flows contribute nothing anywhere: mask their entries out
-        # of residual/wsum for the whole solve.
-        sat_thresh = _EPS * np.maximum(1.0, self._shared_cap)
-        sat_thresh[np.isinf(self._shared_cap)] = -np.inf
-        cap_eff = self._cap_eff
-        with np.errstate(invalid="ignore"):
-            cap_thresh = np.where(
-                np.isfinite(cap_eff),
-                cap_eff - _EPS * np.maximum(1.0, cap_eff), np.inf)
-        flow_sat = np.zeros(S * F)
-        guard = 0
-        while unfrozen.any():
-            guard += 1
-            if guard > 4 * F + 8:  # pragma: no cover - safety net
-                raise SimulationError(
-                    "gang progressive filling failed to converge")
-            alive = unfrozen[:, self._ent_flow] if Rs else unfrozen[:, :0]
-            w_alive = self._ent_w * alive
-            wsum = np.bincount(
-                self._idx_res, weights=w_alive.ravel(),
-                minlength=S * max(Rs, 1)).reshape(S, -1)[:, :Rs]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dv = np.where(wsum > 0.0, residual / wsum, np.inf)
-            d_res = dv.min(axis=1, initial=np.inf)
-            np.maximum(d_res, 0.0, out=d_res)
-            cap_room = np.where(unfrozen, cap_eff - rate, np.inf).min(
-                axis=1, initial=np.inf)
-            delta = np.minimum(d_res, cap_room)
-            busy = unfrozen.any(axis=1)
-            if (busy & ~np.isfinite(delta)).any():
-                bad = int(np.nonzero(busy & ~np.isfinite(delta))[0][0])
-                names = sorted(self._flows[j]["name"]
-                               for j in np.nonzero(unfrozen[bad])[0])
-                raise SimulationError(
-                    f"unbounded flows in gang allocation "
-                    f"(scenario {bad}): {names}")
-            delta[~busy] = 0.0
-            rate += delta[:, None] * unfrozen
-            level += delta
-            if Rs:
-                residual -= delta[:, None] * wsum
-            at_cap = unfrozen & (rate >= cap_thresh)
-            if Rs:
-                sat = residual <= sat_thresh
-                sat_e = (sat[:, self._ent_res] & alive).ravel()
-                flow_sat[:] = 0.0
-                np.add.at(flow_sat, self._idx_flow[sat_e], 1.0)
-                newly = unfrozen & (
-                    at_cap | (flow_sat.reshape(S, F) > 0.0))
-            else:
-                newly = at_cap
-            # Numerical corner (mirrors the scalar solver): a busy
-            # scenario where nothing froze this round freezes whole.
-            stuck = busy & ~newly.any(axis=1)
-            if stuck.any():
-                newly |= unfrozen & stuck[:, None]
-            unfrozen &= ~newly
-        return rate
-
-    # -- settle + steady-state driving -------------------------------------
-
-    def settle(self, rates: np.ndarray, dt) -> None:
-        """Advance all scenarios by *dt* (scalar or ``(S,)``) at *rates*."""
-        self._seal()
-        dt_v = np.broadcast_to(np.asarray(dt, dtype=float), (self.S,))
-        moved = rates * dt_v[:, None]
-        np.minimum(moved, self._size - self.transferred, out=moved)
-        self.transferred += moved
-        for j, f in enumerate(self._flows):
-            for key, per_byte in f["charges"]:
-                acct = self.charged.get(key)
-                if acct is None:
-                    acct = self.charged[key] = np.zeros(self.S)
-                acct += per_byte * moved[:, j]
-
-    def run_steady(self, duration: float) -> GangRunResult:
-        """Drive every scenario to *duration*, completing sized flows.
-
-        Each batched round advances **every** scenario to its own next
-        event (earliest flow completion, else the horizon), so rounds
-        are bounded by flows + 1 regardless of how completion times
-        spread across scenarios.  Scenario-divergent completion order is
-        handled exactly (per-scenario active masks) and *reported*: see
-        :attr:`GangRunResult.defected`.
-        """
-        self._seal()
-        S, F = self.S, len(self._flows)
-        t = np.zeros(S)
-        sequences: list[list[int]] = [[] for _ in range(S)]
-        rates = np.zeros((S, F))
-        rounds = 0
-        while True:
-            running = t < duration - _EPS * max(1.0, duration)
-            if not running.any():
-                break
-            rounds += 1
-            active = (~np.isfinite(self.finished_at)
-                      & (self.transferred < self._size)
-                      & running[:, None])
-            rates = self.solve(active=active)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                eta = np.where(active & (rates > 0.0),
-                               (self._size - self.transferred) / rates,
-                               np.inf)
-            eta_min = eta.min(axis=1, initial=np.inf)
-            t_next = np.where(running,
-                              np.minimum(duration, t + eta_min), t)
-            self.settle(rates, t_next - t)
-            finished_now = active & np.isfinite(self._size) & (
-                self._size - self.transferred <= _EPS * self._size)
-            if finished_now.any():
-                self.transferred[finished_now] = np.broadcast_to(
-                    self._size, finished_now.shape)[finished_now]
-                self.finished_at[finished_now] = np.broadcast_to(
-                    t_next[:, None], finished_now.shape)[finished_now]
-                for s, j in zip(*np.nonzero(finished_now)):
-                    sequences[s].append(int(j))
-            t = t_next
-        pilot = sequences[0]
-        defected = np.asarray([seq != pilot for seq in sequences])
-        return GangRunResult(transferred=self.transferred.copy(),
-                             finished_at=self.finished_at.copy(),
-                             rates=rates, defected=defected, rounds=rounds)

@@ -6,7 +6,8 @@ simulation that silently produced NaNs three layers up.
 
 from __future__ import annotations
 
-from typing import Iterable, TypeVar
+import os
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -64,3 +65,20 @@ def check_power_of_two(name: str, value: int) -> int:
     if not isinstance(value, int) or value <= 0 or value & (value - 1):
         raise ValueError(f"{name} must be a positive power of two, got {value!r}")
     return value
+
+
+def env_override(name: str, parse: Callable[[str], T], default: T) -> T:
+    """``parse`` the environment variable *name*, or return *default*.
+
+    A blank or unset variable selects *default*.  *parse* raises
+    ``ValueError("must be ..., got ...")``; the variable's name is put
+    in front, so the same parser can back a CLI flag with its own
+    prefix.
+    """
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{name} {exc}") from None

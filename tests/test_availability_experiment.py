@@ -63,6 +63,10 @@ def test_env_overrides(monkeypatch):
     monkeypatch.setenv("REPRO_AVAIL_HOSTS", "-4")
     with pytest.raises(ValueError, match="non-negative"):
         ext_availability.avail_sizes(quick=True)
+    # Zero hosts is no fabric: rejected here, not deep inside the run.
+    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "0")
+    with pytest.raises(ValueError, match="REPRO_AVAIL_HOSTS must be >= 1"):
+        ext_availability.avail_sizes(quick=True)
 
 
 def test_env_overrides_change_cache_identity(monkeypatch):

@@ -1,8 +1,10 @@
 """Gang execution: grouping, defection, cache identity, projection dedup.
 
-The contract under test mirrors the executor's: ``REPRO_GANG`` changes
-*how* a grid computes — one batched scenario program vs one task at a
-time — never what it computes.  Gang and per-task runs must be
+The contract under test mirrors the executor's: a task's ``GangSpec``
+changes *how* a grid computes — one batched scenario program vs one
+task at a time — never what it computes.  Every oracle here is the same
+task list with the spec stripped (:func:`_per_task`), which the runner
+executes one task at a time.  Gang and per-task runs must be
 indistinguishable down to the bytes of the assembled report, gang
 membership must be invisible to the result cache, and anything a kernel
 cannot batch exactly (ambient faults, broken kernels, singleton groups)
@@ -12,12 +14,18 @@ must defect to the per-task path with zero behavior change.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.core.calibration import CALIBRATION, tracking_calibration
 from repro.core.experiments import ext_sensitivity
-from repro.core.sensitivity import gang_cells, run_sensitivity, sensitivity_tasks
+from repro.core.sensitivity import (
+    assemble_sensitivity,
+    gang_cells,
+    run_sensitivity,
+    sensitivity_tasks,
+)
 from repro.exec import (
     DEFECT,
     ExecContext,
@@ -27,7 +35,6 @@ from repro.exec import (
     SimTask,
     executor,
     gang_calgrid,
-    gang_mode,
     run_tasks,
 )
 from repro.exec.gang import EvalError, run_projected
@@ -47,6 +54,11 @@ def _gang_delta(fn):
     return out, {k: after[k] - before[k] for k in after}
 
 
+def _per_task(tasks):
+    """The same tasks without gang metadata: the per-task oracle."""
+    return [replace(t, gang=None) for t in tasks]
+
+
 def _calgrid_tasks(n=4, factor=2.0):
     """n gang-eligible tasks differing only in calibration."""
     return [
@@ -61,9 +73,8 @@ def _calgrid_tasks(n=4, factor=2.0):
 
 def test_calgrid_gang_matches_per_task_bitwise():
     tasks = _calgrid_tasks(5)
-    with executor(gang="off"):
-        solo = run_tasks(tasks)
-    (ganged, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext(gang="auto")))
+    solo = run_tasks(_per_task(tasks))
+    (ganged, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert ganged == solo == [t.execute() for t in tasks]
     assert delta["scenarios_ganged"] == 5
     assert delta["scenarios_defected"] == 0
@@ -72,8 +83,7 @@ def test_calgrid_gang_matches_per_task_bitwise():
 
 def test_singleton_group_runs_solo():
     tasks = _calgrid_tasks(1)
-    (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
+    (results, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert results == [tasks[0].execute()]
     assert delta["scenarios_solo"] == 1
     assert delta["scenarios_ganged"] == 0
@@ -83,8 +93,7 @@ def test_singleton_group_runs_solo():
 def test_ambient_fault_plan_defects_whole_group(monkeypatch):
     monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5,duration=2")
     tasks = _calgrid_tasks(4)
-    (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
+    (results, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert results == [t.execute() for t in tasks]
     assert delta["scenarios_defected"] == 4
     assert delta["scenarios_ganged"] == 0
@@ -109,30 +118,18 @@ def test_broken_kernel_defects_instead_of_breaking(kernel):
     spec = GangSpec(kernel=f"tests.test_gang_exec:{kernel}", key="k")
     tasks = [SimTask("tests.test_gang_exec:scale_leg", {"factor": float(1 + i)},
                      seed=i, cal=CALIBRATION, gang=spec) for i in range(3)]
-    (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(gang="auto")))
+    (results, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert results == [t.execute() for t in tasks]
     assert delta["scenarios_defected"] == 3
     assert delta["scenarios_ganged"] == 0
 
 
-def test_gang_off_never_invokes_kernel(monkeypatch):
-    tasks = _calgrid_tasks(3)
-    (_, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext(gang="off")))
+def test_gang_off_never_invokes_kernel():
+    # Tasks without a GangSpec never reach a kernel: every gang counter
+    # stays at zero.
+    tasks = _per_task(_calgrid_tasks(3))
+    (_, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert all(v == 0 for v in delta.values())
-    monkeypatch.setenv("REPRO_GANG", "off")
-    (_, delta) = _gang_delta(lambda: run_tasks(tasks, ExecContext()))
-    assert all(v == 0 for v in delta.values())
-
-
-def test_gang_mode_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_GANG", "sideways")
-    with pytest.raises(ValueError, match="REPRO_GANG"):
-        gang_mode()
-    with pytest.raises(ValueError, match="gang"):
-        ExecContext(gang="sideways")
-    monkeypatch.setenv("REPRO_GANG", "off")
-    assert ExecContext(gang="auto").gang_enabled  # override beats the env
 
 
 # -- cache identity ---------------------------------------------------------
@@ -149,12 +146,12 @@ def test_partially_cached_grid_gangs_only_the_misses(tmp_path):
     tasks = _calgrid_tasks(6)
     cache = ResultCache(tmp_path / "cache")
     # Warm the cache with two scenarios run solo (no gang metadata).
-    with executor(cache=cache, gang="off"):
-        warm = run_tasks([t for t in tasks[:2]])
+    with executor(cache=cache):
+        warm = run_tasks(_per_task(tasks[:2]))
     assert cache.stats.stores == 2
 
     (results, delta) = _gang_delta(
-        lambda: run_tasks(tasks, ExecContext(cache=cache, gang="auto")))
+        lambda: run_tasks(tasks, ExecContext(cache=cache)))
     assert results[:2] == warm
     assert results == [t.execute() for t in tasks]
     assert cache.stats.hits == 2
@@ -165,7 +162,7 @@ def test_partially_cached_grid_gangs_only_the_misses(tmp_path):
 def test_cache_entry_records_gang_provenance(tmp_path):
     tasks = _calgrid_tasks(2)
     cache = ResultCache(tmp_path / "cache")
-    run_tasks(tasks, ExecContext(cache=cache, gang="auto"))
+    run_tasks(tasks, ExecContext(cache=cache))
     path = cache._path(cache.key_for(tasks[0]))
     assert pickle.loads(path.read_bytes())["via"] == "gang"
     # Provenance is informational: the solo path replays the entry.
@@ -235,8 +232,8 @@ def test_replace_on_tracked_calibration_marks_carried_fields():
 
 def test_sensitivity_grid_gang_matches_per_task():
     constants = ("qpi_bandwidth", "memcpy_rate_local")
-    with executor(gang="off"):
-        solo = run_sensitivity(constants=constants)
+    tasks = _per_task(sensitivity_tasks(constants=constants))
+    solo = assemble_sensitivity(tasks, run_tasks(tasks))
     (ganged, delta) = _gang_delta(lambda: run_sensitivity(constants=constants))
     assert ganged.outcomes == solo.outcomes
     assert delta["scenarios_ganged"] == 4
@@ -244,11 +241,10 @@ def test_sensitivity_grid_gang_matches_per_task():
 
 
 def test_ext_sensitivity_report_byte_identical_gang_vs_off():
-    with executor(gang="off"):
-        off = ext_sensitivity.run(quick=True).render()
-    with executor(gang="auto"):
-        auto = ext_sensitivity.run(quick=True).render()
-    assert auto == off
+    tasks = ext_sensitivity.plan(quick=True)
+    off = ext_sensitivity.assemble(run_tasks(_per_task(tasks)), quick=True)
+    auto = ext_sensitivity.run(quick=True)
+    assert auto.render() == off.render()
 
 
 # -- the fingerprint memo ---------------------------------------------------
