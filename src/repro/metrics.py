@@ -1,7 +1,7 @@
 """One registry of process-wide counters, one live dict per layer.
 
 Each layer (``fluid``, ``service``, ``faults``, ``sampler``, ``shard``,
-``gang``) registers its counters once with :func:`counters` and counts
+``gang``, ``tcp``) registers its counters once with :func:`counters` and counts
 into the returned dict in place, on its hot path::
 
     _TOTALS = metrics.counters("shard", runs=0, rounds=0)

@@ -68,7 +68,7 @@ class Link:
             raise ValueError("one of the NICs is already cabled")
         self.a = a
         self.b = b
-        self.delay = delay
+        self._delay = delay
         self.name = name or f"{a.name}<->{b.name}"
         rate = (
             rate_override
@@ -87,6 +87,12 @@ class Link:
         b.link = self
         if ctx.faults is not None:
             ctx.faults.add_link(self)
+
+    @property
+    def delay(self) -> float:
+        """One-way propagation delay in seconds (fixed at cabling: TCP
+        controllers park on the assumption that the RTT never changes)."""
+        return self._delay
 
     @property
     def rate(self) -> float:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro import metrics
 from repro.hw.nic import Nic
 from repro.kernel.interrupts import irq_path
 from repro.kernel.pages import RegionPlacement
@@ -37,6 +38,10 @@ from repro.sim.fluid import FluidFlow, FluidResource
 from repro.sim.trace import TimeSeries
 
 __all__ = ["TcpEndpoint", "TcpConnection", "TcpStats"]
+
+#: Process-wide controller counters (the ``tcp`` registry layer):
+#: controller wakeups, controllers parked idle, loss events.
+_TOTALS = metrics.counters("tcp", ticks=0, parked=0, losses=0)
 
 
 @dataclass
@@ -54,7 +59,12 @@ class TcpEndpoint:
 
 @dataclass
 class TcpStats:
-    """Observable connection state."""
+    """Observable connection state.
+
+    ``cwnd_series`` records the window once per controller tick; it
+    ends when the controller parks (see :meth:`TcpConnection._idle`),
+    after which the window stays at ``cwnd_bytes`` for good.
+    """
 
     loss_events: int = 0
     cwnd_bytes: float = 0.0
@@ -291,6 +301,29 @@ class TcpConnection:
                     return True
         return False
 
+    def _idle(self) -> bool:
+        """True once no later controller tick can change anything.
+
+        Holds when the window sits at the maximum, is no longer the
+        binding constraint (it allows at least 1.5x the serial cap and
+        2x the link rate) and its next growth step stays clamped at the
+        maximum: slow start always does, and the cubic window only grows
+        with time.  With the RTT, the serial cap and the calibration
+        fixed, every later tick then sees a rate at most the serial cap,
+        below 0.98x the window rate, so no loss fires; the window stays
+        at the maximum; and the cap stays at the serial cap.
+        """
+        cal = self.ctx.cal
+        if self._cwnd < cal.tcp_max_window_bytes:
+            return False
+        window_rate = self._cwnd / self.rtt
+        if window_rate < 1.5 * self._serial_cap or window_rate < 2.0 * self.link.rate:
+            return False
+        if self._cwnd < self._ssthresh:
+            return True
+        t = self.ctx.sim.now - self._epoch_start
+        return self._cubic_window(t) >= cal.tcp_max_window_bytes
+
     def _window_process(self):
         from repro.sim.engine import Interrupt
 
@@ -309,6 +342,7 @@ class TcpConnection:
                 yield sim.timeout(tick)
                 if self.flow is None or not self.flow._active:
                     break
+                _TOTALS["ticks"] += 1
                 # flush(): the window controller needs *settled* rates,
                 # including any rebalance the coalescer deferred this
                 # instant (a plain settle under an eager scheduler).
@@ -318,6 +352,7 @@ class TcpConnection:
                 if not wants_more and self._binding_is_link():
                     # queue overflow -> multiplicative decrease
                     self.stats.loss_events += 1
+                    _TOTALS["losses"] += 1
                     self._w_max = self._cwnd
                     self._cwnd = max(2 * self.mss, self._cwnd * cal.cubic_beta)
                     self._ssthresh = self._cwnd
@@ -325,14 +360,20 @@ class TcpConnection:
                 elif self._cwnd < self._ssthresh:
                     self._cwnd = min(self._cwnd * 2.0, cal.tcp_max_window_bytes)
                 else:
-                    t = sim.now - (self._epoch_start or sim.now)
+                    epoch = sim.now if self._epoch_start is None else self._epoch_start
                     self._cwnd = min(
-                        self._cubic_window(t), cal.tcp_max_window_bytes
+                        self._cubic_window(sim.now - epoch), cal.tcp_max_window_bytes
                     )
                 self.stats.cwnd_bytes = self._cwnd
                 self.stats.cwnd_series.record(sim.now, self._cwnd)
                 new_cap = min(self._serial_cap, self._cwnd / rtt)
-                if self.flow._active and abs(new_cap - (self.flow.cap or 0)) > 1e-6 * new_cap:
+                if not self.flow._active:
+                    break
+                if abs(new_cap - (self.flow.cap or 0)) > 1e-6 * new_cap:
                     self.ctx.fluid.set_cap(self.flow, new_cap)
+                elif self._idle():
+                    # Parked: every later tick would be a no-op.
+                    _TOTALS["parked"] += 1
+                    return
         except Interrupt:
             return

@@ -11,13 +11,14 @@ from __future__ import annotations
 from repro import metrics
 from repro.exec import gang
 from repro.faults.injector import FaultStats
+from repro.net import tcp
 from repro.service.broker import ServiceStats
 from repro.sim import fluid, sampling, shard
 
 #: One counter per layer that has no instance counters of its own (the
 #: imports above register the layers).
 _LAYER_COUNTERS = {fluid: "rebalances", sampling: "samples_backfilled",
-                   shard: "runs", gang: "groups"}
+                   shard: "runs", gang: "groups", tcp: "ticks"}
 
 
 def _dirty_layers() -> None:
@@ -61,6 +62,7 @@ def test_totals_do_not_leak_from_previous_test():
     assert totals["service"]["submitted"] == 1
     assert totals["faults"]["retransmitted_bytes"] == 4096.0
     assert totals["shard"]["runs"] == 1
+    assert totals["tcp"]["ticks"] == 1
 
 
 def test_instance_counters_are_independent_of_reset():
