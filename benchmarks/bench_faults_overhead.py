@@ -1,14 +1,16 @@
 """Fault-injector overhead: an armed-but-idle plan must be (nearly) free.
 
-The fault subsystem rides inside every simulation context once
-``REPRO_FAULTS`` is set, so its fault-free cost matters: component
-registration at construction time, the per-handshake injector lookup,
-and RFTP's recovery bookkeeping must not tax runs whose plan never
-fires.  This benchmark runs the fig09 end-to-end experiment twice —
-once with no ambient plan, once with a plan whose single fault is
-scheduled far beyond the simulated horizon (armed, never fires) — and
-asserts
+The fault subsystem rides inside every simulation context once a run
+has a fault plan (``--faults`` / ``REPRO_FAULTS``), so its fault-free
+cost matters: component registration at construction time, the
+per-handshake injector lookup, and RFTP's recovery bookkeeping must not
+tax runs whose plan never fires.  This benchmark runs the fig09
+end-to-end experiment as a task twice — once fault-free, once carrying
+a plan whose single fault is scheduled far beyond the simulated horizon
+(armed, never fires) — and asserts
 
+* contexts created in the armed arm carry an injector, and those in
+  the fault-free arm do not (so the arms really differ),
 * every paper-anchored check value is **identical** (the armed injector
   changes nothing observable), and
 * the armed run's wall time is within a small fraction of the
@@ -30,7 +32,9 @@ import time
 
 from repro import metrics
 from repro.core.experiments import exp_fig09_e2e
-from repro.faults.plan import REPRO_FAULTS_ENV
+from repro.exec import SimTask
+from repro.faults.plan import FaultPlan
+from repro.sim.context import Context
 
 #: A valid plan whose only fault fires ~31 years into the simulation.
 ARMED_IDLE_PLAN = "link-down@link:0,at=1e9"
@@ -41,27 +45,30 @@ ROUNDS = 3
 ITERS = 10
 
 
-def _run_once(plan: str | None) -> dict:
-    """One timed sample (ITERS fig09 quick runs) under the given plan."""
-    saved = os.environ.pop(REPRO_FAULTS_ENV, None)
-    try:
-        if plan is not None:
-            os.environ[REPRO_FAULTS_ENV] = plan
-        t0 = time.perf_counter()
-        for _ in range(ITERS):
-            report = exp_fig09_e2e.run(quick=True, seed=0)
-        wall = time.perf_counter() - t0
-    finally:
-        if saved is None:
-            os.environ.pop(REPRO_FAULTS_ENV, None)
-        else:
-            os.environ[REPRO_FAULTS_ENV] = saved
+def timed_fig09(*, seed: int, cal) -> dict:
+    """Task target: one timed sample (ITERS fig09 quick runs).
+
+    Also reports whether a context created here carries an injector —
+    the plan the task was armed with, or none.
+    """
+    armed = Context.create(seed=seed, cal=cal).faults is not None
+    t0 = time.perf_counter()
+    for _ in range(ITERS):
+        report = exp_fig09_e2e.run(quick=True, seed=seed, cal=cal)
+    wall = time.perf_counter() - t0
     return {
         "wall": wall,
+        "armed": armed,
         "all_ok": report.all_ok,
         "checks": [(c.metric, repr(c.paper), repr(c.measured), c.ok)
                    for c in report.checks],
     }
+
+
+def _run_once(plan: str | None) -> dict:
+    """One timed sample in-process, armed with *plan* (None: fault-free)."""
+    faults = FaultPlan.parse(plan) if plan is not None else None
+    return SimTask(f"{__name__}:timed_fig09", faults=faults).execute()
 
 
 def test_faults_overhead(results_dir):
@@ -81,8 +88,12 @@ def test_faults_overhead(results_dir):
     fired = metrics.delta(counts_before)["faults"]
     nothing_fired = all(v == 0 for v in fired.values())
     checks_identical = off["checks"] == armed["checks"]
+    arms_differ = (all(r["armed"] for r in runs["armed"])
+                   and not any(r["armed"] for r in runs["off"]))
 
     checks = [
+        ("armed-arm-contexts-carry-an-injector", True, arms_differ,
+         arms_differ),
         ("fig09-checks-identical-under-armed-plan", True, checks_identical,
          checks_identical),
         ("fig09-all-ok-both-arms", True, off["all_ok"] and armed["all_ok"],
@@ -151,28 +162,22 @@ def _broker_run_once(journal: bool) -> dict:
     """One timed sample: a served broker workload, no injector anywhere."""
     from repro.service import (BrokerConfig, RailFleet, TransferBroker,
                                WorkloadConfig)
-    from repro.sim.context import Context
     from repro.util.units import MIB
 
-    saved = os.environ.pop(REPRO_FAULTS_ENV, None)
-    try:
-        t0 = time.perf_counter()
-        for _ in range(JOURNAL_ITERS):
-            ctx = Context.create(seed=23)
-            fleet = RailFleet(ctx, n_hosts=2)
-            broker = TransferBroker(
-                ctx, fleet, BrokerConfig(journal=journal),
-                workload=WorkloadConfig(rate=60.0, size_mean=64 * MIB))
-            broker.serve()
-            ctx.sim.run(until=8.0)
-            broker.drain()
-            ctx.sim.run(until=12.0)
-            summary = broker.summary()
-            journal_absent = broker.journal is None
-        wall = time.perf_counter() - t0
-    finally:
-        if saved is not None:
-            os.environ[REPRO_FAULTS_ENV] = saved
+    t0 = time.perf_counter()
+    for _ in range(JOURNAL_ITERS):
+        ctx = Context.create(seed=23)
+        fleet = RailFleet(ctx, n_hosts=2)
+        broker = TransferBroker(
+            ctx, fleet, BrokerConfig(journal=journal),
+            workload=WorkloadConfig(rate=60.0, size_mean=64 * MIB))
+        broker.serve()
+        ctx.sim.run(until=8.0)
+        broker.drain()
+        ctx.sim.run(until=12.0)
+        summary = broker.summary()
+        journal_absent = broker.journal is None
+    wall = time.perf_counter() - t0
     return {"wall": wall, "summary": summary,
             "journal_absent": journal_absent}
 

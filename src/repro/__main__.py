@@ -22,15 +22,17 @@ caching only change the wall clock.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 
 from repro import metrics
+from repro.config import RunConfig
 from repro.core import experiments as E
 from repro.core.reportgen import generate_experiments_md
 from repro.exec import ResultCache, executor, parse_jobs
+from repro.faults.plan import fault_scope
 
 
 def _all_modules():
@@ -50,31 +52,42 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _apply_faults_flag(args) -> int:
-    """Export ``--faults`` as REPRO_FAULTS (inherited by worker processes).
+#: Flags parsed like their ``REPRO_*`` variable: ``(field, flag name)``.
+_CONFIG_FLAGS = (
+    ("faults", "--faults spec"),
+    ("service_policy", "--service-policy"),
+    ("arrival_rate", "--arrival-rate"),
+    ("avail_hosts", "--availability-hosts"),
+    ("avail_rates", "--availability-rates"),
+)
 
-    Validates the spec up front so a typo fails fast with a parse error
-    instead of surfacing from inside a worker mid-run.
+
+def _run_config(args) -> RunConfig | None:
+    """The run's configuration: the environment, overridden by flags.
+
+    Validated once, up front: bad input prints the variable's or the
+    flag's name and returns None (exit status 2).
     """
-    spec = getattr(args, "faults", None)
-    if spec is None:
-        return 0
-    from repro.faults.plan import REPRO_FAULTS_ENV, FaultPlan
-
+    label = "environment"
     try:
-        FaultPlan.parse(spec)
+        config = RunConfig.from_env()
+        for field, label in _CONFIG_FLAGS:
+            text = getattr(args, field)
+            if text is not None:
+                config = config.parse(field, text)
     except ValueError as exc:
-        print(f"bad --faults spec: {exc}", file=sys.stderr)
-        return 2
-    os.environ[REPRO_FAULTS_ENV] = spec
-    return 0
+        print(f"bad {label}: {exc}", file=sys.stderr)
+        return None
+    return dataclasses.replace(
+        config, full=config.full or args.full,
+        jobs=config.jobs if args.jobs is None else args.jobs)
 
 
 def cmd_run(args) -> int:
     """Run one experiment (or all) and print its report."""
-    rc = _apply_faults_flag(args) or _apply_knob_flags(args)
-    if rc:
-        return rc
+    config = _run_config(args)
+    if config is None:
+        return 2
     mods = _all_modules()
     names = list(mods) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in mods]
@@ -83,10 +96,11 @@ def cmd_run(args) -> int:
         print(f"available: {', '.join(mods)}", file=sys.stderr)
         return 2
     failures = 0
-    with executor(jobs=args.jobs):
+    with executor(jobs=config.jobs), fault_scope(config.faults):
         for name in names:
             t0 = time.time()
-            report = mods[name].run(quick=not args.full, seed=args.seed)
+            run = mods[name].run
+            report = run(quick=not config.full, seed=args.seed, **config.kwargs_for(run))
             print(report.render())
             print(f"\n[{name} finished in {time.time() - t0:.1f}s wall]\n")
             if not report.all_ok:
@@ -99,16 +113,17 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     """Regenerate the EXPERIMENTS.md ledger."""
-    rc = _apply_faults_flag(args) or _apply_knob_flags(args)
-    if rc:
-        return rc
+    config = _run_config(args)
+    if config is None:
+        return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     stats: dict = {}
 
     def _generate() -> str:
-        return generate_experiments_md(quick=not args.full, seed=args.seed,
-                                       verbose=True, jobs=args.jobs,
-                                       cache=cache, stats=stats)
+        with fault_scope(config.faults):
+            return generate_experiments_md(
+                quick=not config.full, seed=args.seed, verbose=True,
+                jobs=config.jobs, cache=cache, stats=stats, config=config)
 
     if args.profile is None:
         text = _generate()
@@ -165,85 +180,49 @@ def _jobs_type(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """The run-configuration flags; each overrides its REPRO_* variable."""
+    parser.add_argument("--full", action="store_true",
+                        help="paper-scale durations (minutes of simulated "
+                        "time); also enabled by REPRO_FULL=1")
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "-j", "--jobs", type=_jobs_type, default=None, metavar="N",
         help="fan independent simulation tasks across N worker processes "
         "('auto' = one per CPU core; default: the REPRO_JOBS environment "
         "variable, else 1, fully serial)")
-
-
-def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
         help="inject faults into every simulation context: a "
         "semicolon-separated plan like "
-        "'link-down@link:1,at=5,duration=2' (sets REPRO_FAULTS; part "
-        "of the result-cache identity; see docs/MODELING.md section 9)")
-
-
-def _add_service_flags(parser: argparse.ArgumentParser) -> None:
+        "'link-down@link:1,at=5,duration=2' (default: the REPRO_FAULTS "
+        "environment variable; part of the result-cache identity; see "
+        "docs/MODELING.md section 9)")
     parser.add_argument(
         "--service-policy", default=None, metavar="POLICY",
         help="baseline policy the ext-service capacity curves compare "
-        "numa-aware against: numa-blind (default) or fifo (sets "
+        "numa-aware against: numa-blind (default) or fifo (also "
         "REPRO_SERVICE_POLICY; part of the result-cache identity)")
     parser.add_argument(
         "--arrival-rate", default=None, metavar="JOBS_PER_S",
-        help="ext-service offered load in jobs/s per host (sets "
+        help="ext-service offered load in jobs/s per host (also "
         "REPRO_SERVICE_ARRIVAL; part of the result-cache identity)")
-
-
-def _add_availability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--availability-hosts", default=None, metavar="N[,N...]",
+        "--availability-hosts", dest="avail_hosts", default=None,
+        metavar="N[,N...]",
         help="host counts the ext-availability sweep runs, e.g. '128' or "
-        "'128,512' (sets REPRO_AVAIL_HOSTS; part of the result-cache "
+        "'128,512' (also REPRO_AVAIL_HOSTS; part of the result-cache "
         "identity)")
     parser.add_argument(
-        "--availability-rates", default=None, metavar="R[,R...]",
+        "--availability-rates", dest="avail_rates", default=None,
+        metavar="R[,R...]",
         help="ToR fault rates (fraction of pods cut) for ext-availability, "
-        "e.g. '0.5' or '0.25,0.5,1.0' (sets REPRO_AVAIL_RATE; part of "
+        "e.g. '0.5' or '0.25,0.5,1.0' (also REPRO_AVAIL_RATE; part of "
         "the result-cache identity)")
 
 
-#: Flags that set an experiment knob: ``(dest, flag, env var, parser)``.
-#: The parser is the experiment module's own — the one that reads the
-#: variable — so the CLI holds no second copy of its validation.
-_KNOB_FLAGS = (
-    ("service_policy", "--service-policy", "REPRO_SERVICE_POLICY",
-     E.ext_service.parse_policy),
-    ("arrival_rate", "--arrival-rate", "REPRO_SERVICE_ARRIVAL",
-     E.ext_service.parse_rate),
-    ("availability_hosts", "--availability-hosts", "REPRO_AVAIL_HOSTS",
-     E.ext_availability.parse_hosts),
-    ("availability_rates", "--availability-rates", "REPRO_AVAIL_RATE",
-     E.ext_availability.parse_rates),
-)
-
-
-def _apply_knob_flags(args) -> int:
-    """Export the experiment-knob flags (inherited by worker processes).
-
-    Validated up front like ``--faults``: a bad value fails here with
-    the flag's name, not from inside a worker mid-run.
-    """
-    for dest, flag, env, parse in _KNOB_FLAGS:
-        text = getattr(args, dest, None)
-        if text is None:
-            continue
-        text = text.strip()
-        try:
-            parse(text)
-        except ValueError as exc:
-            print(f"bad {flag}: {exc}", file=sys.stderr)
-            return 2
-        os.environ[env] = text
-    return 0
-
-
-def main(argv=None) -> int:
-    """CLI entry point; returns the process exit status."""
+def _parser() -> argparse.ArgumentParser:
+    """The command-line grammar of ``python -m repro``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="NUMA-aware RDMA end-to-end transfer systems (SC'13) "
@@ -254,20 +233,9 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="enumerate experiments").set_defaults(
         fn=cmd_list)
 
-    # REPRO_FULL=1 in the environment is equivalent to passing --full
-    # (the benchmarks and CI full-scale smoke use the env form).
-    full_default = os.environ.get("REPRO_FULL", "") == "1"
-
     p_run = sub.add_parser("run", help="run one experiment (or 'all')")
     p_run.add_argument("experiment")
-    p_run.add_argument("--full", action="store_true", default=full_default,
-                       help="paper-scale durations (minutes of simulated "
-                       "time); also enabled by REPRO_FULL=1")
-    p_run.add_argument("--seed", type=int, default=0)
-    _add_jobs_flag(p_run)
-    _add_faults_flag(p_run)
-    _add_service_flags(p_run)
-    _add_availability_flags(p_run)
+    _add_config_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_rep = sub.add_parser(
@@ -279,14 +247,7 @@ def main(argv=None) -> int:
         "across worker processes. The written ledger is byte-identical "
         "whatever the jobs count or cache state.")
     p_rep.add_argument("-o", "--output", default="EXPERIMENTS.md")
-    p_rep.add_argument("--full", action="store_true", default=full_default,
-                       help="paper-scale durations; also enabled by "
-                       "REPRO_FULL=1")
-    p_rep.add_argument("--seed", type=int, default=0)
-    _add_jobs_flag(p_rep)
-    _add_faults_flag(p_rep)
-    _add_service_flags(p_rep)
-    _add_availability_flags(p_rep)
+    _add_config_flags(p_rep)
     p_rep.add_argument(
         "--cache-dir", default=".repro-cache", metavar="DIR",
         help="directory of the content-addressed result cache "
@@ -303,8 +264,12 @@ def main(argv=None) -> int:
         help="also write executor stats (jobs, task count, cache "
         "hits/misses, wall seconds) to FILE as JSON")
     p_rep.set_defaults(fn=cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """CLI entry point; returns the process exit status."""
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -1,12 +1,12 @@
 """Process-pool-safe legs for the fleet availability experiment.
 
 Each leg runs one :class:`~repro.service.fabric.FabricSpec` through the
-topology-sharded runtime under an **ambient fault plan** (the
-``REPRO_FAULTS`` mechanism, scoped to the leg body): correlated
-``tor:<pod>`` cuts generated deterministically from a fault rate, plus
-a mid-run broker crash (``crash@transfer:*``).  The plan string is a
-pure function of the leg parameters, so it hashes into the nested cell
-tasks' cache identities exactly like a CLI ``--faults`` flag would.
+topology-sharded runtime under **its own fault plan**, which replaces
+any run-wide ``--faults`` plan: correlated ``tor:<pod>`` cuts generated
+deterministically from a fault rate, plus a mid-run broker crash
+(``crash@transfer:*``).  The plan string is a pure function of the leg
+parameters; the nested cell tasks carry it, so it hashes into their
+cache identities exactly like a CLI ``--faults`` flag would.
 
 Three leg families:
 
@@ -24,13 +24,12 @@ Three leg families:
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.calibration import Calibration
+from repro.faults.plan import FaultPlan
 
 __all__ = ["availability_leg", "domain_determinism_leg", "fault_plan_for",
            "mttr_leg"]
@@ -39,20 +38,6 @@ __all__ = ["availability_leg", "domain_determinism_leg", "fault_plan_for",
 _GOODPUT_WINDOW = 1.0
 #: MTTR-curve bucket width in seconds.
 _BUCKET_S = 0.5
-
-
-@contextmanager
-def _ambient_faults(plan: str):
-    """Scope ``REPRO_FAULTS`` to the enclosed fabric run (and restore)."""
-    old = os.environ.get("REPRO_FAULTS")
-    os.environ["REPRO_FAULTS"] = plan
-    try:
-        yield
-    finally:
-        if old is None:
-            del os.environ["REPRO_FAULTS"]
-        else:
-            os.environ["REPRO_FAULTS"] = old
 
 
 def fault_plan_for(*, n_pods: int, fault_rate: float, serve_s: float,
@@ -159,9 +144,8 @@ def availability_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     plan = fault_plan_for(
         n_pods=spec.n_pods, fault_rate=fault_rate, serve_s=serve_s,
         crash_at=crash_at, restart_s=restart_s)
-    with _ambient_faults(plan):
-        result = run_fabric(spec, seed=seed, cal=cal,
-                            fixed_rounds=fixed_rounds)
+    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=fixed_rounds,
+                        faults=FaultPlan.parse(plan))
     out = _merge_cells(result["cells"], serve_s)
     out.update(hosts=hosts, fault_rate=fault_rate, journal=journal,
                plan=plan, converged=result["exchange"]["converged"])
@@ -188,9 +172,8 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                  rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
                  serve_s=serve_s, horizon_s=horizon_s, journal=journal)
     plan = f"crash@transfer:*,at={crash_at},duration={restart_s}"
-    with _ambient_faults(plan):
-        result = run_fabric(spec, seed=seed, cal=cal,
-                            fixed_rounds=fixed_rounds)
+    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=fixed_rounds,
+                        faults=FaultPlan.parse(plan))
     cells = result["cells"]
     out = _merge_cells(cells, serve_s)
     events = _timeline(cells)
@@ -243,11 +226,11 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
         serve_s=horizon_s - 1.0, horizon_s=horizon_s)
     plan = ("link-down@power:0,at=1.0,duration=1.0,stagger=0.1;"
             f"link-down@tor:{n_pods - 1},at=1.5,duration=0.5,stagger=0.05")
-    with _ambient_faults(plan):
-        few = run_fabric(spec, seed=seed, cal=cal, n_shards=1,
-                         fixed_rounds=2)
-        many = run_fabric(spec, seed=seed, cal=cal, n_shards=n_pods,
-                          fixed_rounds=2)
+    faults = FaultPlan.parse(plan)
+    few = run_fabric(spec, seed=seed, cal=cal, n_shards=1, fixed_rounds=2,
+                     faults=faults)
+    many = run_fabric(spec, seed=seed, cal=cal, n_shards=n_pods,
+                      fixed_rounds=2, faults=faults)
     mismatches = 0
     for a, b in zip(few["cells"], many["cells"]):
         for key in ("submitted", "completed", "rescheduled",

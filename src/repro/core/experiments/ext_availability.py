@@ -15,21 +15,21 @@ down, unobserved completions are lost).  An MTTR pair isolates restart
 recovery on a crash-only plan, and a determinism leg anchors that
 correlated domain faults expand identically at any shard count.
 
-Environment overrides (both ordinary leg parameters, so they hash into
-the result-cache identity):
+Run-configuration knobs (both ordinary leg parameters, so they hash
+into the result-cache identity):
 
-* ``REPRO_AVAIL_HOSTS`` — comma-separated host counts replacing the
-  default sweep (CI's availability-smoke runs ``128``);
-* ``REPRO_AVAIL_RATE`` — comma-separated ToR fault rates replacing the
-  default curve.
+* ``avail_hosts`` (``REPRO_AVAIL_HOSTS``) — comma-separated host counts
+  replacing the default sweep (CI's availability-smoke runs ``128``);
+* ``avail_rates`` (``REPRO_AVAIL_RATE``) — comma-separated ToR fault
+  rates replacing the default curve.
 """
 
 from __future__ import annotations
 
+from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
-from repro.util.validation import env_override
 
 __all__ = ["run", "plan", "assemble", "avail_sizes", "fault_rates",
            "parse_hosts", "parse_rates"]
@@ -56,8 +56,8 @@ def _parse_list(text: str, kind) -> tuple:
 def parse_hosts(text: str) -> tuple[int, ...]:
     """Parse a host-count list such as ``"128,512"`` (each >= 1).
 
-    The one validator behind both ``REPRO_AVAIL_HOSTS`` and the CLI's
-    ``--availability-hosts``; raises ``ValueError`` on bad input.
+    The one validator behind ``REPRO_AVAIL_HOSTS``, ``REPRO_FLEET_HOSTS``
+    and ``--availability-hosts``; raises ``ValueError`` on bad input.
     """
     hosts = _parse_list(text, int)
     if 0 in hosts:
@@ -74,24 +74,22 @@ def parse_rates(text: str) -> tuple[float, ...]:
     return _parse_list(text, float)
 
 
-def avail_sizes(quick: bool = True) -> tuple:
-    """Host counts to sweep (``REPRO_AVAIL_HOSTS`` override)."""
-    return env_override("REPRO_AVAIL_HOSTS", parse_hosts,
-                        (16,) if quick else (128, 512))
+def avail_sizes(quick: bool = True, config: RunConfig = RunConfig()) -> tuple:
+    """Host counts to sweep (``config.avail_hosts``, else the defaults)."""
+    return config.avail_hosts or ((16,) if quick else (128, 512))
 
 
-def fault_rates(quick: bool = True) -> tuple:
-    """ToR fault rates to sweep (``REPRO_AVAIL_RATE`` override)."""
-    return env_override("REPRO_AVAIL_RATE", parse_rates,
-                        (0.5, 1.0) if quick else (0.25, 0.5, 1.0))
+def fault_rates(quick: bool = True, config: RunConfig = RunConfig()) -> tuple:
+    """ToR fault rates to sweep (``config.avail_rates``, else defaults)."""
+    return config.avail_rates or ((0.5, 1.0) if quick else (0.25, 0.5, 1.0))
 
 
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-         ) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+         config: RunConfig = RunConfig()) -> list[SimTask]:
     """Per (hosts, fault rate): journaled and amnesiac legs at the same
     seed; plus the MTTR pair and the shard-determinism anchor."""
-    sizes = avail_sizes(quick)
-    rates = fault_rates(quick)
+    sizes = avail_sizes(quick, config)
+    rates = fault_rates(quick, config)
     tasks: list[SimTask] = []
     for i, hosts in enumerate(sizes):
         for rate in rates:
@@ -115,10 +113,11 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None) -> ExperimentReport:
+             cal: Calibration | None = None,
+             config: RunConfig = RunConfig()) -> ExperimentReport:
     """Fold the legs into the availability report."""
-    sizes = avail_sizes(quick)
-    rates = fault_rates(quick)
+    sizes = avail_sizes(quick, config)
+    rates = fault_rates(quick, config)
     n_curve = len(sizes) * len(rates) * len(VARIANTS)
     legs = {(leg["hosts"], leg["fault_rate"], leg["journal"]): leg
             for leg in results[:n_curve]}
@@ -208,8 +207,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-        ) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+        config: RunConfig = RunConfig()) -> ExperimentReport:
     """Run the experiment; returns the availability report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
-    return assemble(results, quick=quick, seed=seed, cal=cal)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
+    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)

@@ -18,16 +18,15 @@ cliffs.  A differential leg anchors correctness: the same fabric
 through the sharded and single-process reference paths must agree to
 1e-6 on static scenarios and complete identical job counts under churn.
 
-Environment override: ``REPRO_FLEET_HOSTS`` — comma-separated host
-counts replacing the default sweep (CI's fleet-smoke runs ``128``).
-The override is an ordinary leg parameter, so it hashes into the
-result-cache identity.
+Run-configuration knob: ``fleet_hosts`` (``REPRO_FLEET_HOSTS``) —
+comma-separated host counts replacing the default sweep (CI's
+fleet-smoke runs ``128``).  The hosts are ordinary leg parameters, so
+they hash into the result-cache identity.
 """
 
 from __future__ import annotations
 
-import os
-
+from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
@@ -43,28 +42,16 @@ SIZE_MEAN_MIB = 64.0
 MODES = ("pooled", "per-job")
 
 
-def fleet_sizes(quick: bool = True) -> tuple[int, ...]:
-    """Host counts to sweep (``REPRO_FLEET_HOSTS`` override, else defaults)."""
-    text = os.environ.get("REPRO_FLEET_HOSTS", "").strip()
-    if text:
-        try:
-            sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
-        except ValueError:
-            raise ValueError(
-                "REPRO_FLEET_HOSTS must be comma-separated integers, "
-                f"got {text!r}") from None
-        if not sizes or any(s <= 0 for s in sizes):
-            raise ValueError(
-                f"REPRO_FLEET_HOSTS must be positive integers, got {text!r}")
-        return sizes
-    return (16, 32) if quick else (128, 512, 2048)
+def fleet_sizes(quick: bool = True, config: RunConfig = RunConfig()) -> tuple[int, ...]:
+    """Host counts to sweep (``config.fleet_hosts``, else the defaults)."""
+    return config.fleet_hosts or ((16, 32) if quick else (128, 512, 2048))
 
 
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-         ) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+         config: RunConfig = RunConfig()) -> list[SimTask]:
     """Per fleet size, one pooled and one per-job leg at the same seed,
     plus the sharded-vs-reference differential anchor."""
-    sizes = fleet_sizes(quick)
+    sizes = fleet_sizes(quick, config)
     tasks: list[SimTask] = []
     for i, hosts in enumerate(sizes):
         for mode in MODES:
@@ -82,9 +69,10 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None) -> ExperimentReport:
+             cal: Calibration | None = None,
+             config: RunConfig = RunConfig()) -> ExperimentReport:
     """Fold the legs into the fleet-scaling report."""
-    sizes = fleet_sizes(quick)
+    sizes = fleet_sizes(quick, config)
     legs = {(leg["hosts"], leg["qp_mode"]): leg
             for leg in results[:2 * len(sizes)]}
     diff = results[2 * len(sizes)]
@@ -189,8 +177,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-        ) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+        config: RunConfig = RunConfig()) -> ExperimentReport:
     """Run the experiment; returns the fleet-scaling report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
-    return assemble(results, quick=quick, seed=seed, cal=cal)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
+    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)

@@ -21,31 +21,26 @@ hook): jobs on the dead rail are stopped, their remaining bytes
 requeued, and rescheduled onto surviving rails, so the service degrades
 instead of stalling.
 
-Environment overrides (both hashed into the result-cache identity as
+Run-configuration knobs (both hashed into the result-cache identity as
 ordinary leg parameters):
 
-* ``REPRO_SERVICE_POLICY``  — baseline policy for the comparison
-  (default ``numa-blind``; ``fifo`` compares against the naive
-  round-robin instead).
-* ``REPRO_SERVICE_ARRIVAL`` — offered load in jobs/s per host
-  (default 55).
+* ``service_policy`` (``REPRO_SERVICE_POLICY``) — baseline policy for
+  the comparison (default ``numa-blind``; ``fifo`` compares against the
+  naive round-robin instead).
+* ``arrival_rate`` (``REPRO_SERVICE_ARRIVAL``) — offered load in jobs/s
+  per host (default 55).
 """
 
 from __future__ import annotations
 
+from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
-from repro.util.validation import env_override
 
-__all__ = ["run", "plan", "assemble", "baseline_policy", "arrival_rate",
-           "parse_policy", "parse_rate"]
+__all__ = ["run", "plan", "assemble", "parse_policy", "parse_rate"]
 
 _LEGS = "repro.core.experiments.service_legs"
-
-#: Default offered load per host, jobs/second (~50% rail utilization at
-#: the 128 MiB quick-mode mean size).
-DEFAULT_RATE = 55.0
 
 
 def parse_policy(text: str) -> str:
@@ -70,16 +65,6 @@ def parse_rate(text: str) -> float:
     return rate
 
 
-def baseline_policy() -> str:
-    """The comparison baseline (``REPRO_SERVICE_POLICY``, else numa-blind)."""
-    return env_override("REPRO_SERVICE_POLICY", parse_policy, "numa-blind")
-
-
-def arrival_rate() -> float:
-    """Offered jobs/s per host (``REPRO_SERVICE_ARRIVAL``, else default)."""
-    return env_override("REPRO_SERVICE_ARRIVAL", parse_rate, DEFAULT_RATE)
-
-
 def _shape(quick: bool):
     fleets = (1, 2) if quick else (1, 2, 4)
     duration = 12.0 if quick else 45.0
@@ -87,8 +72,8 @@ def _shape(quick: bool):
     return fleets, duration, size_mean_mib
 
 
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-         ) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+         config: RunConfig = RunConfig()) -> list[SimTask]:
     """The experiment as independent tasks.
 
     Per fleet size, one ``numa-aware`` leg and one baseline leg at the
@@ -97,9 +82,8 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
     fleet and one chaos leg (mid-run rail failure) at the smallest.
     """
     fleets, duration, size_mean_mib = _shape(quick)
-    baseline = baseline_policy()
-    rate = arrival_rate()
-    common = {"rate_per_host": rate, "duration": duration,
+    baseline = config.service_policy
+    common = {"rate_per_host": config.arrival_rate, "duration": duration,
               "size_mean_mib": size_mean_mib}
     tasks: list[SimTask] = []
     for i, hosts in enumerate(fleets):
@@ -130,11 +114,12 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None) -> ExperimentReport:
+             cal: Calibration | None = None,
+             config: RunConfig = RunConfig()) -> ExperimentReport:
     """Fold the legs into the capacity-planning report."""
     fleets, duration, _ = _shape(quick)
-    baseline = baseline_policy()
-    rate = arrival_rate()
+    baseline = config.service_policy
+    rate = config.arrival_rate
     pairs = results[:2 * len(fleets)]
     fifo = results[2 * len(fleets)]
     chaos = results[2 * len(fleets) + 1]
@@ -250,8 +235,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-        ) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
+        config: RunConfig = RunConfig()) -> ExperimentReport:
     """Run the experiment; returns the capacity-planning report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
-    return assemble(results, quick=quick, seed=seed, cal=cal)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
+    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)

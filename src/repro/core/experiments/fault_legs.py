@@ -11,8 +11,8 @@ bound throughput and no protocol can do better than 2/3.
 
 The fault plan arrives as its ``--faults`` spec string (a plain
 parameter, so it is hashed into the result-cache identity with
-everything else) and drives an explicit per-context
-:class:`~repro.faults.injector.FaultInjector`.
+everything else) and arms the leg's context in place of any run-wide
+plan.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ def recovery_leg(*, seed: int, cal: Optional[Calibration], tool: str,
                  faults: str, duration: float, fault_at: float,
                  sample_interval: float = 0.5) -> Dict[str, Any]:
     """One metro-pair run of *tool* under the *faults* plan."""
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultPlan
     from repro.sim.context import Context
 
-    ctx = Context.create(seed=seed, cal=cal)
-    injector = FaultInjector(ctx, FaultPlan.parse(faults))
+    ctx = Context.create(seed=seed, cal=cal, faults=FaultPlan.parse(faults))
+    injector = ctx.faults
     sender, receiver, _links = _metro_pair(ctx)
 
     if tool == "rftp":

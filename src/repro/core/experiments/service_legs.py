@@ -13,8 +13,8 @@ Policy comparability is structural: the workload draws from its own
 one seed see byte-identical job streams and differ **only** in
 placement.  The fault plan arrives as a plain ``faults`` spec-string
 parameter (hashed into the result-cache identity); a non-empty plan
-drives an explicit per-context injector, which the broker registers
-with so dead rails trigger rescheduling rather than stalls.
+arms the context in place of any run-wide plan, and the broker
+registers with its injector so dead rails reschedule, not stall.
 """
 
 from __future__ import annotations
@@ -35,17 +35,13 @@ def service_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                 size_mean_mib: float = 128.0, arrival: str = "poisson",
                 faults: str = "") -> Dict[str, Any]:
     """One fleet run under *policy*; returns the broker's scorecard."""
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultPlan
     from repro.service import (BrokerConfig, RailFleet, TransferBroker,
                                WorkloadConfig)
     from repro.sim.context import Context
 
-    ctx = Context.create(seed=seed, cal=cal)
-    # An ambient REPRO_FAULTS plan already attached an injector in
-    # Context.create and takes precedence (it is part of the cache
-    # identity); the leg's own spec only drives fault-free contexts.
-    if faults and getattr(ctx, "faults", None) is None:
-        FaultInjector(ctx, FaultPlan.parse(faults))
+    ctx = Context.create(seed=seed, cal=cal,
+                         faults=FaultPlan.parse(faults) if faults else None)
     fleet = RailFleet(ctx, n_hosts=hosts)
     workload = WorkloadConfig(
         rate=rate_per_host * hosts,

@@ -293,15 +293,14 @@ def gang_cells(tasks: Sequence[SimTask]) -> List[Any]:
     scenarios).  Results are bit-identical to :func:`sensitivity_cell`
     because the identical leg code runs with identical values.
 
-    Defection: an ambient fault plan defects every cell (fault arming
+    Defection: a fault plan on any task defects every cell (fault arming
     couples scenarios to event order — the per-task path owns that);
     a cell whose leg evaluation raises defects alone so the error
     surfaces with its ordinary traceback.
     """
     from repro.exec.gang import DEFECT, EvalError
-    from repro.faults.plan import ambient_spec
 
-    if ambient_spec():
+    if any(t.faults for t in tasks):
         return [DEFECT] * len(tasks)
     cals = []
     for task in tasks:

@@ -8,7 +8,7 @@ executes a batch — serial by default, fanned across a process pool with
 parallel and cache-served runs produce byte-identical reports.
 
 Results are cached on disk by content address: a SHA-256 over the
-task's target, parameters, seed, every
+task's target, parameters, seed, fault plan, every
 :class:`~repro.core.calibration.Calibration` field, and a fingerprint of
 the library's own source.  Dense scenario sweeps additionally opt into
 **gang execution** (:mod:`repro.exec.gang`): tasks sharing a
@@ -22,8 +22,8 @@ invariants that make this safe.
 from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.fingerprint import code_fingerprint
 from repro.exec.gang import DEFECT, GangSpec, GangStats, gang_calgrid
-from repro.exec.runner import (ExecContext, default_jobs, executor,
-                               get_exec_context, parse_jobs, run_tasks)
+from repro.exec.runner import (ExecContext, executor, get_exec_context,
+                               parse_jobs, run_tasks)
 from repro.exec.task import SimTask
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ResultCache",
     "SimTask",
     "code_fingerprint",
-    "default_jobs",
     "executor",
     "gang_calgrid",
     "get_exec_context",

@@ -16,7 +16,7 @@ The contract a kernel must honour:
 * ``kernel(tasks) -> list`` positionally aligned with ``tasks``;
 * every non-:data:`DEFECT` element is **bitwise identical** to what
   ``tasks[i].execute()`` would have returned;
-* a scenario the kernel cannot batch exactly — an ambient fault plan, a
+* a scenario the kernel cannot batch exactly — a task's fault plan, a
   per-scenario exception, control flow that diverges from the pilot —
   is *defected*: the kernel returns :data:`DEFECT` in that slot and the
   runner falls back to the ordinary per-task (event-kernel) path for
@@ -237,16 +237,15 @@ def calgrid_kernel(tasks: Sequence["SimTask"]) -> List[Any]:
     """Generic gang kernel for groups that differ only in calibration.
 
     Precondition (guaranteed by :func:`calgrid_key` grouping): every
-    task shares ``(target, params, seed)``.  An ambient fault plan
+    task shares ``(target, params, seed)``.  A fault plan on any task
     defects the whole group — fault arming couples scenarios to event
     order, which is exactly what the per-task event kernel owns — and a
     scenario whose evaluation raises defects alone, so the error
     surfaces from the ordinary path with its usual traceback.
     """
     from repro.core.calibration import CALIBRATION
-    from repro.faults.plan import ambient_spec
 
-    if ambient_spec():
+    if any(t.faults for t in tasks):
         return [DEFECT] * len(tasks)
     lead = tasks[0]
     fn = lead.resolve()

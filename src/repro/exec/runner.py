@@ -15,17 +15,16 @@ scheduled.  Execution is:
    fall through to step 4 unchanged;
 4. **fan-out** — remaining tasks run serially (``jobs=1``, the default:
    determinism-by-default, no pickling, no subprocesses) or on a
-   ``ProcessPoolExecutor`` of ``jobs`` workers.  ``REPRO_JOBS`` changes
-   the *default* worker count (``auto`` = one per core); an explicit
-   jobs argument — the CLI's ``--jobs`` above all — always wins.
+   ``ProcessPoolExecutor`` of ``jobs`` workers (0 = one per core; the
+   CLI's ``--jobs`` or ``REPRO_JOBS``).
 
 Parallelism is safe because tasks share nothing: each builds its own
 :class:`~repro.sim.context.Context` (own clock, own
 :class:`~repro.sim.rng.RngRegistry` seeded from the task's seed), so a
 task's result is a pure function of ``(target, params, seed, cal,
-code)`` — the same tuple the cache key hashes.  Workers never nest
-pools: a ``run_tasks`` call inside a worker process falls back to serial
-execution.
+faults, code)`` — the same tuple the cache key hashes.  Workers never
+nest pools: a ``run_tasks`` call inside a worker process falls back to
+serial execution.
 
 The *ambient* :class:`ExecContext` (see :func:`executor`) is what the
 experiment modules consult, so ``module.run()`` stays a plain serial
@@ -46,10 +45,9 @@ from repro import metrics
 from repro.exec.cache import CacheStats, ResultCache
 from repro.exec.gang import DEFECT, resolve_kernel
 from repro.exec.task import SimTask
-from repro.util.validation import env_override
 
-__all__ = ["ExecContext", "default_jobs", "executor", "get_exec_context",
-           "parse_jobs", "run_tasks"]
+__all__ = ["ExecContext", "executor", "get_exec_context", "parse_jobs",
+           "run_tasks"]
 
 
 def parse_jobs(text: str) -> int:
@@ -73,35 +71,22 @@ def parse_jobs(text: str) -> int:
     return jobs
 
 
-def default_jobs() -> int:
-    """The worker-count default: ``REPRO_JOBS``, else 1 (fully serial).
-
-    ``REPRO_JOBS`` accepts what :func:`parse_jobs` does.  An explicit
-    jobs count — the CLI's ``--jobs``, a benchmark's
-    ``executor(jobs=N)`` — always wins over the environment; the
-    variable only fills the default.
-    """
-    return env_override("REPRO_JOBS", parse_jobs, 1)
-
-
 @dataclass
 class ExecContext:
     """How tasks execute right now: worker count + optional result cache."""
 
     #: Worker processes for task fan-out; 1 = serial in-process, 0 = one
-    #: per CPU core, None = the :func:`default_jobs` environment default.
-    jobs: Optional[int] = None
+    #: per CPU core.
+    jobs: int = 1
     cache: Optional[ResultCache] = None
     #: Tasks actually executed (not served from cache) under this context.
     executed: int = 0
 
     @property
     def effective_jobs(self) -> int:
-        """``jobs`` with None resolved from the environment and 0 to the
-        usable-CPU count."""
-        jobs = self.jobs if self.jobs is not None else default_jobs()
-        if jobs > 0:
-            return jobs
+        """``jobs`` with 0 resolved to the usable-CPU count."""
+        if self.jobs > 0:
+            return self.jobs
         try:
             return len(os.sched_getaffinity(0)) or 1
         except AttributeError:  # pragma: no cover - non-Linux
@@ -123,14 +108,14 @@ def get_exec_context() -> ExecContext:
 
 
 @contextmanager
-def executor(jobs: Optional[int] = None, cache: Optional[ResultCache] = None,
+def executor(jobs: int = 1, cache: Optional[ResultCache] = None,
              cache_dir: Optional[os.PathLike | str] = None
              ) -> Iterator[ExecContext]:
     """Install an ambient :class:`ExecContext` for the duration of a block.
 
-    *jobs* = None defers to ``REPRO_JOBS`` (see :func:`default_jobs`).
-    Pass either a ready-made *cache* or a *cache_dir* to enable result
-    caching (neither = no cache).
+    *jobs* is the worker count (0 = one per CPU core).  Pass either a
+    ready-made *cache* or a *cache_dir* to enable result caching
+    (neither = no cache).
     """
     global _CURRENT
     if cache is None and cache_dir is not None:

@@ -3,12 +3,13 @@
 A :class:`SimTask` names a module-level *target* function (as an
 importable ``"package.module:function"`` path, so the task pickles
 across process boundaries), the keyword parameters to call it with, the
-root seed, and the :class:`~repro.core.calibration.Calibration` the run
-is charged against.  Two tasks with equal identity are guaranteed to
-produce equal results — every stochastic component draws from a
-:class:`~repro.sim.rng.RngRegistry` seeded only by the task's own seed,
-and no simulation state is shared between tasks — which is what makes
-both process-pool fan-out and content-addressed result caching safe.
+root seed, the :class:`~repro.core.calibration.Calibration` the run is
+charged against, and its fault plan.  Two tasks with equal identity are
+guaranteed to produce equal results — every stochastic component draws
+from a :class:`~repro.sim.rng.RngRegistry` seeded only by the task's
+own seed, and no simulation state is shared between tasks — which is
+what makes both process-pool fan-out and content-addressed result
+caching safe.
 
 Target functions must
 
@@ -25,6 +26,8 @@ import importlib
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+
+from repro.faults.plan import FaultPlan, fault_scope, scoped_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.calibration import Calibration
@@ -85,6 +88,10 @@ class SimTask:
     #: bit-identical by contract, so they share one cache entry — which
     #: is what lets a partially cached grid gang only the misses.
     gang: "Optional[GangSpec]" = None
+    #: Fault plan the run is armed with (None, or empty: fault-free);
+    #: defaults to the run-wide plan of the enclosing
+    #: :func:`~repro.faults.plan.fault_scope`.
+    faults: Optional[FaultPlan] = field(default_factory=scoped_plan)
 
     def __post_init__(self) -> None:
         module, sep, func = self.target.partition(":")
@@ -92,6 +99,8 @@ class SimTask:
             raise ValueError(
                 f"target must look like 'package.module:function', got {self.target!r}"
             )
+        if self.faults is not None and self.faults.empty:
+            object.__setattr__(self, "faults", None)
 
     # -- execution ---------------------------------------------------------------
     def resolve(self) -> Callable[..., Any]:
@@ -103,27 +112,27 @@ class SimTask:
         return fn
 
     def execute(self) -> Any:
-        """Run the task in the current process and return its result."""
-        return self.resolve()(seed=self.seed, cal=self.cal, **self.params)
+        """Run the task in the current process (in the scope of its own
+        fault plan) and return its result."""
+        with fault_scope(self.faults):
+            return self.resolve()(seed=self.seed, cal=self.cal, **self.params)
 
     # -- identity ----------------------------------------------------------------
     def identity(self) -> str:
         """Canonical JSON of everything the result depends on (except code).
 
-        The ambient ``REPRO_FAULTS`` plan is part of the identity
-        (canonical JSON; "" when unset): cached legs must never mix fault
-        configurations, and an unset plan keys identically to the
+        The fault plan is part of the identity (canonical JSON; ""
+        when fault-free): cached legs must never mix fault
+        configurations, and a fault-free task keys identically to the
         pre-fault-subsystem behaviour it is byte-identical to.
         """
-        from repro.faults.plan import ambient_spec
-
         return json.dumps(
             {
                 "target": self.target,
                 "params": _canonical(self.params),
                 "seed": self.seed,
                 "cal": _canonical(self.cal),
-                "faults": ambient_spec(),
+                "faults": "" if self.faults is None else self.faults.canonical(),
                 "v": CACHE_FORMAT_VERSION,
             },
             sort_keys=True,

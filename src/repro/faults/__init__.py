@@ -10,9 +10,9 @@ ordinary simulator events so runs stay bit-reproducible per seed; and
 :class:`~repro.faults.recovery.RecoveryConfig` parameterises how the
 RFTP engine retransmits, reconnects, and fails over.
 
-Attach a plan ambiently with ``REPRO_FAULTS`` / ``--faults`` (every
-:meth:`~repro.sim.context.Context.create` then wires an injector), or
-explicitly with ``FaultInjector(ctx, FaultPlan.parse(spec))``.
+Arm a plan per context with ``Context.create(faults=plan)``, or
+run-wide with ``--faults`` / ``REPRO_FAULTS`` (the CLI's
+:func:`fault_scope`, carried by every task planned inside it).
 """
 
 from repro.faults.injector import FaultInjector, FaultStats, faults_active
@@ -20,9 +20,8 @@ from repro.faults.plan import (
     FAULT_KINDS,
     FaultPlan,
     FaultSpec,
-    REPRO_FAULTS_ENV,
-    ambient_plan,
-    ambient_spec,
+    fault_scope,
+    scoped_plan,
 )
 from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryConfig
 
@@ -34,8 +33,7 @@ __all__ = [
     "FaultSpec",
     "FaultStats",
     "RecoveryConfig",
-    "REPRO_FAULTS_ENV",
-    "ambient_plan",
-    "ambient_spec",
+    "fault_scope",
     "faults_active",
+    "scoped_plan",
 ]

@@ -39,21 +39,19 @@ failure instead of one synchronized instant.
 from __future__ import annotations
 
 import json
-import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
     "FaultSpec",
-    "REPRO_FAULTS_ENV",
-    "ambient_plan",
-    "ambient_spec",
+    "fault_scope",
     "parse_range",
+    "scoped_plan",
 ]
-
-#: Environment variable carrying the ambient fault plan (``--faults``).
-REPRO_FAULTS_ENV = "REPRO_FAULTS"
 
 #: Every fault type the injector knows how to apply.
 FAULT_KINDS = frozenset({
@@ -239,13 +237,24 @@ class FaultPlan:
         return json.dumps(entries, sort_keys=True, separators=(",", ":"))
 
 
-def ambient_plan() -> "FaultPlan | None":
-    """The plan named by ``REPRO_FAULTS``, or None when unset/blank."""
-    text = os.environ.get(REPRO_FAULTS_ENV, "").strip()
-    return FaultPlan.parse(text) if text else None
+#: The run-wide plan, the one implicit channel of a run's configuration.
+#: Set only by the CLI (for a run) and ``SimTask.execute`` (for a task).
+_SCOPED_PLAN: "ContextVar[FaultPlan | None]" = ContextVar(
+    "repro_fault_plan", default=None)
 
 
-def ambient_spec() -> str:
-    """Canonical form of the ambient plan ("" when none) for cache keys."""
-    plan = ambient_plan()
-    return "" if plan is None or plan.empty else plan.canonical()
+def scoped_plan() -> "FaultPlan | None":
+    """The plan of the enclosing :func:`fault_scope` (None outside one)."""
+    return _SCOPED_PLAN.get()
+
+
+@contextmanager
+def fault_scope(plan: "FaultPlan | None") -> Iterator[None]:
+    """Make *plan* (None or empty: no faults) the run-wide plan of the
+    enclosed block: contexts created there without a plan arm it, and
+    tasks planned there carry it."""
+    token = _SCOPED_PLAN.set(None if plan is None or plan.empty else plan)
+    try:
+        yield
+    finally:
+        _SCOPED_PLAN.reset(token)

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional
 
 from repro.faults.injector import faults_active
+from repro.faults.plan import FaultPlan
 from repro.rdma.qpool import QP_MODES, QpPoolConfig, QpPoolSet
 from repro.service.broker import BrokerConfig, TransferBroker
 from repro.service.fleet import Rail, RailFleet
@@ -286,8 +287,10 @@ def fleet_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
 
 def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
                sharded: bool = True, n_shards: int = 0, tol: float = 1e-9,
-               max_rounds: int = 6, fixed_rounds: int = 0) -> dict:
-    """One fabric scenario through the sharded (or reference) runtime."""
+               max_rounds: int = 6, fixed_rounds: int = 0,
+               faults: FaultPlan | None = None) -> dict:
+    """One fabric scenario through the sharded (or reference) runtime,
+    every cell armed with *faults* (None: the run-wide plan)."""
     if isinstance(spec, dict):
         spec = FabricSpec(**spec)
     common = dict(
@@ -297,7 +300,7 @@ def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
         horizon=spec.horizon_s,
         epoch_dt=spec.epoch_dt,
         params={"spec": asdict(spec)},
-        seed=seed, cal=cal,
+        seed=seed, cal=cal, faults=faults,
     )
     if sharded:
         return run_sharded(**common, n_shards=n_shards, tol=tol,

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, scoped_plan
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidScheduler
 from repro.sim.rng import RngRegistry
@@ -39,13 +41,13 @@ class Context:
     rkeys: Dict[Any, Dict[int, Any]] = field(default_factory=dict)
 
     @classmethod
-    def create(cls, seed: int = 0, cal: "Calibration | None" = None) -> "Context":
+    def create(cls, seed: int = 0, cal: "Calibration | None" = None,
+               faults: FaultPlan | None = None) -> "Context":
         """Build a fresh context with its own clock and calibration.
 
-        When the ``REPRO_FAULTS`` environment variable names a fault
-        plan, a :class:`~repro.faults.injector.FaultInjector` driving it
-        is attached — the ambient form of ``--faults`` (inherited by
-        worker processes, part of the result-cache identity).
+        A :class:`~repro.faults.injector.FaultInjector` drives *faults*
+        (None: the run-wide plan of the enclosing
+        :func:`~repro.faults.plan.fault_scope`, if any).
         """
         from repro.core.calibration import CALIBRATION
 
@@ -57,12 +59,8 @@ class Context:
             trace=TraceLog(sim),
             cal=cal if cal is not None else CALIBRATION,
         )
-        from repro.faults.plan import ambient_plan
-
-        plan = ambient_plan()
+        plan = faults if faults is not None else scoped_plan()
         if plan is not None and not plan.empty:
-            from repro.faults.injector import FaultInjector
-
             FaultInjector(ctx, plan)
         return ctx
 

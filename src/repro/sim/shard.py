@@ -52,6 +52,7 @@ import numpy as np
 
 from repro import metrics
 from repro.exec import SimTask, run_tasks
+from repro.faults.plan import FaultPlan, scoped_plan
 from repro.net.link import CutLinkStub
 from repro.sim.context import Context
 
@@ -320,13 +321,14 @@ def run_sharded(*, target: str, n_cells: int,
                 epoch_dt: float, params: Optional[Dict[str, Any]] = None,
                 seed: int = 0, cal=None, n_shards: int = 0,
                 tol: float = 1e-9, max_rounds: int = 6,
-                fixed_rounds: int = 0) -> dict:
+                fixed_rounds: int = 0, faults: Optional[FaultPlan] = None) -> dict:
     """Run *n_cells* cells of *target* under the boundary-exchange protocol.
 
     ``n_shards=0`` slices one shard per ambient worker.  ``tol`` /
     ``max_rounds`` control the epsilon-converged iteration;
     ``fixed_rounds > 0`` instead runs exactly that many rounds
-    (deterministic fixed-round mode).  The result —
+    (deterministic fixed-round mode).  Every cell arms *faults* (None:
+    the run-wide plan), carried by its shard task.  The result —
     ``{"cells": [ledger...], "exchange": {...}}`` — is byte-identical
     whatever the worker or shard count.
     """
@@ -346,6 +348,7 @@ def run_sharded(*, target: str, n_cells: int,
     if n_shards <= 0:
         n_shards = get_exec_context().effective_jobs
     slices = slice_cells(n_cells, n_shards)
+    faults = faults if faults is not None else scoped_plan()
 
     # Round 0: optimistic grants — every cell may burst to the full link.
     grants = {b.name: np.full((n_cells, n_epochs), b.capacity)
@@ -368,7 +371,7 @@ def run_sharded(*, target: str, n_cells: int,
                     },
                     "params": params,
                 },
-                seed=seed, cal=cal,
+                seed=seed, cal=cal, faults=faults,
                 label=f"shard/{tag}/cells{cells[0]}-{cells[-1]}",
             )
             for cells in slices
@@ -442,8 +445,9 @@ def run_sharded(*, target: str, n_cells: int,
 def run_unsharded(*, target: str, n_cells: int,
                   boundaries: Sequence[BoundaryLink], horizon: float,
                   epoch_dt: float, params: Optional[Dict[str, Any]] = None,
-                  seed: int = 0, cal=None) -> dict:
-    """The reference: every cell in **one** shared event simulation.
+                  seed: int = 0, cal=None, faults: Optional[FaultPlan] = None) -> dict:
+    """The reference: every cell in **one** shared event simulation,
+    armed with *faults* (None: the run-wide plan).
 
     Cut links are ordinary shared fluid resources, so the kernel
     computes the global flow-level max-min allocation directly.  Each
@@ -456,7 +460,7 @@ def run_unsharded(*, target: str, n_cells: int,
 
     params = dict(params or {})
     fn = SimTask(target).resolve()
-    base = Context.create(seed=seed, cal=cal)
+    base = Context.create(seed=seed, cal=cal, faults=faults)
     blist = list(boundaries)
     shared = {}
     for b in blist:

@@ -1,14 +1,16 @@
 """The ext-availability experiment: plan shape, the deterministic
-fault-plan generator, env overrides, and a small end-to-end leg."""
+fault-plan generator, run-configuration knobs, and a small end-to-end
+leg."""
 
 import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.experiments import ext_availability
 from repro.core.experiments.availability_legs import (availability_leg,
                                                       fault_plan_for)
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_scope, scoped_plan
 
 
 def test_plan_shape():
@@ -50,32 +52,31 @@ def test_fault_plan_for_is_deterministic_and_parses():
     assert fault_plan_for(n_pods=8, fault_rate=0.0, serve_s=4.0) == ""
 
 
-def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "8")
-    monkeypatch.setenv("REPRO_AVAIL_RATE", "1.0")
-    assert ext_availability.avail_sizes(quick=True) == (8,)
-    assert ext_availability.fault_rates(quick=True) == (1.0,)
-    tasks = ext_availability.plan(quick=True, seed=0)
+def test_env_overrides():
+    config = RunConfig.from_env({"REPRO_AVAIL_HOSTS": "8",
+                                 "REPRO_AVAIL_RATE": "1.0"})
+    assert ext_availability.avail_sizes(quick=True, config=config) == (8,)
+    assert ext_availability.fault_rates(quick=True, config=config) == (1.0,)
+    tasks = ext_availability.plan(quick=True, seed=0, config=config)
     assert len(tasks) == 5  # 1x1x2 + mttr pair + determinism
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "not-a-number")
     with pytest.raises(ValueError, match="REPRO_AVAIL_HOSTS"):
-        ext_availability.avail_sizes(quick=True)
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "-4")
+        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "not-a-number"})
     with pytest.raises(ValueError, match="non-negative"):
-        ext_availability.avail_sizes(quick=True)
+        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "-4"})
     # Zero hosts is no fabric: rejected here, not deep inside the run.
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "0")
     with pytest.raises(ValueError, match="REPRO_AVAIL_HOSTS must be >= 1"):
-        ext_availability.avail_sizes(quick=True)
+        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "0"})
+    with pytest.raises(ValueError, match="REPRO_AVAIL_RATE"):
+        RunConfig.from_env({"REPRO_AVAIL_RATE": "-0.5"})
 
 
-def test_env_overrides_change_cache_identity(monkeypatch):
+def test_env_overrides_change_cache_identity():
     # The determinism anchor takes no sweep parameters, so it (alone)
     # keeps its identity across overrides; every swept leg re-keys.
     base = {t.identity() for t in ext_availability.plan(quick=True, seed=0)
             if t.label != "avail/determinism"}
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "8")
-    over = {t.identity() for t in ext_availability.plan(quick=True, seed=0)
+    over = {t.identity() for t in ext_availability.plan(
+                quick=True, seed=0, config=RunConfig(avail_hosts=(8,)))
             if t.label != "avail/determinism"}
     assert base.isdisjoint(over)
 
@@ -102,9 +103,16 @@ def test_availability_leg_journal_beats_amnesia():
         again, sort_keys=True)
 
 
-def test_leg_restores_ambient_fault_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "link-down@link:0,at=5,duration=1")
-    availability_leg(seed=2, cal=None, hosts=8, fault_rate=0.0,
-                     journal=True, serve_s=2.0, horizon_s=3.0, crash_at=1.0)
-    import os
-    assert os.environ["REPRO_FAULTS"] == "link-down@link:0,at=5,duration=1"
+def test_leg_restores_ambient_fault_env():
+    """The leg arms its own plan (crash included) under a run-wide one,
+    and leaves the run-wide plan in place for whatever runs next."""
+    run_wide = FaultPlan.parse("link-down@link:0,at=5,duration=1")
+    kw = dict(seed=2, cal=None, hosts=8, fault_rate=0.0, journal=True,
+              serve_s=2.0, horizon_s=3.0, crash_at=1.0)
+    alone = availability_leg(**kw)
+    with fault_scope(run_wide):
+        scoped = availability_leg(**kw)
+        assert scoped_plan() == run_wide
+    assert scoped["crashes"] >= 1
+    assert json.dumps(scoped, sort_keys=True) == json.dumps(
+        alone, sort_keys=True)

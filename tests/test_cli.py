@@ -1,5 +1,6 @@
 """Tests for the CLI (`python -m repro`) and the EXPERIMENTS.md generator."""
 
+import os
 
 import pytest
 
@@ -80,21 +81,16 @@ def test_cli_rejects_bad_arrival_rate(capsys):
     assert "bad --arrival-rate" in capsys.readouterr().err
 
 
-def test_cli_service_flags_exported(monkeypatch, capsys):
-    # main() writes os.environ directly, so clean up with pop (a
-    # monkeypatch.delenv here would *restore* the leaked value at
-    # teardown and poison later tests' plan() calls).
-    import os
-    monkeypatch.delenv("REPRO_SERVICE_POLICY", raising=False)
-    monkeypatch.delenv("REPRO_SERVICE_ARRIVAL", raising=False)
-    try:
-        assert main(["run", "table1", "--service-policy", "fifo",
-                     "--arrival-rate", "25"]) == 0
-        assert os.environ["REPRO_SERVICE_POLICY"] == "fifo"
-        assert float(os.environ["REPRO_SERVICE_ARRIVAL"]) == 25.0
-    finally:
-        os.environ.pop("REPRO_SERVICE_POLICY", None)
-        os.environ.pop("REPRO_SERVICE_ARRIVAL", None)
+def test_cli_service_flags_exported(capsys):
+    # The flags reach ext-service through the run configuration; main()
+    # leaves the caller's environment exactly as it found it.
+    before = sorted(os.environb.items())
+    assert main(["run", "ext-service", "--service-policy", "fifo",
+                 "--arrival-rate", "25", "--faults",
+                 "link-down@link:1,at=5,duration=2"]) == 0
+    assert sorted(os.environb.items()) == before
+    assert ("numa-aware vs fifo (25 jobs/s/host offered)"
+            in capsys.readouterr().out)
 
 
 def test_footer_stats_suppress_idle_subsystems():

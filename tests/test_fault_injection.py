@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.apps.rftp.transfer import RftpConfig, RftpTransfer
+from repro.config import RunConfig
 from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryConfig
 from repro.hw import Machine, Nic, NicKind, frontend_lan_host
 from repro.net.link import connect
@@ -256,17 +257,13 @@ def test_fault_plan_parse_and_canonical():
         FaultPlan(("not a spec",))
 
 
-def test_ambient_plan_env(monkeypatch):
-    from repro.faults.plan import REPRO_FAULTS_ENV, ambient_plan, ambient_spec
-
-    monkeypatch.delenv(REPRO_FAULTS_ENV, raising=False)
-    assert ambient_plan() is None and ambient_spec() == ""
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "  ")
-    assert ambient_plan() is None and ambient_spec() == ""
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "nic-down@link:2,at=8")
-    plan = ambient_plan()
+def test_run_config_parses_the_fault_plan():
+    assert RunConfig.from_env({}).faults is None
+    assert RunConfig.from_env({"REPRO_FAULTS": "  "}).faults is None
+    plan = RunConfig.from_env({"REPRO_FAULTS": "nic-down@link:2,at=8"}).faults
     assert plan is not None and plan.specs[0].kind == "nic-down"
-    assert ambient_spec() == plan.canonical()
+    with pytest.raises(ValueError, match="REPRO_FAULTS bad fault field"):
+        RunConfig.from_env({"REPRO_FAULTS": "nic-down@link:2,when=8"})
 
 
 # --- Injector mechanics -----------------------------------------------------------
@@ -479,20 +476,18 @@ def test_rkey_registry_scoped_per_context():
         ConnectionManager.lookup_rkey(m2, mr.rkey)
 
 
-def test_cache_identity_includes_fault_plan(monkeypatch):
+def test_cache_identity_includes_fault_plan():
     from repro.exec import SimTask
-    from repro.faults.plan import REPRO_FAULTS_ENV
 
-    task = SimTask("repro.core.reportgen:run_whole_experiment",
-                   {"registry": "figures", "name": "fig09", "quick": True})
-    monkeypatch.delenv(REPRO_FAULTS_ENV, raising=False)
-    base = task.identity()
-    # unset and empty-string plans key identically (both fault-free)
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "")
-    assert task.identity() == base
+    def task(plan):
+        return SimTask("repro.core.reportgen:run_whole_experiment",
+                       {"registry": "figures", "name": "fig09",
+                        "quick": True}, faults=plan)
+
+    base = task(None).identity()
+    # no plan and an empty plan key identically (both fault-free)
+    assert task(FaultPlan.parse("")).identity() == base
     # a real plan changes the identity; its spelling does not
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5")
-    faulted = task.identity()
+    faulted = task(FaultPlan.parse("link-down@link:1,at=5")).identity()
     assert faulted != base
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,t=5")
-    assert task.identity() == faulted
+    assert task(FaultPlan.parse("link-down@link:1,t=5")).identity() == faulted

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.experiments import ext_fleet
 from repro.rdma.qpool import QpPoolConfig, QpPoolSet
 from repro.service.fabric import FabricSpec, boundary_links, run_fabric
@@ -152,16 +153,15 @@ def test_fabric_pooled_beats_per_job_on_identical_streams():
 
 # -- ext-fleet plumbing ----------------------------------------------------
 
-def test_fleet_sizes_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_FLEET_HOSTS", "128, 512")
-    assert ext_fleet.fleet_sizes(quick=True) == (128, 512)
-    monkeypatch.setenv("REPRO_FLEET_HOSTS", "12x")
+def test_fleet_sizes_env_override():
+    config = RunConfig.from_env({"REPRO_FLEET_HOSTS": "128, 512"})
+    assert ext_fleet.fleet_sizes(quick=True, config=config) == (128, 512)
     with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
-        ext_fleet.fleet_sizes()
-    monkeypatch.setenv("REPRO_FLEET_HOSTS", "-4")
+        RunConfig.from_env({"REPRO_FLEET_HOSTS": "12x"})
     with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
-        ext_fleet.fleet_sizes()
-    monkeypatch.delenv("REPRO_FLEET_HOSTS")
+        RunConfig.from_env({"REPRO_FLEET_HOSTS": "-4"})
+    with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
+        RunConfig.from_env({"REPRO_FLEET_HOSTS": "0"})
     assert ext_fleet.fleet_sizes(quick=True) == (16, 32)
     assert ext_fleet.fleet_sizes(quick=False) == (128, 512, 2048)
 

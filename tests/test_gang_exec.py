@@ -38,7 +38,10 @@ from repro.exec import (
     run_tasks,
 )
 from repro.exec.gang import EvalError, run_projected
-from repro.faults.plan import REPRO_FAULTS_ENV
+from repro.faults.plan import FaultPlan
+
+#: A plan the per-task path arms and every gang kernel defects on.
+PLAN = FaultPlan.parse("link-down@link:1,at=5,duration=2")
 
 
 def scale_leg(*, seed, cal, factor):
@@ -90,18 +93,17 @@ def test_singleton_group_runs_solo():
     assert delta["groups"] == 0
 
 
-def test_ambient_fault_plan_defects_whole_group(monkeypatch):
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5,duration=2")
-    tasks = _calgrid_tasks(4)
+def test_ambient_fault_plan_defects_whole_group():
+    tasks = [replace(t, faults=PLAN) for t in _calgrid_tasks(4)]
     (results, delta) = _gang_delta(lambda: run_tasks(tasks))
     assert results == [t.execute() for t in tasks]
     assert delta["scenarios_defected"] == 4
     assert delta["scenarios_ganged"] == 0
 
 
-def test_sensitivity_kernel_defects_under_ambient_faults(monkeypatch):
-    tasks = sensitivity_tasks(constants=("qpi_bandwidth",))
-    monkeypatch.setenv(REPRO_FAULTS_ENV, "link-down@link:1,at=5,duration=2")
+def test_sensitivity_kernel_defects_under_a_fault_plan():
+    tasks = [replace(t, faults=PLAN)
+             for t in sensitivity_tasks(constants=("qpi_bandwidth",))]
     assert gang_cells(tasks) == [DEFECT] * len(tasks)
 
 

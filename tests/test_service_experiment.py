@@ -1,9 +1,11 @@
-"""The ext-service experiment: planning, determinism, env overrides."""
+"""The ext-service experiment: planning, determinism, run-configuration
+knobs."""
 
 import json
 
 import pytest
 
+from repro.config import RunConfig
 from repro.core.experiments import ext_service
 from repro.core.experiments.service_legs import service_leg
 from repro.exec import run_tasks
@@ -61,31 +63,27 @@ def test_quick_report_reproduces_and_caches():
     assert again.render() == report.render()
 
 
-def test_policy_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_POLICY", "fifo")
-    assert ext_service.baseline_policy() == "fifo"
-    tasks = ext_service.plan(quick=True, seed=0)
+def test_policy_env_override():
+    config = RunConfig.from_env({"REPRO_SERVICE_POLICY": "fifo"})
+    assert config.service_policy == "fifo"
+    tasks = ext_service.plan(quick=True, seed=0, config=config)
     assert "service/fifo-x1" in [t.label for t in tasks]
-    monkeypatch.setenv("REPRO_SERVICE_POLICY", "nope")
-    with pytest.raises(ValueError):
-        ext_service.baseline_policy()
+    with pytest.raises(ValueError, match="REPRO_SERVICE_POLICY"):
+        RunConfig.from_env({"REPRO_SERVICE_POLICY": "nope"})
 
 
-def test_arrival_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_ARRIVAL", "12.5")
-    assert ext_service.arrival_rate() == 12.5
-    tasks = ext_service.plan(quick=True, seed=0)
+def test_arrival_env_override():
+    config = RunConfig.from_env({"REPRO_SERVICE_ARRIVAL": "12.5"})
+    assert config.arrival_rate == 12.5
+    tasks = ext_service.plan(quick=True, seed=0, config=config)
     assert tasks[0].params["rate_per_host"] == 12.5
-    monkeypatch.setenv("REPRO_SERVICE_ARRIVAL", "-3")
-    with pytest.raises(ValueError):
-        ext_service.arrival_rate()
-    monkeypatch.setenv("REPRO_SERVICE_ARRIVAL", "fast")
-    with pytest.raises(ValueError):
-        ext_service.arrival_rate()
+    for bad in ("-3", "fast"):
+        with pytest.raises(ValueError, match="REPRO_SERVICE_ARRIVAL"):
+            RunConfig.from_env({"REPRO_SERVICE_ARRIVAL": bad})
 
 
-def test_env_overrides_change_cache_identity(monkeypatch):
+def test_env_overrides_change_cache_identity():
     base = [t.identity() for t in ext_service.plan(quick=True, seed=0)]
-    monkeypatch.setenv("REPRO_SERVICE_ARRIVAL", "20")
-    changed = [t.identity() for t in ext_service.plan(quick=True, seed=0)]
+    changed = [t.identity() for t in ext_service.plan(
+        quick=True, seed=0, config=RunConfig(arrival_rate=20.0))]
     assert base != changed

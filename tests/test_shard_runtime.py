@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.exec.runner import ExecContext, default_jobs, executor
+from repro.__main__ import _parser, _run_config
+from repro.config import RunConfig
+from repro.exec.runner import ExecContext, executor
 from repro.sim.shard import (BoundaryLink, ShardStats, cell_seed,
                              run_sharded, slice_cells)
 from repro.sim.shard import _waterfill
@@ -110,33 +112,31 @@ def test_contended_boundary_converges_within_round_budget():
 
 # -- REPRO_JOBS default worker count ---------------------------------------
 
-def test_default_jobs_unset_is_serial(monkeypatch):
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert default_jobs() == 1
+def test_default_jobs_unset_is_serial():
+    assert RunConfig.from_env({}).jobs == 1
     assert ExecContext().effective_jobs == 1
 
 
-def test_repro_jobs_sets_the_default(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "5")
-    assert default_jobs() == 5
-    assert ExecContext().effective_jobs == 5
+def test_repro_jobs_sets_the_default():
+    assert RunConfig.from_env({"REPRO_JOBS": "5"}).jobs == 5
+    assert ExecContext(jobs=5).effective_jobs == 5
 
 
-def test_repro_jobs_auto_resolves_to_cpu_count(monkeypatch):
-    monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert default_jobs() == 0
-    assert ExecContext().effective_jobs >= 1
+def test_repro_jobs_auto_resolves_to_cpu_count():
+    assert RunConfig.from_env({"REPRO_JOBS": "auto"}).jobs == 0
+    assert ExecContext(jobs=0).effective_jobs >= 1
 
 
 def test_explicit_jobs_beats_the_environment(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "7")
-    assert ExecContext(jobs=2).effective_jobs == 2
+    assert _run_config(_parser().parse_args(["run", "fig09"])).jobs == 7
+    assert _run_config(
+        _parser().parse_args(["run", "fig09", "--jobs", "2"])).jobs == 2
     with executor(jobs=3) as ctx:
         assert ctx.effective_jobs == 3
 
 
 @pytest.mark.parametrize("bad", ["zero", "0", "-2", "1.5"])
-def test_repro_jobs_rejects_garbage(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_JOBS", bad)
+def test_repro_jobs_rejects_garbage(bad):
     with pytest.raises(ValueError, match="REPRO_JOBS"):
-        default_jobs()
+        RunConfig.from_env({"REPRO_JOBS": bad})
