@@ -11,11 +11,11 @@ The library rebuilds the paper's entire stack as a calibrated simulation:
 * :mod:`repro.kernel` — OS model (scheduling, NUMA policy, accounting),
 * :mod:`repro.net` — links, topologies, flow-level TCP (cubic),
 * :mod:`repro.rdma` — verbs: memory regions, QPs, CQs, READ/WRITE/SEND,
-* :mod:`repro.storage` — SCSI/iSCSI/iSER SAN, tmpfs and SSD backends,
+* :mod:`repro.storage` — iSCSI/iSER SAN, tmpfs and SSD backends,
 * :mod:`repro.fs` — VFS, page cache, XFS/ext4-like filesystems,
 * :mod:`repro.apps` — RFTP, GridFTP, iperf, fio, STREAM,
 * :mod:`repro.core` — end-to-end system builder, tuning, experiments,
-* :mod:`repro.datapath` — real zero-copy byte movement + integrity.
+* :mod:`repro.datapath` — integrity checks for the real-bytes paths.
 
 Quickstart::
 

@@ -10,11 +10,10 @@
 from repro.apps.fio import FioJob, FioResult, run_fio
 from repro.apps.gridftp import GridFtp, GridFtpResult
 from repro.apps.iperf import IperfResult, run_iperf
-from repro.apps.streambench import StreamResult, run_stream_model, run_stream_real
+from repro.apps.streambench import StreamResult, run_stream_model
 
 __all__ = [
     "run_stream_model",
-    "run_stream_real",
     "StreamResult",
     "run_iperf",
     "IperfResult",

@@ -5,28 +5,21 @@ Triad computes ``a[i] = b[i] + q * c[i]`` and reports bandwidth counting
 cache-line streams, which is how the model's *raw* per-node capacity
 relates to the STREAM-reported figure (see the calibration notes).
 
-Two entry points:
-
-* :func:`run_stream_model` — the simulated benchmark on a
-  :class:`~repro.hw.topology.Machine`; reproduces the paper's "peak
-  memory bandwidth for two NUMA nodes is 50 GB/s".
-* :func:`run_stream_real` — actually runs a NumPy triad on the host
-  (used by an example as a sanity check of the harness, not of the paper).
+:func:`run_stream_model` runs the simulated benchmark on a
+:class:`~repro.hw.topology.Machine`; it reproduces the paper's "peak
+memory bandwidth for two NUMA nodes is 50 GB/s".
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.hw.topology import Machine
 from repro.kernel.numa import NumaPolicy
 from repro.kernel.process import SimProcess
 from repro.sim.fluid import FluidFlow
 
-__all__ = ["StreamResult", "run_stream_model", "run_stream_real"]
+__all__ = ["StreamResult", "run_stream_model"]
 
 
 @dataclass(frozen=True)
@@ -91,21 +84,3 @@ def run_stream_model(
         threads=threads_per_node * machine.n_nodes,
         duration=duration,
     )
-
-
-def run_stream_real(n: int = 10_000_000, repeats: int = 5) -> StreamResult:
-    """A real NumPy triad on the host running this library."""
-    rng = np.random.default_rng(0)
-    b = rng.random(n)
-    c = rng.random(n)
-    q = 3.0
-    a = np.empty_like(b)
-    best = 0.0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.multiply(c, q, out=a)
-        a += b
-        dt = time.perf_counter() - t0
-        rate = 3 * 8 * n / dt
-        best = max(best, rate)
-    return StreamResult(triad_bytes_per_s=best, threads=1, duration=dt)

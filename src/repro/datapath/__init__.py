@@ -1,21 +1,16 @@
-"""Real byte movement: zero-copy buffer pools, scatter/gather, integrity.
+"""Real byte movement: end-to-end integrity checks.
 
 The performance layer is a simulation, but correctness is not: small
-transfers move *actual bytes* through the protocol stack (RFTP framing,
-iSER/SCSI, filesystems).  This package provides the buffer machinery —
-written zero-copy, per the HPC guideline of using views over copies —
-plus streaming digests to verify end-to-end integrity.
+transfers move *actual bytes*: RFTP file blocks by RDMA WRITE into the
+receiver's registered buffer, and iSER data phases as RDMA operations
+against registered memory.  This package provides the streaming digests
+and checksums that verify those bytes end to end.
 """
 
-from repro.datapath.buffers import BufferPool, PooledBuffer
 from repro.datapath.integrity import StreamingDigest, checksum, verify_equal
-from repro.datapath.zerocopy import ScatterGatherList
 
 __all__ = [
-    "BufferPool",
-    "PooledBuffer",
     "StreamingDigest",
     "checksum",
     "verify_equal",
-    "ScatterGatherList",
 ]

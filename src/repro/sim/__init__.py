@@ -9,8 +9,8 @@ Public surface:
 
 * :class:`~repro.sim.engine.Simulator` — the event loop.
 * :class:`~repro.sim.engine.Process` / generator-based coroutines.
-* :class:`~repro.sim.resources.Resource`, :class:`~repro.sim.resources.Store`,
-  :class:`~repro.sim.resources.Container` — classic queueing resources.
+* :class:`~repro.sim.resources.Store` — a FIFO queue of objects (CQs,
+  command queues).
 * :class:`~repro.sim.fluid.FluidResource`, :class:`~repro.sim.fluid.FluidScheduler`
   — bandwidth sharing.
 * :class:`~repro.sim.trace.ThroughputProbe`, :class:`~repro.sim.trace.TimeSeries`
@@ -29,7 +29,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.fluid import FluidFlow, FluidResource, FluidScheduler, FluidStats
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import SamplerHub, hub_for
 from repro.sim.trace import EventRateProbe, ThroughputProbe, TimeSeries, TraceLog
@@ -44,10 +44,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "SimulationError",
-    "Resource",
-    "PriorityResource",
     "Store",
-    "Container",
     "FluidResource",
     "FluidFlow",
     "FluidScheduler",

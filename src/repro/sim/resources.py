@@ -1,95 +1,19 @@
-"""Classic queueing resources for the event engine.
+"""A queueing resource for the event engine.
 
-* :class:`Resource` — N identical servers, FIFO queue of requests.
-* :class:`PriorityResource` — like :class:`Resource` but the queue is
-  ordered by a numeric priority (lower first).
-* :class:`Store` — an unbounded/bounded FIFO of Python objects
-  (producer/consumer queues, e.g. SCSI command queues).
-* :class:`Container` — a level of continuous "stuff" (credits, tokens).
-
-All acquisition methods return :class:`~repro.sim.engine.Event`s to be
-yielded from processes.
+:class:`Store` is an unbounded or bounded FIFO of Python objects, for
+producer/consumer queues: the RDMA completion queues
+(:mod:`repro.rdma.verbs`) and the target daemon's SCSI command queue
+(:mod:`repro.storage.daemon`).  ``put`` and ``get`` return an
+:class:`~repro.sim.engine.Event` to be yielded from a process.
 """
 
 from __future__ import annotations
 
-import heapq
-from itertools import count
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import Event, SimulationError, Simulator
+from repro.sim.engine import Event, Simulator
 
-__all__ = ["Resource", "PriorityResource", "Store", "Container"]
-
-
-class Request(Event):
-    """A pending claim on a :class:`Resource` (also a context token)."""
-
-    __slots__ = ("resource", "priority")
-
-    def __init__(self, resource: "Resource", priority: float = 0.0):
-        super().__init__(resource.sim)
-        self.resource = resource
-        self.priority = priority
-
-
-class Resource:
-    """*capacity* identical servers with a FIFO request queue."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._users: set[Request] = set()
-        self._queue: list[tuple[float, int, Request]] = []
-        self._seq = count()
-
-    # -- introspection -------------------------------------------------------
-    @property
-    def count(self) -> int:
-        """Number of requests currently holding the resource."""
-        return len(self._users)
-
-    @property
-    def queue_len(self) -> int:
-        """Number of requests waiting."""
-        return len(self._queue)
-
-    # -- protocol --------------------------------------------------------------
-    def request(self, priority: float = 0.0) -> Request:
-        """Claim one server; yield the returned event to wait for it."""
-        req = Request(self, priority)
-        heapq.heappush(self._queue, (priority, next(self._seq), req))
-        self._grant()
-        return req
-
-    def release(self, req: Request) -> None:
-        """Release a previously granted request."""
-        if req not in self._users:
-            raise SimulationError("release() of a request that is not a user")
-        self._users.discard(req)
-        self._grant()
-
-    def _grant(self) -> None:
-        while self._queue and len(self._users) < self.capacity:
-            _, _, req = heapq.heappop(self._queue)
-            if req.triggered:  # cancelled
-                continue
-            self._users.add(req)
-            req.succeed(req)
-
-    def __repr__(self) -> str:
-        label = f" {self.name!r}" if self.name else ""
-        return (
-            f"<{type(self).__name__}{label} {self.count}/{self.capacity} used,"
-            f" {self.queue_len} queued>"
-        )
-
-
-class PriorityResource(Resource):
-    """Alias of :class:`Resource`; pass ``priority=`` to ``request``."""
+__all__ = ["Store"]
 
 
 class Store:
@@ -171,67 +95,3 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-
-class Container:
-    """A continuous level in ``[0, capacity]`` (credits, budgets)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "",
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not (0 <= init <= capacity):
-            raise ValueError(f"init={init} outside [0, {capacity}]")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: list[tuple[Event, float]] = []
-        self._putters: list[tuple[Event, float]] = []
-
-    @property
-    def level(self) -> float:
-        """Current fill level."""
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add an amount; blocks (as an event) at capacity."""
-        if amount <= 0:
-            raise ValueError(f"put amount must be > 0, got {amount}")
-        ev = Event(self.sim, name="container-put")
-        self._putters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        """Take an amount; blocks (as an event) until available."""
-        if amount <= 0:
-            raise ValueError(f"get amount must be > 0, got {amount}")
-        ev = Event(self.sim, name="container-get")
-        self._getters.append((ev, amount))
-        self._dispatch()
-        return ev
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                ev, amount = self._putters[0]
-                if self._level + amount <= self.capacity + 1e-12:
-                    self._putters.pop(0)
-                    self._level = min(self.capacity, self._level + amount)
-                    ev.succeed(amount)
-                    progress = True
-            if self._getters:
-                ev, amount = self._getters[0]
-                if amount <= self._level + 1e-12:
-                    self._getters.pop(0)
-                    self._level = max(0.0, self._level - amount)
-                    ev.succeed(amount)
-                    progress = True

@@ -510,45 +510,3 @@ def run_unsharded(*, target: str, n_cells: int,
         },
     }
     return {"cells": ledgers, "exchange": exchange}
-
-
-# -- reference cell model (docs, protocol tests, microbenchmarks) ----------
-
-def demo_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
-              horizon: float, n_local: int = 2, local_rate: float = 100e6,
-              cross_rate: Optional[float] = None, cross_skew: float = 0.0,
-              boundary: str = "wan0"):
-    """A minimal cell: *n_local* private flows + one cross-boundary flow.
-
-    The cross flow's own cap is ``cross_rate * (1 + cross_skew * cell)``
-    (None = uncapped), giving tests an asymmetric-demand knob.  Ledger:
-    per-flow transferred bytes.
-    """
-    from repro.sim.fluid import FluidFlow, FluidResource
-
-    local_res = FluidResource(ctx.fluid, local_rate, f"cell{cell}/local")
-    locals_ = []
-    for i in range(n_local):
-        flow = FluidFlow([(local_res, 1.0)], size=None,
-                         name=f"cell{cell}/l{i}")
-        locals_.append(flow)
-        ctx.fluid.start(flow)
-    cap = (None if cross_rate is None
-           else cross_rate * (1.0 + cross_skew * cell))
-    path, charges = ports[boundary].flow_leg(cap=cap)
-    cross = FluidFlow(path, size=None, cap=cap, charges=charges,
-                      name=f"cell{cell}/x")
-    ctx.fluid.start(cross)
-
-    def finish() -> dict:
-        # Bulk drain: one settle covers every still-open flow (identical
-        # to stopping them one by one, but a single coalesced rebalance).
-        ctx.fluid.finish_many(
-            [f for f in locals_ + [cross] if f._active])
-        return {
-            "cell": cell,
-            "local_bytes": [f.transferred for f in locals_],
-            "cross_bytes": cross.transferred,
-        }
-
-    return finish

@@ -35,11 +35,7 @@ from repro.storage.iser import (
 )
 from repro.storage.target import IserTarget, Lun
 
-__all__ = ["IserSession", "IserInitiator", "RemoteBlockDevice", "TaskAborted"]
-
-
-class TaskAborted(IOError):
-    """The command was cancelled by ABORT TASK."""
+__all__ = ["IserSession", "IserInitiator", "RemoteBlockDevice"]
 
 
 class IserSession:
@@ -66,8 +62,6 @@ class IserSession:
         self.qp_t: Optional[QueuePair] = None
         self.logged_in = False
         self._login_event: Optional[Event] = None
-        self._next_tag = 1
-        self._outstanding: Dict[int, object] = {}
 
     @property
     def link(self):
@@ -163,90 +157,15 @@ class IserSession:
 
     # -- event-level I/O ----------------------------------------------------------
     def execute_io(self, lun: Lun, req: IoRequest, app_mr) -> Event:
-        """Run one SCSI command through the datamover (real bytes)."""
-        done, _tag = self.execute_io_tagged(lun, req, app_mr)
-        return done
-
-    def execute_io_tagged(self, lun: Lun, req: IoRequest, app_mr
-                          ) -> tuple[Event, int]:
-        """Like :meth:`execute_io` but also returns the initiator task tag
-        (usable with :meth:`abort_task`)."""
+        """Run one SCSI command through the datamover (real bytes); the
+        returned process yields the SCSI status."""
         if not self.logged_in:
             raise RuntimeError(f"session {self.name!r} not logged in")
         dm = IserDatamover(self.ctx, self.qp_i, self.qp_t)
-        done = self.ctx.sim.event(name=f"{self.name}/io")
-        tag = self._next_tag
-        self._next_tag += 1
-
-        def run():
-            from repro.sim.engine import Interrupt
-
-            try:
-                status = yield self.ctx.sim.process(
-                    dm.execute(lun, req.is_write, req.offset, req.length,
-                               app_mr),
-                    name=f"{self.name}/io-body",
-                )
-            except Interrupt:
-                done.fail(TaskAborted(f"task {tag} aborted"))
-                return
-            finally:
-                self._outstanding.pop(tag, None)
-            done.succeed(status)
-
-        proc = self.ctx.sim.process(run(), name=f"{self.name}/io")
-        self._outstanding[tag] = proc
-        return done, tag
-
-    def abort_task(self, tag: int) -> Event:
-        """Issue ABORT TASK for *tag*; event yields the TM response code
-        (0 = aborted, 1 = task did not exist)."""
-        from repro.storage.iscsi import (
-            TaskManagementRequestPdu,
-            TaskManagementResponsePdu,
-            TmFunction,
-            decode_pdu,
+        return self.ctx.sim.process(
+            dm.execute(lun, req.is_write, req.offset, req.length, app_mr),
+            name=f"{self.name}/io",
         )
-
-        done = self.ctx.sim.event(name=f"{self.name}/abort:{tag}")
-
-        def run():
-            req = TaskManagementRequestPdu(
-                function=TmFunction.ABORT_TASK, task_tag=self._next_tag,
-                referenced_task_tag=tag,
-            )
-            parsed = decode_pdu(req.encode())
-            assert parsed.referenced_task_tag == tag
-            yield self.ctx.sim.timeout(self.link.rtt)  # TM round trip
-            proc = self._outstanding.pop(tag, None)
-            response = 0 if proc is not None else 1
-            if proc is not None and proc.is_alive:
-                proc.interrupt("abort task")
-            resp = TaskManagementResponsePdu(task_tag=req.task_tag,
-                                             response=response)
-            decode_pdu(resp.encode())
-            done.succeed(response)
-
-        self.ctx.sim.process(run(), name=f"{self.name}/abort")
-        return done
-
-    def ping(self) -> Event:
-        """NOP-Out/NOP-In keepalive; event yields the measured RTT."""
-        from repro.storage.iscsi import NopInPdu, NopOutPdu, decode_pdu
-
-        done = self.ctx.sim.event(name=f"{self.name}/nop")
-
-        def run():
-            t0 = self.ctx.sim.now
-            tag = self._next_tag
-            decode_pdu(NopOutPdu(task_tag=tag).encode())
-            yield self.ctx.sim.timeout(self.link.rtt
-                                       + 2 * self.ctx.cal.rdma_op_latency)
-            decode_pdu(NopInPdu(task_tag=tag).encode())
-            done.succeed(self.ctx.sim.now - t0)
-
-        self.ctx.sim.process(run(), name=f"{self.name}/nop")
-        return done
 
 
 class RemoteBlockDevice(BlockDevice):

@@ -1,10 +1,13 @@
-"""iSCSI PDU framing subset (RFC 7143 layout).
+"""iSCSI PDU framing subset (RFC 7143 layout): the login exchange.
 
 iSER replaces iSCSI's TCP data phases with RDMA operations but keeps the
 PDU vocabulary for commands and responses.  This module implements the
-Basic Header Segment (48 bytes) for the PDUs the SAN path exchanges:
-SCSI Command, SCSI Response, Login Request/Response, NOP — byte-exact,
-with property-tested round-trips.
+Basic Header Segment (48 bytes) and the Login Request/Response PDUs,
+byte-exact, with property-tested round-trips.  Every session login
+(:meth:`repro.storage.initiator.IserSession.login`) encodes and decodes
+them.  Command and response PDUs are not framed: the datamover
+(:mod:`repro.storage.iser`) models them as latency and moves the data as
+real RDMA operations.
 """
 
 from __future__ import annotations
@@ -13,12 +16,8 @@ import enum
 import struct
 from dataclasses import dataclass
 
-from repro.storage.scsi import CDB, ScsiError
-
-__all__ = ["PduOpcode", "BasicHeaderSegment", "ScsiCommandPdu", "ScsiResponsePdu",
-           "LoginRequestPdu", "LoginResponsePdu", "NopOutPdu", "NopInPdu",
-           "TaskManagementRequestPdu", "TaskManagementResponsePdu",
-           "TmFunction", "decode_pdu", "IscsiError"]
+__all__ = ["PduOpcode", "BasicHeaderSegment", "LoginRequestPdu",
+           "LoginResponsePdu", "IscsiError"]
 
 BHS_SIZE = 48
 
@@ -39,13 +38,6 @@ class PduOpcode(enum.IntEnum):
     SCSI_RESPONSE = 0x21
     TASK_MGMT_RESPONSE = 0x22
     LOGIN_RESPONSE = 0x23
-
-
-class TmFunction(enum.IntEnum):
-    """Task-management functions (RFC 7143 §11.5.1)."""
-
-    ABORT_TASK = 1
-    LUN_RESET = 5
 
 
 @dataclass(frozen=True)
@@ -102,190 +94,6 @@ class BasicHeaderSegment:
             initiator_task_tag=itt,
             opcode_specific=bytes(raw[20:48]),
         )
-
-
-@dataclass(frozen=True)
-class ScsiCommandPdu:
-    """SCSI Command PDU: BHS carrying a CDB and expected transfer length."""
-
-    lun: int
-    task_tag: int
-    cdb: CDB
-    expected_data_length: int
-
-    FLAG_FINAL = 0x80
-    FLAG_READ = 0x40
-    FLAG_WRITE = 0x20
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        flags = self.FLAG_FINAL
-        if self.cdb.is_data_transfer:
-            flags |= self.FLAG_WRITE if self.cdb.is_write else self.FLAG_READ
-        cdb_bytes = self.cdb.encode().ljust(16, b"\x00")
-        specific = struct.pack(">I", self.expected_data_length) + cdb_bytes + bytes(8)
-        return BasicHeaderSegment(
-            opcode=PduOpcode.SCSI_COMMAND,
-            flags=flags,
-            data_segment_length=0,
-            lun=self.lun,
-            initiator_task_tag=self.task_tag,
-            opcode_specific=specific,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "ScsiCommandPdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.SCSI_COMMAND:
-            raise IscsiError(f"not a SCSI command PDU: {bhs.opcode!r}")
-        (edl,) = struct.unpack(">I", bhs.opcode_specific[:4])
-        try:
-            cdb = CDB.decode(bhs.opcode_specific[4:20])
-        except ScsiError as exc:
-            raise IscsiError(f"bad CDB in command PDU: {exc}") from exc
-        return cls(
-            lun=bhs.lun, task_tag=bhs.initiator_task_tag, cdb=cdb,
-            expected_data_length=edl,
-        )
-
-
-@dataclass(frozen=True)
-class ScsiResponsePdu:
-    """SCSI Response PDU: status, residual count and sense data.
-
-    ``sense_key``/``asc`` carry the fixed-format sense essentials when
-    ``status`` is CHECK CONDITION (0x02).
-    """
-
-    task_tag: int
-    status: int = 0
-    residual: int = 0
-    sense_key: int = 0
-    asc: int = 0
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        specific = (
-            struct.pack(">BIBB", self.status, self.residual,
-                        self.sense_key, self.asc)
-            + bytes(21)
-        )
-        return BasicHeaderSegment(
-            opcode=PduOpcode.SCSI_RESPONSE,
-            flags=0x80,
-            initiator_task_tag=self.task_tag,
-            opcode_specific=specific,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "ScsiResponsePdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.SCSI_RESPONSE:
-            raise IscsiError(f"not a SCSI response PDU: {bhs.opcode!r}")
-        status, residual, sense_key, asc = struct.unpack(
-            ">BIBB", bhs.opcode_specific[:7])
-        return cls(task_tag=bhs.initiator_task_tag, status=status,
-                   residual=residual, sense_key=sense_key, asc=asc)
-
-
-@dataclass(frozen=True)
-class NopOutPdu:
-    """NOP-Out: initiator keepalive ping."""
-
-    task_tag: int
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        return BasicHeaderSegment(
-            opcode=PduOpcode.NOP_OUT, flags=0x80,
-            initiator_task_tag=self.task_tag,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "NopOutPdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.NOP_OUT:
-            raise IscsiError(f"not a NOP-Out: {bhs.opcode!r}")
-        return cls(task_tag=bhs.initiator_task_tag)
-
-
-@dataclass(frozen=True)
-class NopInPdu:
-    """NOP-In: the target's pong."""
-
-    task_tag: int
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        return BasicHeaderSegment(
-            opcode=PduOpcode.NOP_IN, flags=0x80,
-            initiator_task_tag=self.task_tag,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "NopInPdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.NOP_IN:
-            raise IscsiError(f"not a NOP-In: {bhs.opcode!r}")
-        return cls(task_tag=bhs.initiator_task_tag)
-
-
-@dataclass(frozen=True)
-class TaskManagementRequestPdu:
-    """ABORT TASK / LUN RESET request."""
-
-    function: TmFunction
-    task_tag: int
-    referenced_task_tag: int = 0
-    lun: int = 0
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        specific = struct.pack(">I", self.referenced_task_tag) + bytes(24)
-        return BasicHeaderSegment(
-            opcode=PduOpcode.TASK_MGMT_REQUEST,
-            flags=0x80 | int(self.function),
-            lun=self.lun,
-            initiator_task_tag=self.task_tag,
-            opcode_specific=specific,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "TaskManagementRequestPdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.TASK_MGMT_REQUEST:
-            raise IscsiError(f"not a TM request: {bhs.opcode!r}")
-        try:
-            fn = TmFunction(bhs.flags & 0x7F)
-        except ValueError as exc:
-            raise IscsiError(f"unknown TM function {bhs.flags & 0x7F}") from exc
-        (ref,) = struct.unpack(">I", bhs.opcode_specific[:4])
-        return cls(function=fn, task_tag=bhs.initiator_task_tag,
-                   referenced_task_tag=ref, lun=bhs.lun)
-
-
-@dataclass(frozen=True)
-class TaskManagementResponsePdu:
-    """TM response: 0 = function complete, 1 = task does not exist."""
-
-    task_tag: int
-    response: int = 0
-
-    def encode(self) -> bytes:
-        """Serialize to the wire format."""
-        specific = bytes([self.response]) + bytes(27)
-        return BasicHeaderSegment(
-            opcode=PduOpcode.TASK_MGMT_RESPONSE, flags=0x80,
-            initiator_task_tag=self.task_tag, opcode_specific=specific,
-        ).encode()
-
-    @classmethod
-    def from_bhs(cls, bhs: BasicHeaderSegment) -> "TaskManagementResponsePdu":
-        """Build from a decoded basic header segment."""
-        if bhs.opcode is not PduOpcode.TASK_MGMT_RESPONSE:
-            raise IscsiError(f"not a TM response: {bhs.opcode!r}")
-        return cls(task_tag=bhs.initiator_task_tag,
-                   response=bhs.opcode_specific[0])
 
 
 @dataclass(frozen=True)
@@ -353,19 +161,3 @@ class LoginResponsePdu:
         if bhs.opcode is not PduOpcode.LOGIN_RESPONSE:
             raise IscsiError(f"not a login response: {bhs.opcode!r}")
         return cls(task_tag=bhs.initiator_task_tag, status_class=bhs.opcode_specific[0])
-
-
-def decode_pdu(raw: bytes):
-    """Decode a BHS and dispatch to the specific PDU class."""
-    bhs = BasicHeaderSegment.decode(raw)
-    dispatch = {
-        PduOpcode.SCSI_COMMAND: ScsiCommandPdu.from_bhs,
-        PduOpcode.SCSI_RESPONSE: ScsiResponsePdu.from_bhs,
-        PduOpcode.LOGIN_RESPONSE: LoginResponsePdu.from_bhs,
-        PduOpcode.NOP_OUT: NopOutPdu.from_bhs,
-        PduOpcode.NOP_IN: NopInPdu.from_bhs,
-        PduOpcode.TASK_MGMT_REQUEST: TaskManagementRequestPdu.from_bhs,
-        PduOpcode.TASK_MGMT_RESPONSE: TaskManagementResponsePdu.from_bhs,
-    }
-    fn = dispatch.get(bhs.opcode)
-    return fn(bhs) if fn is not None else bhs

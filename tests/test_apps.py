@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.fio import FioJob, run_fio
 from repro.apps.iperf import run_iperf
-from repro.apps.streambench import run_stream_model, run_stream_real
+from repro.apps.streambench import run_stream_model
 from repro.hw import Machine, backend_lan_host, frontend_lan_host
 from repro.kernel import NumaPolicy, place_region
 from repro.net.topology import wire_frontend_lan, wire_san
@@ -33,11 +33,6 @@ def test_stream_numa_aware_beats_oblivious():
     b = frontend_lan_host(ctx2, "b")
     oblivious = run_stream_model(b, duration=3.0, numa_aware=False)
     assert aware.triad_bytes_per_s > oblivious.triad_bytes_per_s
-
-
-def test_stream_real_runs():
-    res = run_stream_real(n=100_000, repeats=2)
-    assert res.triad_bytes_per_s > 0
 
 
 # --- iperf -----------------------------------------------------------------------

@@ -236,3 +236,86 @@ def test_cache_gate_fails_when_worker_counters_are_lost(tmp_path, capsys,
     cold = _report_stats(0, 4, 4, 5.0, **layers)
     assert _cache_gate_run(tmp_path, cold) == 1
     assert "worker counters lost" in capsys.readouterr().out
+
+
+# --- reachability: the AST-vs-reached diff -----------------------------------
+
+_REACH = _SCRIPT.parent / "reachability.py"
+_rspec = importlib.util.spec_from_file_location("reachability", _REACH)
+reach = importlib.util.module_from_spec(_rspec)
+_rspec.loader.exec_module(reach)
+
+_MOD = '''\
+import functools
+
+
+def used():
+    return 1
+
+
+@functools.lru_cache
+def decorated():
+    return 2
+
+
+class Box:
+    def method(self):
+        def inner():
+            return 3
+        return inner()
+
+    def dead(self):
+        def dead_inner():
+            return 4
+        return dead_inner()
+'''
+
+
+@pytest.fixture
+def pkg(tmp_path):
+    root = tmp_path / "pkg"
+    (root / "sub").mkdir(parents=True)
+    (root / "__init__.py").write_text("")
+    (root / "sub" / "__init__.py").write_text("def helper():\n    pass\n")
+    (root / "sub" / "mod.py").write_text(_MOD)
+    return root
+
+
+def test_reachability_lists_every_def_with_its_code_line(pkg):
+    fns = {fn.qualname: fn for fn in reach.functions(pkg)}
+    assert set(fns) == {"helper", "used", "decorated", "Box.method",
+                        "Box.method.<locals>.inner", "Box.dead",
+                        "Box.dead.<locals>.dead_inner"}
+    assert fns["helper"].path == "pkg/sub/__init__.py"
+    # the key line is the code object's first line: the decorator's
+    spec = importlib.util.spec_from_file_location("mod", pkg / "sub" / "mod.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    assert fns["decorated"].line == mod.decorated.__wrapped__.__code__.co_firstlineno
+    assert fns["used"].line == mod.used.__code__.co_firstlineno
+    assert fns["Box.method.<locals>.inner"].outer == fns["Box.method"].key
+
+
+def test_reachability_diff_and_report(pkg):
+    defined = reach.functions(pkg)
+    by_name = {fn.qualname: fn for fn in defined}
+    reached = {by_name[q].key for q in
+               ("used", "decorated", "Box.method", "Box.method.<locals>.inner")}
+    missed = reach.unreached(defined, reached)
+    assert [fn.qualname for fn in missed] == [
+        "helper", "Box.dead", "Box.dead.<locals>.dead_inner"]
+    text = reach.render(defined, reached)
+    # dead_inner sits inside dead: its lines are not counted twice
+    lines = by_name["helper"].lines + by_name["Box.dead"].lines
+    assert text.splitlines()[0] == (
+        f"reached 4 of 7 functions; 3 unreached ({lines} body lines)")
+    assert "pkg/sub/mod.py  (2 functions, 4 lines)" in text
+    assert "Box.dead.<locals>.dead_inner  (2)" in text
+    assert "pkg/sub/__init__.py" in text
+
+
+def test_reachability_reached_set_may_name_unknown_code(pkg):
+    """Lambdas, comprehensions and other files' code never match a def."""
+    defined = reach.functions(pkg)
+    noise = {("pkg/sub/mod.py", 1, "<lambda>"), ("other.py", 4, "used")}
+    assert len(reach.unreached(defined, noise)) == len(defined)

@@ -16,7 +16,7 @@ from repro.service.fabric import FabricSpec, run_fabric
 from repro.sim.shard import BoundaryLink, run_sharded
 
 DEMO = dict(
-    target="repro.sim.shard:demo_cell",
+    target="tests.shard_cells:demo_cell",
     n_cells=5,
     boundaries=[BoundaryLink("wan0", 200e6)],
     horizon=5.0, epoch_dt=1.0,

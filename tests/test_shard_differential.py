@@ -34,7 +34,7 @@ def _assert_cells_match(sharded, unsharded, keys=("local_bytes",
 
 def _demo(**over):
     kw = dict(
-        target="repro.sim.shard:demo_cell",
+        target="tests.shard_cells:demo_cell",
         n_cells=3,
         boundaries=[BoundaryLink("wan0", 300e6)],
         horizon=6.0, epoch_dt=1.0,

@@ -60,7 +60,7 @@ def test_waterfill_conserves_capacity_when_oversubscribed():
 
 def _demo_kwargs(**over):
     kw = dict(
-        target="repro.sim.shard:demo_cell",
+        target="tests.shard_cells:demo_cell",
         n_cells=2,
         boundaries=[BoundaryLink("wan0", 1e9)],
         horizon=4.0, epoch_dt=1.0,

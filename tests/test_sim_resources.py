@@ -1,104 +1,6 @@
-"""Unit tests for Resource / Store / Container."""
+"""Unit tests for Store."""
 
-import pytest
-
-from repro.sim import Container, Resource, Simulator, Store
-from repro.sim.engine import SimulationError
-
-
-# --- Resource ---------------------------------------------------------------
-
-
-def test_resource_grants_up_to_capacity():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    holds = []
-
-    def worker(i):
-        req = res.request()
-        yield req
-        holds.append((i, sim.now))
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for i in range(4):
-        sim.process(worker(i))
-    sim.run()
-    # first two at t=0, next two at t=1
-    assert [t for _, t in holds] == [0.0, 0.0, 1.0, 1.0]
-
-
-def test_resource_fifo_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(i):
-        req = res.request()
-        yield req
-        order.append(i)
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    for i in range(5):
-        sim.process(worker(i))
-    sim.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_resource_priority_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(1.0)
-        res.release(req)
-
-    def worker(i, prio):
-        yield sim.timeout(0.1)  # queue up behind the holder
-        req = res.request(priority=prio)
-        yield req
-        order.append(i)
-        res.release(req)
-
-    sim.process(holder())
-    sim.process(worker("low", prio=5))
-    sim.process(worker("high", prio=1))
-    sim.run()
-    assert order == ["high", "low"]
-
-
-def test_resource_release_non_user_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    req = res.request()
-    sim.run()
-    res.release(req)
-    with pytest.raises(SimulationError):
-        res.release(req)
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    r1 = res.request()
-    r2 = res.request()
-    sim.run()
-    assert res.count == 1 and res.queue_len == 1
-    res.release(r1)
-    sim.run()
-    assert res.count == 1 and res.queue_len == 0
-    res.release(r2)
-    assert res.count == 0
-
-
-def test_resource_capacity_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Resource(sim, capacity=0)
+from repro.sim import Simulator, Store
 
 
 # --- Store -------------------------------------------------------------------
@@ -209,61 +111,3 @@ def test_store_len():
     sim.process(run())
     sim.run()
     assert len(store) == 2
-
-
-# --- Container ------------------------------------------------------------------
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    c = Container(sim, capacity=10.0, init=0.0)
-    times = []
-
-    def consumer():
-        yield c.get(5.0)
-        times.append(sim.now)
-
-    def producer():
-        yield sim.timeout(1.0)
-        yield c.put(2.0)
-        yield sim.timeout(1.0)
-        yield c.put(3.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times == [2.0]
-    assert c.level == 0.0
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    c = Container(sim, capacity=5.0, init=5.0)
-    times = []
-
-    def producer():
-        yield c.put(3.0)
-        times.append(sim.now)
-
-    def consumer():
-        yield sim.timeout(4.0)
-        yield c.get(3.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times == [4.0]
-    assert c.level == 5.0
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Container(sim, capacity=0)
-    with pytest.raises(ValueError):
-        Container(sim, capacity=1.0, init=2.0)
-    c = Container(sim, capacity=1.0)
-    with pytest.raises(ValueError):
-        c.get(0)
-    with pytest.raises(ValueError):
-        c.put(-1)
