@@ -24,11 +24,11 @@ RFTP's design choices map to the model like this (refs [21-23]):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Union
 
 from repro.faults.injector import faults_active
-from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryConfig
+from repro.faults.recovery import DEFAULT_RECOVERY
 from repro.fs.vfs import FileSystem
 from repro.hw.nic import Nic
 from repro.hw.topology import Machine
@@ -68,46 +68,12 @@ class RftpConfig:
     streams_per_link: int = 1
     io_threads_per_link: int = 2  # load/offload workers feeding each link
     credits: Optional[int] = None  # default: calibration constant
-    direct_io: bool = True
     numa_tuned: bool = True  # numactl binding per NIC-local node
-    #: Recover from injected faults (retransmit, reconnect, fail over).
-    #: Only engages when the context has an active fault injector and the
-    #: transfer is open-ended; False gives stall-until-restore behaviour.
-    recover: bool = True
-    #: Timeout/backoff policy; None uses the stack default.
-    recovery: Optional[RecoveryConfig] = None
-    #: Sweepable overrides for the recovery policy.  Each one, when set,
-    #: overlays the corresponding :class:`RecoveryConfig` field on top of
-    #: ``recovery`` (or the stack default), so experiments can sweep a
-    #: single knob without assembling a whole policy object.  Unset (the
-    #: default) keeps the stack values: 0.2 s detect, 0.1 s backoff base
-    #: doubling to a 2.0 s cap, 8 reconnect attempts.
-    detect_timeout: Optional[float] = None
-    backoff_base: Optional[float] = None
-    backoff_cap: Optional[float] = None
-    retransmit_budget: Optional[int] = None
 
     def __post_init__(self):
         check_positive("block_size", self.block_size)
         check_positive("streams_per_link", self.streams_per_link)
         check_positive("io_threads_per_link", self.io_threads_per_link)
-        # Validation of the overlay values themselves is delegated to
-        # RecoveryConfig.__post_init__ via resolved_recovery(): building
-        # the overlaid policy here fails fast at construction time.
-        self.resolved_recovery()
-
-    def resolved_recovery(self) -> RecoveryConfig:
-        """The effective recovery policy: base plus any field overrides."""
-        base = self.recovery or DEFAULT_RECOVERY
-        overrides = {
-            name: value
-            for name, value in (("detect_timeout", self.detect_timeout),
-                                ("backoff_base", self.backoff_base),
-                                ("backoff_cap", self.backoff_cap),
-                                ("retransmit_budget", self.retransmit_budget))
-            if value is not None
-        }
-        return replace(base, **overrides) if overrides else base
 
 
 @dataclass
@@ -251,8 +217,9 @@ class RftpTransfer:
             spec = build_thread_path(thread, [item], op_size=bs)
         else:
             fs = _fs_for(self.source, stream_index)
+            # RFTP always does O_DIRECT file I/O: no page-cache copy.
             spec = fs.streaming_spec(
-                False, thread, bs, direct=self.config.direct_io,
+                False, thread, bs, direct=True,
                 n_streams=n_streams_total,
             )
         # the stage is served by a small worker team
@@ -273,7 +240,7 @@ class RftpTransfer:
         else:
             fs = _fs_for(self.sink, stream_index)
             spec = fs.streaming_spec(
-                True, thread, bs, direct=self.config.direct_io,
+                True, thread, bs, direct=True,
                 n_streams=n_streams_total,
             )
         if spec.cap is not None:
@@ -311,7 +278,7 @@ class RftpTransfer:
         # Recovery only engages for open-ended runs under an active
         # injector; otherwise every code path below is the classic one.
         inj = faults_active(self.ctx)
-        self._fault_mode = inj is not None and cfg.recover and size is None
+        self._fault_mode = inj is not None and size is None
 
         handshakes = []
         for li, (sn, rn) in enumerate(zip(self.s_nics, self.r_nics)):
@@ -410,10 +377,6 @@ class RftpTransfer:
     # The hooks below are only ever invoked by an active FaultInjector
     # (registered via add_transfer); on fault-free runs none of this
     # executes and the transfer behaves exactly as before.
-    @property
-    def _recovery(self) -> RecoveryConfig:
-        return self.config.resolved_recovery()
-
     def _boost(self) -> float:
         """Credit multiplier: dead rails' windows reassigned to survivors."""
         alive = sum(1 for rail in self._rails if rail.alive)
@@ -442,7 +405,7 @@ class RftpTransfer:
         debited (``_lost_bytes``) and the retransmit counters charged.
         """
         inj = self.ctx.faults
-        window = (self._recovery.window_loss_fraction
+        window = (DEFAULT_RECOVERY.window_loss_fraction
                   * self._credits * self.config.block_size)
         # Bulk halt: one settle freezes every stream's byte count; the
         # accounting loop below then only reads ``transferred``.
@@ -494,7 +457,7 @@ class RftpTransfer:
     def _supervise(self, rail: _LinkRail, permanent: bool,
                    qp_error: bool = False):
         """Detect a dead rail, reclaim its credits, and try to reconnect."""
-        rec = self._recovery
+        rec = DEFAULT_RECOVERY
         inj = self.ctx.faults
         sim = self.ctx.sim
         link = rail.sn.link
@@ -548,7 +511,7 @@ class RftpTransfer:
         rail.supervising = True
 
         def reattach():
-            yield self.ctx.sim.timeout(self._recovery.backoff_base)
+            yield self.ctx.sim.timeout(DEFAULT_RECOVERY.backoff_base)
             if not self._stopped and not link.failed and not rail.alive:
                 yield from self._reconnect(rail, self.ctx.sim.now)
             rail.supervising = False

@@ -32,7 +32,7 @@ GRACE_FRACTION = 0.5
 
 def service_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                 policy: str, rate_per_host: float, duration: float,
-                size_mean_mib: float = 128.0, arrival: str = "poisson",
+                size_mean_mib: float = 128.0,
                 faults: str = "") -> Dict[str, Any]:
     """One fleet run under *policy*; returns the broker's scorecard."""
     from repro.faults import FaultPlan
@@ -45,7 +45,6 @@ def service_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     fleet = RailFleet(ctx, n_hosts=hosts)
     workload = WorkloadConfig(
         rate=rate_per_host * hosts,
-        arrival=arrival,
         size_mean=size_mean_mib * MIB,
     )
     broker = TransferBroker(ctx, fleet, BrokerConfig(policy=policy),

@@ -3,8 +3,8 @@
 The paper's result is a *single-transfer* win — NUMA-aware placement of
 RFTP rails recovers line-rate goodput.  This package restates it as a
 *fleet-level* SLO win: a simulated long-running transfer service admits
-a stream of user jobs (Poisson or diurnal arrivals, heavy-tailed file
-sizes), enforces per-tenant quotas and aggregate rail-bandwidth budgets,
+a stream of user jobs (Poisson arrivals, heavy-tailed file sizes),
+enforces per-tenant quotas and aggregate rail-bandwidth budgets,
 and packs admitted jobs onto NUMA-appropriate rails.  Everything runs
 *inside* the discrete-event kernel: arrivals are simulator events, jobs
 are fluid flows, and completions come from the fluid scheduler — so a

@@ -48,19 +48,11 @@ its connections, and drains the queued backlog through a
 reconnect-rate limiter so restart cannot trigger a CM storm.  An
 *amnesiac* broker (``journal=False``) loses the queue and orphans its
 running flows — the availability gap ``ext-availability`` measures.
-
-**Degraded mode** (all opt-in, defaults preserve byte-identity):
-heartbeat-based rail health (``heartbeat_s``/``suspicion`` replace the
-instant link-down hook with missed-beat detection), per-job retry
-budgets with jittered exponential backoff between reschedules, and
-priority-tiered brownout admission that sheds low-priority tenants
-first when alive rail capacity drops.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
@@ -76,7 +68,7 @@ from repro.service.scheduler import POLICIES, pick_rail
 from repro.service.workload import WorkloadConfig, WorkloadGenerator
 from repro.sim.context import Context
 from repro.sim.fluid import FluidFlow
-from repro.util.validation import check_positive
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["BrokerConfig", "JobState", "ServiceStats", "TransferBroker"]
 
@@ -89,8 +81,6 @@ class JobState(enum.Enum):
     COMPLETED = "completed"
     SHED = "shed"
     CANCELLED = "cancelled"
-    #: Retry budget exhausted: the job was rescheduled too many times.
-    FAILED = "failed"
     #: Forgotten by an amnesiac broker restart (queued work vanished,
     #: orphaned flows torn down, unobserved completions never accounted).
     LOST = "lost"
@@ -113,22 +103,6 @@ class BrokerConfig:
     #: Restart backlog drain rate (job starts/second) after a crash;
     #: 0 dispatches the whole backlog at once (the CM-storm baseline).
     recovery_rate: float = 64.0
-    #: Rail health heartbeat interval (seconds); 0 keeps the pre-PR
-    #: instant link-down detection.
-    heartbeat_s: float = 0.0
-    #: Consecutive missed heartbeats before a rail is declared dead.
-    suspicion: int = 3
-    #: Max reschedules per job before it fails; 0 = unlimited retries.
-    retry_budget: int = 0
-    #: First retry-requeue delay (doubles per reschedule, jittered from
-    #: the "service.retry" stream); 0 requeues immediately (pre-PR).
-    retry_backoff_base: float = 0.0
-    retry_backoff_cap: float = 2.0
-    #: Tenant priority tiers (tenant index mod tiers; tier 0 highest).
-    priority_tiers: int = 1
-    #: Brownout admission: when alive rail capacity drops, shed the
-    #: lowest tiers first (needs priority_tiers > 1 to do anything).
-    brownout: bool = False
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -137,22 +111,16 @@ class BrokerConfig:
         check_positive("tenant_quota", self.tenant_quota)
         check_positive("max_queue", self.max_queue)
         check_positive("budget_fraction", self.budget_fraction)
-        check_positive("suspicion", self.suspicion)
-        check_positive("priority_tiers", self.priority_tiers)
-        for name in ("recovery_rate", "heartbeat_s", "retry_budget",
-                     "retry_backoff_base"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.retry_backoff_base > 0 and (
-                self.retry_backoff_cap < self.retry_backoff_base):
-            raise ValueError("retry_backoff_cap must be >= retry_backoff_base")
+        check_non_negative("recovery_rate", self.recovery_rate)
 
 
 #: Process-wide broker counters (the ``service`` registry layer).
+#: ``failed`` never counts (no path fails a job) but stays registered:
+#: availability ledgers report it and benchmark reps read it by name.
 _TOTALS = metrics.counters(
     "service", submitted=0, completed=0, shed=0, cancelled=0,
     rescheduled=0, remote_placements=0, bytes_completed=0.0, crashes=0,
-    replayed=0, lost=0, lost_bytes=0.0, dropped=0, failed=0, browned_out=0)
+    replayed=0, lost=0, lost_bytes=0.0, dropped=0, failed=0)
 
 
 class ServiceStats(metrics.Counters):
@@ -242,12 +210,6 @@ class TransferBroker:
         #: (time, bytes) per completion while an injector is armed — the
         #: goodput timeline MTTR curves are cut from.
         self._completion_log: List[Tuple[float, float]] = []
-        self._retry_rng = None
-        # Heartbeat-based rail health is opt-in; with it on, link-down
-        # hooks defer to the monitor (missed beats accumulate suspicion).
-        self._heartbeat_enabled = config.heartbeat_s > 0.0 and inj is not None
-        if self._heartbeat_enabled:
-            ctx.sim.process(self._heartbeat(), name=f"{name}/heartbeat")
 
     # -- ingress -----------------------------------------------------------
     def serve(self) -> None:
@@ -305,14 +267,6 @@ class TransferBroker:
             row = self.tenants[tenant] = _tenant_row()
         row["submitted"] += 1
         self._jobs[job.job_id] = job
-        if self._browned_out(tenant):
-            # Brownout admission: capacity dropped, low tiers shed first.
-            job.state = JobState.SHED
-            job.finished_at = self.ctx.now
-            self.stats.count("shed")
-            self.stats.count("browned_out")
-            row["shed"] += 1
-            return None
         self._queue.append(job)
         if self.journal is not None:
             self.journal.log_submit(job.job_id)
@@ -329,40 +283,7 @@ class TransferBroker:
             return None
         return job.job_id
 
-    def _tenant_tier(self, tenant: str) -> int:
-        """The tenant's priority tier (0 = highest): index mod tiers."""
-        # Workload tenants are "tenant<N>"; tier off the trailing digits,
-        # falling back to a deterministic byte sum for free-form names.
-        i = len(tenant)
-        while i > 0 and tenant[i - 1].isdigit():
-            i -= 1
-        index = int(tenant[i:]) if i < len(tenant) else sum(tenant.encode())
-        return index % self.config.priority_tiers
-
-    def _browned_out(self, tenant: str) -> bool:
-        """Brownout check: shed the lowest tiers while capacity is down.
-
-        With ``alive_fraction`` of rail capacity up, only the top
-        ``ceil(tiers x alive_fraction)`` tiers are admitted — a fleet at
-        half capacity with four tiers serves tiers 0-1 and sheds 2-3.
-        """
-        cfg = self.config
-        if not cfg.brownout or cfg.priority_tiers <= 1:
-            return False
-        total = self.fleet.total_rate
-        alive = sum(r.rate for r in self.fleet.rails if r.alive)
-        if alive >= total:
-            return False
-        admitted = max(1, math.ceil(cfg.priority_tiers * (alive / total)))
-        return self._tenant_tier(tenant) >= admitted
-
     # -- admission + dispatch ----------------------------------------------
-    def _admissible(self, job: _Job) -> bool:
-        """Both admission clauses (inlined in ``_dispatch``'s hot scan)."""
-        if self._running_by_tenant.get(job.tenant, 0) >= self.config.tenant_quota:
-            return False
-        return self._budget_used + self._nominal <= self._budget
-
     def _dispatch(
         self, batch: Optional[List[Tuple["_Job", FluidFlow]]] = None,
         limit: Optional[int] = None, force: bool = False,
@@ -607,10 +528,7 @@ class TransferBroker:
             return False  # nobody is listening
         job = self._jobs[job_id]
         if job.state is JobState.QUEUED:
-            try:
-                self._queue.remove(job)
-            except ValueError:
-                pass  # waiting out a retry backoff: queued but not enqueued
+            self._queue.remove(job)
             job.state = JobState.CANCELLED
         elif job.state is JobState.RUNNING:
             job.state = JobState.CANCELLED
@@ -639,7 +557,6 @@ class TransferBroker:
                   if job.flow is not None and job.flow._active]
         if active:
             self.ctx.fluid.finish_many(active)
-        budget = self.config.retry_budget
         for job in victims:
             job.banked += self._halt(job)
             self._release(job)
@@ -650,58 +567,15 @@ class TransferBroker:
             if job.remaining <= _EPSILON_BYTES:
                 # it was done modulo float dust: count the completion
                 self._complete(job, release=False)
-            elif budget > 0 and job.reschedules > budget:
-                # Retry budget exhausted: fail the job instead of letting
-                # it bounce between dying rails forever.
-                job.state = JobState.FAILED
-                job.finished_at = self.ctx.now
-                self.stats.count("failed")
-                if self.journal is not None:
-                    self.journal.log_terminal(job.job_id)
-        base = self.config.retry_backoff_base
-        if base > 0.0:
-            # Jittered exponential backoff: each survivor rejoins the
-            # queue after base x 2^(reschedules-1) seconds (capped),
-            # jittered by a [0.5, 1.5) factor from the dedicated
-            # "service.retry" stream so synchronized victims do not
-            # reconnect in lockstep.  The journal records the requeue
-            # decision now (WAL: decision before effect).
-            rng = self._retry_stream()
-            for job in victims:
-                if job.state is not JobState.QUEUED:
-                    continue
+        # Requeue in submit order ahead of newer arrivals.
+        for job in reversed(victims):
+            if job.state is JobState.QUEUED:
                 if self.journal is not None:
                     self.journal.log_requeue(job.job_id, job.banked)
-                delay = min(self.config.retry_backoff_cap,
-                            base * 2.0 ** (job.reschedules - 1))
-                delay *= 0.5 + rng.random()
-                self.ctx.sim.timeout(delay).add_callback(
-                    lambda _ev, job=job: self._requeue_after_backoff(job))
-        else:
-            # Requeue in submit order ahead of newer arrivals.
-            for job in reversed(victims):
-                if job.state is JobState.QUEUED:
-                    if self.journal is not None:
-                        self.journal.log_requeue(job.job_id, job.banked)
-                    self._queue.appendleft(job)
-
-    def _retry_stream(self):
-        """The lazily-created retry-jitter RNG (own stream: drawing it
-        never perturbs the "faults" or workload sequences)."""
-        if self._retry_rng is None:
-            self._retry_rng = self.ctx.rng.stream("service.retry")
-        return self._retry_rng
-
-    def _requeue_after_backoff(self, job: _Job) -> None:
-        if job.state is not JobState.QUEUED or job in self._queue:
-            return  # cancelled/failed meanwhile, or a restart restored it
-        self._queue.appendleft(job)
-        self._dispatch()
+                self._queue.appendleft(job)
 
     def on_link_down(self, link, permanent: bool) -> None:
         """Injector hook: a rail's link went dark — reschedule its jobs."""
-        if self._heartbeat_enabled:
-            return  # the heartbeat monitor declares rail death, not the wire
         rail = self.fleet.rail_for_link(link)
         if rail is None or not rail.alive:
             return
@@ -720,41 +594,8 @@ class TransferBroker:
         if rail is None or rail.alive:
             return
         rail.alive = True
-        rail.suspect = 0
         self._path_cache.clear()  # topology changed: drop memoized routes
         self._dispatch()
-
-    def _heartbeat(self):
-        """Rail-health monitor: suspicion accumulates over missed beats.
-
-        Every ``heartbeat_s`` the monitor probes each schedulable rail;
-        a failed link misses its beat and gains a suspicion point, a
-        healthy probe clears them.  At ``suspicion`` consecutive misses
-        the rail is declared dead and its jobs reschedule — trading the
-        pre-PR instant detection for tolerance of blips shorter than
-        ``heartbeat_s x suspicion``.
-        """
-        cfg = self.config
-        while True:
-            yield self.ctx.sim.timeout(cfg.heartbeat_s)
-            if self._crashed:
-                continue  # a dead broker probes nothing
-            declared = False
-            for rail in self.fleet.rails:
-                if not rail.alive:
-                    continue
-                if rail.link.failed:
-                    rail.suspect += 1
-                    if rail.suspect >= cfg.suspicion:
-                        rail.alive = False
-                        rail.suspect = 0
-                        self._path_cache.clear()
-                        self._reschedule_rail(rail)
-                        declared = True
-                else:
-                    rail.suspect = 0
-            if declared:
-                self._dispatch()
 
     def on_crash(self, restart_delay: float) -> None:
         """Injector hook (``crash@transfer:<name>``): the broker dies.
@@ -934,8 +775,7 @@ class TransferBroker:
                 completed_bytes += job.size
         live = by_state["queued"] + by_state["running"]
         terminal = (by_state["completed"] + by_state["shed"]
-                    + by_state["cancelled"] + by_state["failed"]
-                    + by_state["lost"])
+                    + by_state["cancelled"] + by_state["lost"])
         s = self.stats
         return {
             "by_state": by_state,

@@ -39,7 +39,7 @@ from repro.sim.context import Context
 from repro.sim.fluid import FluidFlow, FluidResource
 from repro.sim.shard import BoundaryLink, BoundaryPort, run_sharded, run_unsharded
 from repro.util.units import MIB
-from repro.util.validation import check_positive
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["FabricSpec", "FleetBroker", "boundary_links", "fleet_cell",
            "run_fabric"]
@@ -88,17 +88,10 @@ class FabricSpec:
     thrash_floor: float = 0.35
     cm_rate: float = 64.0
     cm_base_ms: float = 2.0
-    #: Crash tolerance / degraded mode (forwarded into BrokerConfig;
-    #: defaults preserve byte-identity with pre-availability fabrics).
+    #: Crash tolerance, forwarded into BrokerConfig: keep a job journal,
+    #: and the restart backlog drain rate (job starts/second).
     journal: bool = True
     recovery_rate: float = 64.0
-    heartbeat_s: float = 0.0
-    suspicion: int = 3
-    retry_budget: int = 0
-    retry_backoff_base: float = 0.0
-    retry_backoff_cap: float = 2.0
-    priority_tiers: int = 1
-    brownout: bool = False
     #: Pods per power domain: ``power:<d>`` cuts pods ``d*k .. d*k+k-1``.
     pods_per_power: int = 4
 
@@ -107,6 +100,9 @@ class FabricSpec:
         check_positive("n_pods", self.n_pods)
         check_positive("hosts_per_pod", self.hosts_per_pod)
         check_positive("n_wan_links", self.n_wan_links)
+        check_positive("wan_gbps", self.wan_gbps)
+        check_positive("uplink_gbps", self.uplink_gbps)
+        check_non_negative("rate_per_host", self.rate_per_host)
         if self.qp_mode not in QP_MODES:
             raise ValueError(
                 f"qp_mode must be one of {QP_MODES}, got {self.qp_mode!r}")
@@ -241,12 +237,7 @@ def fleet_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
         BrokerConfig(policy=s.policy, tenant_quota=s.tenant_quota,
                      max_queue=s.max_queue,
                      budget_fraction=s.budget_fraction,
-                     journal=s.journal, recovery_rate=s.recovery_rate,
-                     heartbeat_s=s.heartbeat_s, suspicion=s.suspicion,
-                     retry_budget=s.retry_budget,
-                     retry_backoff_base=s.retry_backoff_base,
-                     retry_backoff_cap=s.retry_backoff_cap,
-                     priority_tiers=s.priority_tiers, brownout=s.brownout),
+                     journal=s.journal, recovery_rate=s.recovery_rate),
         workload, uplink=uplink, port=port, wan_tenants=s.wan_tenants,
         qpool=qpool, name=f"pod{cell}")
     elephants = []

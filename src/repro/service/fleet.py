@@ -50,9 +50,6 @@ class Rail:
     #: iterates deterministically).
     jobs: Dict[object, None] = field(default_factory=dict)
     alive: bool = True
-    #: Consecutive missed heartbeats (broker-maintained; only used when
-    #: heartbeat-based health monitoring is enabled).
-    suspect: int = 0
 
     @property
     def rate(self) -> float:

@@ -4,8 +4,7 @@ A :class:`WorkloadGenerator` is an ordinary simulation process that
 draws inter-arrival gaps, tenant identities, file sizes and first-touch
 NUMA nodes from four dedicated RNG streams —
 
-* ``service.arrivals`` — inter-arrival gaps (plus thinning draws for
-  the diurnal process),
+* ``service.arrivals`` — inter-arrival gaps,
 * ``service.sizes``    — file-size draws,
 * ``service.tenants``  — which tenant submits,
 * ``service.placement`` — the job buffer's first-touch node (what an
@@ -17,18 +16,14 @@ MODELING.md §6), and two runs at one seed submit byte-identical job
 streams regardless of scheduler policy — policies are compared on
 *placement*, never on workload noise.
 
-Arrival processes:
+Arrivals are Poisson: exponential gaps at ``rate`` events/s, each
+event carrying ``burst`` jobs.
 
-* ``poisson`` — homogeneous, exponential gaps at ``rate`` jobs/s;
-* ``diurnal`` — nonhomogeneous Poisson via thinning: intensity
-  ``rate * (1 + depth*sin(2*pi*t/period)) / (1 + depth)`` peaks at
-  ``rate`` and dips to ``rate*(1-depth)/(1+depth)``.
+Size distributions (mean-parameterised):
 
-Size distributions (heavy-tailed, mean-parameterised):
-
-* ``lognormal`` — ``sigma`` controls the tail; the underlying ``mu`` is
-  solved so the draw mean equals ``size_mean``;
-* ``pareto``    — shape ``alpha`` (> 1), scale solved for the mean.
+* ``lognormal`` — heavy-tailed; ``sigma`` controls the tail and the
+  underlying ``mu`` is solved so the draw mean equals ``size_mean``;
+* ``fixed``     — every job is exactly ``size_mean`` bytes.
 """
 
 from __future__ import annotations
@@ -41,33 +36,24 @@ from repro.sim.context import Context
 from repro.util.units import MIB
 from repro.util.validation import check_positive
 
-__all__ = ["ARRIVALS", "SIZE_DISTS", "WorkloadConfig", "WorkloadGenerator"]
-
-#: Supported arrival processes.
-ARRIVALS = ("poisson", "diurnal")
+__all__ = ["SIZE_DISTS", "WorkloadConfig", "WorkloadGenerator"]
 
 #: Supported file-size distributions (``fixed`` = every job is exactly
 #: ``size_mean`` bytes, drawing nothing from the sizes stream).
-SIZE_DISTS = ("lognormal", "pareto", "fixed")
+SIZE_DISTS = ("lognormal", "fixed")
 
 
 @dataclass(frozen=True)
 class WorkloadConfig:
     """The job stream one broker serves."""
 
-    #: Aggregate arrival rate in jobs/second (peak rate for ``diurnal``).
+    #: Aggregate arrival events/second (jobs/second at ``burst`` 1).
     rate: float = 20.0
-    arrival: str = "poisson"
-    #: Diurnal modulation depth in [0, 1) and period in seconds.
-    diurnal_depth: float = 0.6
-    diurnal_period: float = 30.0
     size_dist: str = "lognormal"
     #: Mean file size in bytes (the distribution is solved to this mean).
     size_mean: float = 256 * MIB
     #: Lognormal sigma (tail weight) — ~1 gives a 10x p99/mean spread.
     lognormal_sigma: float = 1.0
-    #: Pareto shape; must be > 1 for the mean to exist.
-    pareto_alpha: float = 1.8
     n_tenants: int = 8
     #: Jobs per arrival event.  1 reproduces the classic one-job-per-tick
     #: process exactly; > 1 submits a same-timestamp burst through the
@@ -80,20 +66,10 @@ class WorkloadConfig:
         check_positive("size_mean", self.size_mean)
         check_positive("n_tenants", self.n_tenants)
         check_positive("burst", self.burst)
-        if self.arrival not in ARRIVALS:
-            raise ValueError(
-                f"arrival must be one of {ARRIVALS}, got {self.arrival!r}")
         if self.size_dist not in SIZE_DISTS:
             raise ValueError(
                 f"size_dist must be one of {SIZE_DISTS}, got {self.size_dist!r}")
-        if not (0.0 <= self.diurnal_depth < 1.0):
-            raise ValueError(
-                f"diurnal_depth must be in [0, 1), got {self.diurnal_depth}")
-        check_positive("diurnal_period", self.diurnal_period)
         check_positive("lognormal_sigma", self.lognormal_sigma)
-        if self.pareto_alpha <= 1.0:
-            raise ValueError(
-                f"pareto_alpha must be > 1, got {self.pareto_alpha}")
 
 
 class WorkloadGenerator:
@@ -126,11 +102,8 @@ class WorkloadGenerator:
         cfg = self.config
         if cfg.size_dist == "fixed":
             return float(cfg.size_mean)  # no draw: the stream is untouched
-        if cfg.size_dist == "lognormal":
-            mu, sigma = self._size_params
-            return float(self._sizes.lognormal(mu, sigma))
-        xm, alpha = self._size_params
-        return float(xm * (1.0 + self._sizes.pareto(alpha)))
+        mu, sigma = self._size_params
+        return float(self._sizes.lognormal(mu, sigma))
 
     def _draw_job(self) -> tuple[str, float, int]:
         """One job's draws, in the per-job order: tenant, size, touch node."""
@@ -138,13 +111,6 @@ class WorkloadGenerator:
         tenant = names[int(self._tenants.integers(len(names)))]
         size = self._draw_size()
         return tenant, size, int(self._touch.integers(self.n_nodes))
-
-    def _intensity(self, t: float) -> float:
-        """Diurnal intensity at simulated time *t* (peak = config.rate)."""
-        cfg = self.config
-        depth = cfg.diurnal_depth
-        phase = math.sin(2.0 * math.pi * t / cfg.diurnal_period)
-        return cfg.rate * (1.0 + depth * phase) / (1.0 + depth)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -163,11 +129,6 @@ class WorkloadGenerator:
             sigma = cfg.lognormal_sigma
             self._size_params = (
                 math.log(cfg.size_mean) - 0.5 * sigma * sigma, sigma)
-        elif cfg.size_dist == "pareto":
-            # scale solved so the mean is size_mean
-            alpha = cfg.pareto_alpha
-            self._size_params = (cfg.size_mean * (alpha - 1.0) / alpha, alpha)
-        if cfg.size_dist != "fixed":
             self._sizes = rng.stream("service.sizes")
         self.ctx.sim.process(self._run(), name="service/arrivals")
 
@@ -180,7 +141,6 @@ class WorkloadGenerator:
         cfg = self.config
         arrivals = self.ctx.rng.stream("service.arrivals")
         scale = 1.0 / cfg.rate
-        diurnal = cfg.arrival == "diurnal"
         burst = cfg.burst
         draw_job = self._draw_job
         while not self._stopped:
@@ -188,11 +148,6 @@ class WorkloadGenerator:
             yield sim.timeout(gap)
             if self._stopped:
                 return
-            if diurnal:
-                # Thinning: candidate points arrive at the peak rate and
-                # survive with probability intensity(t)/peak.
-                if arrivals.random() >= self._intensity(sim.now) / cfg.rate:
-                    continue
             if burst == 1:
                 # The classic per-tick process, draw-for-draw identical
                 # to every pre-burst seed.

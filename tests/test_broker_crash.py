@@ -1,7 +1,6 @@
 """Broker crash tolerance: journaled vs amnesiac restart, paced
-recovery, heartbeat rail health, retry budgets, brownout admission,
-and the fault-edge cases (cancel mid-reschedule, correlated rail
-deaths, crash with banked requeued work)."""
+recovery, and the fault-edge cases (correlated rail deaths, crash with
+banked requeued work)."""
 
 import pytest
 
@@ -134,27 +133,6 @@ def test_unpaced_restart_dispatches_the_whole_backlog_at_once():
 # --- fault-edge cases (the satellite checklist) -----------------------------------
 
 
-def test_cancel_during_rail_death_backoff_window():
-    """Cancelling a victim waiting out its retry backoff must stick:
-    the later requeue callback may not resurrect it."""
-    ctx, fleet, broker = _broker(
-        faults="link-down@link:0,at=1.0",
-        retry_backoff_base=0.5, retry_backoff_cap=2.0)
-    jids = [broker.submit("t", 8 * GIB) for _ in range(3)]
-    ctx.sim.run(until=1.05)
-    victim = next(j for j in jids
-                  if broker.session(j)["state"] == "queued")
-    assert broker.session(victim)["reschedules"] == 1
-    assert broker.cancel(victim) is True
-    assert broker.session(victim)["state"] == "cancelled"
-    ctx.sim.run(until=30.0)  # the backoff timer fires into the guard
-    assert broker.session(victim)["state"] == "cancelled"
-    assert broker.stats.completed == 2 and broker.stats.cancelled == 1
-    assert broker.queued == 0
-    audit = broker.audit()
-    assert audit["jobs_conserved"] and audit["bytes_exact"]
-
-
 def test_two_rails_dying_in_the_same_settle_epoch():
     ctx, fleet, broker = _broker(
         faults="link-down@link:svc0-rail0,at=1.0;"
@@ -179,9 +157,10 @@ def test_crash_with_requeued_banked_jobs_in_the_queue():
     """Rail death banks partial bytes and requeues; a crash right after
     must preserve the banked bytes through the journal rebuild."""
     ctx, fleet, broker = _broker(
-        faults="link-down@link:0,at=1.0;crash@transfer:*,at=1.1,duration=1.0",
-        budget_fraction=0.35,  # 1 concurrent: the victim stays queued
-        retry_backoff_base=2.0, retry_backoff_cap=2.0)
+        # Every rail is down until 3.0: the victim stays queued across
+        # the crash and the restart at 2.1.
+        faults="link-down@link:*,at=1.0,duration=2.0;"
+               "crash@transfer:*,at=1.1,duration=1.0")
     jid = broker.submit("t0", 8 * GIB)
     ctx.sim.run(until=1.05)
     row = broker.session(jid)
@@ -197,65 +176,3 @@ def test_crash_with_requeued_banked_jobs_in_the_queue():
     assert banked_at_requeue > 0
     audit = broker.audit()
     assert audit["jobs_conserved"] and audit["bytes_exact"]
-
-
-# --- degraded-mode knobs ----------------------------------------------------------
-
-
-def test_heartbeat_declares_death_after_suspicion_threshold():
-    ctx, fleet, broker = _broker(
-        faults="link-down@link:0,at=1.05,duration=10",
-        heartbeat_s=0.2, suspicion=3)
-    jids = [broker.submit("t", 8 * GIB) for _ in range(3)]
-    ctx.sim.run(until=1.3)  # one missed beat: suspected, not declared
-    assert fleet.rails[0].alive and fleet.rails[0].suspect == 1
-    assert broker.stats.rescheduled == 0
-    ctx.sim.run(until=1.7)  # third miss at 1.6: declared dead
-    assert not fleet.rails[0].alive
-    assert broker.stats.rescheduled == 1
-    ctx.sim.run(until=60.0)
-    assert all(broker.session(j)["state"] == "completed" for j in jids)
-
-
-def test_heartbeat_tolerates_blips_shorter_than_the_threshold():
-    ctx, fleet, broker = _broker(
-        faults="link-down@link:0,at=1.05,duration=0.3",
-        heartbeat_s=0.2, suspicion=3)
-    jids = [broker.submit("t", 8 * GIB) for _ in range(3)]
-    ctx.sim.run(until=60.0)
-    assert fleet.rails[0].alive
-    assert broker.stats.rescheduled == 0  # the blip never became a death
-    assert all(broker.session(j)["state"] == "completed" for j in jids)
-
-
-def test_retry_budget_fails_a_bouncing_job():
-    ctx, fleet, broker = _broker(
-        # The retry lands on the lowest-index alive rail (rails[1], the
-        # link named svc0-rail2: rails sort by NUMA node) — kill that too.
-        faults="link-down@link:svc0-rail0,at=1.0;"
-               "link-down@link:svc0-rail2,at=2.5",
-        retry_budget=1)
-    jid = broker.submit("t0", 32 * GIB)
-    ctx.sim.run(until=2.0)
-    assert broker.session(jid)["reschedules"] == 1  # first retry allowed
-    ctx.sim.run(until=10.0)
-    row = broker.session(jid)
-    assert row["state"] == "failed"  # second reschedule exceeded the budget
-    assert broker.stats.failed == 1
-    assert broker.audit()["jobs_conserved"]
-
-
-def test_brownout_sheds_low_tiers_when_capacity_drops():
-    ctx, fleet, broker = _broker(
-        faults="link-down@link:0,at=1.0;link-down@link:1,at=1.0",
-        priority_tiers=2, brownout=True)
-    # Full capacity: both tiers admitted.
-    assert broker.submit("tenant0", 64 * MIB) is not None
-    assert broker.submit("tenant1", 64 * MIB) is not None
-    ctx.sim.run(until=1.5)  # 1 of 3 rails alive: only tier 0 admitted
-    assert broker.submit("tenant2", 64 * MIB) is not None  # tier 0
-    assert broker.submit("tenant3", 64 * MIB) is None  # tier 1: shed
-    assert broker.stats.browned_out == 1
-    assert broker.stats.shed == 1
-    ctx.sim.run(until=30.0)
-    assert broker.audit()["jobs_conserved"]

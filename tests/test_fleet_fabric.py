@@ -26,6 +26,16 @@ def test_spec_rejects_serve_past_horizon():
         FabricSpec(serve_s=12.0, horizon_s=10.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("wan_gbps", 0.0),        # would divide by zero in the shard exchange
+    ("uplink_gbps", 0.0),     # would run silently and complete no job
+    ("rate_per_host", -1.0),  # would silently disable the workload
+])
+def test_spec_rejects_bad_rates(field, value):
+    with pytest.raises(ValueError, match=field):
+        FabricSpec(**{field: value})
+
+
 def test_boundary_links_cover_the_wan():
     spec = FabricSpec(n_wan_links=3, wan_gbps=80.0)
     links = boundary_links(spec)

@@ -1,4 +1,4 @@
-"""Workload generators: seeded determinism, distributions, arrival shapes."""
+"""Workload generators: seeded determinism, distributions, draw order."""
 
 import math
 
@@ -42,16 +42,7 @@ def test_poisson_rate_roughly_honored():
     assert 1700 < len(events) < 2300
 
 
-def test_diurnal_thins_below_peak():
-    peak = WorkloadConfig(rate=50.0, arrival="poisson")
-    diurnal = WorkloadConfig(rate=50.0, arrival="diurnal", diurnal_depth=0.8)
-    n_peak = len(_collect(peak, seed=0, until=60.0))
-    n_diurnal = len(_collect(diurnal, seed=0, until=60.0))
-    # mean diurnal intensity is rate/(1+depth) = rate/1.8
-    assert n_diurnal < 0.75 * n_peak
-
-
-@pytest.mark.parametrize("dist", ["lognormal", "pareto"])
+@pytest.mark.parametrize("dist", ["lognormal"])
 def test_size_distributions_hit_their_mean(dist):
     cfg = WorkloadConfig(rate=200.0, size_dist=dist, size_mean=64 * MIB)
     sizes = [size for _, _, size, _ in _collect(cfg, seed=3, until=60.0)]
@@ -102,21 +93,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(rate=0.0)
     with pytest.raises(ValueError):
-        WorkloadConfig(arrival="bursty")
-    with pytest.raises(ValueError):
         WorkloadConfig(size_dist="uniform")
-    with pytest.raises(ValueError):
-        WorkloadConfig(diurnal_depth=1.0)
-    with pytest.raises(ValueError):
-        WorkloadConfig(pareto_alpha=1.0)
 
 
 def _expected_draws(config, seed, until, n_nodes=2):
     """The documented draw order, replayed on fresh streams of one seed.
 
-    Arrival candidates draw a gap (and, for ``diurnal``, a thinning
-    uniform) from ``service.arrivals``; each job of a surviving arrival
-    then draws its tenant, size and first-touch node, in that order,
+    Each arrival draws a gap from ``service.arrivals``; each of its
+    jobs then draws its tenant, size and first-touch node, in that order,
     from ``service.tenants``, ``service.sizes`` and ``service.placement``.
     """
     rng = RngRegistry(seed)
@@ -125,27 +109,17 @@ def _expected_draws(config, seed, until, n_nodes=2):
     sizes = rng.stream("service.sizes")
     touch = rng.stream("service.placement")
     sigma = config.lognormal_sigma
-    alpha = config.pareto_alpha
     out = []
     t = 0.0
     while True:
         t = t + float(arrivals.exponential(1.0 / config.rate))
         if t > until:
             return out
-        if config.arrival == "diurnal":
-            depth = config.diurnal_depth
-            phase = math.sin(2.0 * math.pi * t / config.diurnal_period)
-            intensity = config.rate * (1.0 + depth * phase) / (1.0 + depth)
-            if arrivals.random() >= intensity / config.rate:
-                continue
         for _ in range(config.burst):
             tenant = f"tenant{int(tenants.integers(config.n_tenants))}"
             if config.size_dist == "lognormal":
                 mu = math.log(config.size_mean) - 0.5 * sigma * sigma
                 size = float(sizes.lognormal(mu, sigma))
-            elif config.size_dist == "pareto":
-                xm = config.size_mean * (alpha - 1.0) / alpha
-                size = float(xm * (1.0 + sizes.pareto(alpha)))
             else:
                 size = float(config.size_mean)
             out.append((t, tenant, size, int(touch.integers(n_nodes))))
@@ -153,12 +127,10 @@ def _expected_draws(config, seed, until, n_nodes=2):
 
 @pytest.mark.parametrize("config,bulk", [
     (WorkloadConfig(rate=40.0), False),
-    (WorkloadConfig(rate=40.0, arrival="diurnal", diurnal_period=3.0), False),
-    (WorkloadConfig(rate=25.0, burst=3, size_dist="pareto", n_tenants=5), True),
-    (WorkloadConfig(rate=25.0, burst=3, size_dist="pareto", n_tenants=5), False),
+    (WorkloadConfig(rate=25.0, burst=3, n_tenants=5), True),
+    (WorkloadConfig(rate=25.0, burst=3, n_tenants=5), False),
     (WorkloadConfig(rate=25.0, burst=2, size_dist="fixed"), True),
-], ids=["poisson", "diurnal", "burst-submit_many", "burst-submit",
-        "burst-fixed"])
+], ids=["poisson", "burst-submit_many", "burst-submit", "burst-fixed"])
 def test_draws_follow_the_documented_order(config, bulk):
     """Every submission equals the scalar draws taken in documented order."""
     ctx = Context.create(seed=11)
