@@ -422,23 +422,11 @@ class RftpTransfer:
             inj.stats.count("streams_failed")
         rail.alive = False
 
-    def _account_loss(self, rail: _LinkRail, fraction: float) -> None:
-        """A loss burst: *fraction* of each stream's window is resent."""
-        inj = self.ctx.faults
-        # close the open rate epoch so flow.transferred is current
-        self.ctx.fluid.settle()
-        window = fraction * self._credits * self.config.block_size
-        for flow in rail.flows:
-            lost = window if window < flow.transferred else flow.transferred
-            self._lost_bytes += lost
-            self.retransmitted_bytes += lost
-            inj.stats.count("retransmitted_bytes", lost)
-
     def _reconnect(self, rail: _LinkRail, t_down: float):
         """Pay the CM handshake, rebuild the rail, release the boost."""
         inj = self.ctx.faults
         link = rail.sn.link
-        yield self.ctx.sim.timeout(3 * link.delay + inj.handshake_delay(link))
+        yield self.ctx.sim.timeout(3 * link.delay)
         if self._stopped or link.failed:
             return False
         rail.generation += 1
@@ -454,24 +442,22 @@ class RftpTransfer:
                             transfer=self.name, recovery_seconds=dt)
         return True
 
-    def _supervise(self, rail: _LinkRail, permanent: bool,
-                   qp_error: bool = False):
+    def _supervise(self, rail: _LinkRail, permanent: bool):
         """Detect a dead rail, reclaim its credits, and try to reconnect."""
         rec = DEFAULT_RECOVERY
         inj = self.ctx.faults
         sim = self.ctx.sim
         link = rail.sn.link
         t_down = sim.now
-        if not qp_error:
-            if rec.detect_timeout > 0.0:
-                yield sim.timeout(rec.detect_timeout)
-            if self._stopped or not rail.alive:
-                rail.supervising = False
-                return
-            if not link.failed:
-                # a blip shorter than the block-ack timeout: just a stall
-                rail.supervising = False
-                return
+        if rec.detect_timeout > 0.0:
+            yield sim.timeout(rec.detect_timeout)
+        if self._stopped or not rail.alive:
+            rail.supervising = False
+            return
+        if not link.failed:
+            # a blip shorter than the block-ack timeout: just a stall
+            rail.supervising = False
+            return
         self._kill_streams(rail)
         self._apply_boost()
         attempt = 0
@@ -517,25 +503,6 @@ class RftpTransfer:
             rail.supervising = False
 
         self.ctx.sim.process(reattach(), name=f"{self.name}/reattach-l{rail.li}")
-
-    def on_loss(self, link, fraction: float) -> None:
-        """Injector hook: loss burst — part of the window is retransmitted."""
-        rail = self._rail_by_link.get(link)
-        if rail is None or not rail.alive or self._stopped:
-            return
-        self._account_loss(rail, fraction)
-
-    def on_qp_error(self, link) -> None:
-        """Injector hook: QP async error — tear down and reconnect now."""
-        rail = self._rail_by_link.get(link)
-        if (rail is None or not rail.alive or rail.supervising
-                or self._stopped):
-            return
-        rail.supervising = True
-        self.ctx.sim.process(
-            self._supervise(rail, permanent=False, qp_error=True),
-            name=f"{self.name}/qp-recover-l{rail.li}",
-        )
 
     def on_crash(self, restart_delay: float) -> None:
         """Injector hook: process crash — all rails die, restart later."""

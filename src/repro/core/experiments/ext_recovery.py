@@ -44,17 +44,17 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
          ) -> list[SimTask]:
     """The experiment as independent tasks (three fault scenarios)."""
     duration, fault_at, flap, interval = _shape(quick)
-    nic_down = f"nic-down@link:1,at={fault_at}"
+    dead_nic = f"link-down@link:1,at={fault_at}"  # permanent
     flap_spec = f"link-down@link:1,at={fault_at},duration={flap}"
     common = {"duration": duration, "fault_at": fault_at,
               "sample_interval": interval}
     return [
         SimTask(f"{_LEGS}:recovery_leg",
-                {"tool": "rftp", "faults": nic_down, **common},
-                seed=seed, cal=cal, label="recovery/rftp-nic-down"),
+                {"tool": "rftp", "faults": dead_nic, **common},
+                seed=seed, cal=cal, label="recovery/rftp-dead-nic"),
         SimTask(f"{_LEGS}:recovery_leg",
-                {"tool": "gridftp", "faults": nic_down, **common},
-                seed=seed + 1, cal=cal, label="recovery/gridftp-nic-down"),
+                {"tool": "gridftp", "faults": dead_nic, **common},
+                seed=seed + 1, cal=cal, label="recovery/gridftp-dead-nic"),
         SimTask(f"{_LEGS}:recovery_leg",
                 {"tool": "rftp", "faults": flap_spec, **common},
                 seed=seed + 2, cal=cal, label="recovery/rftp-flap"),

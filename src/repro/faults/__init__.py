@@ -3,8 +3,7 @@
 ``repro.faults`` adds the missing half of the paper's WAN story: what
 the modeled stack does when the fabric misbehaves.  A
 :class:`~repro.faults.plan.FaultPlan` declares typed faults (link
-outages and flaps, degradation, loss bursts, NIC failures, QP/CM
-errors, iSER target stalls, SSD latency spikes, process crashes); the
+outages and NIC failures, failure-domain cuts, process crashes); the
 :class:`~repro.faults.injector.FaultInjector` drives them through
 ordinary simulator events so runs stay bit-reproducible per seed; and
 :class:`~repro.faults.recovery.RecoveryConfig` parameterises how the

@@ -2,11 +2,11 @@
 
 One :class:`FaultInjector` attaches to a :class:`~repro.sim.context.Context`
 (``ctx.faults``).  Fault-capable components register themselves as they
-are constructed — links, SSDs, iSER targets, transfers — and the
-injector drives the plan's occurrences through ordinary simulation
-events, so fault timing is part of the deterministic event order and
-runs stay bit-reproducible per seed (randomized jitter draws from the
-context's ``"faults"`` RNG stream).
+are constructed — links, failure domains, transfers — and the injector
+drives each fault through ordinary simulation events, so fault timing
+is part of the deterministic event order and runs stay bit-reproducible
+per seed (stagger offsets draw from the context's ``"faults"`` RNG
+stream).
 
 An injector with an **empty** plan schedules nothing and applies
 nothing: components see ``injector.active == False`` and take their
@@ -58,12 +58,9 @@ class FaultInjector:
         self.stats = FaultStats()
         # Registration order defines index selectors (``link:1``).
         self.links: List = []
-        self.ssds: List = []
-        self.targets: List = []
         self.transfers: List[Tuple[str, object]] = []
         #: (category, name) -> correlated link set, e.g. ("tor", "3").
         self.domains: Dict[Tuple[str, str], List] = {}
-        self._cm_penalty: Dict[int, Tuple[float, float]] = {}  # id(link) -> (until, s)
         self._rng = None
         ctx.faults = self
         if not plan.empty:
@@ -82,20 +79,11 @@ class FaultInjector:
         """Register a link in context creation order."""
         self.links.append(link)
 
-    def add_ssd(self, dev) -> None:
-        """Register an SSD device."""
-        self.ssds.append(dev)
-
-    def add_target(self, target) -> None:
-        """Register an iSER target."""
-        self.targets.append(target)
-
     def add_transfer(self, name: str, listener) -> None:
         """Register a recovery-capable transfer as a fault listener.
 
         *listener* may implement any of ``on_link_down(link, permanent)``,
-        ``on_link_up(link)``, ``on_loss(link, fraction)``,
-        ``on_qp_error(link)`` and ``on_crash(restart_delay)``; missing
+        ``on_link_up(link)`` and ``on_crash(restart_delay)``; missing
         hooks are skipped.
         """
         self.transfers.append((name, listener))
@@ -114,48 +102,24 @@ class FaultInjector:
         """
         self.domains.setdefault((category, name), []).extend(links)
 
-    # -- CM handshake penalties ----------------------------------------------------
-    def handshake_delay(self, link) -> float:
-        """Extra seconds a CM handshake over *link* pays right now."""
-        entry = self._cm_penalty.get(id(link))
-        if entry is not None and self.ctx.sim.now < entry[0]:
-            return entry[1]
-        return 0.0
-
     # -- schedule driving ----------------------------------------------------------
-    def _jitter(self, spec: FaultSpec) -> float:
-        if spec.jitter <= 0.0:
-            return 0.0
-        if self._rng is None:
-            self._rng = self.ctx.rng.stream("faults")
-        return float(self._rng.exponential(spec.jitter))
-
     def _drive(self, spec: FaultSpec):
         sim = self.ctx.sim
-        when = spec.at
-        for _ in range(spec.count):
-            fire_at = when + self._jitter(spec)
-            if fire_at > sim.now:
-                yield sim.timeout(fire_at - sim.now)
-            self._apply(spec)
-            when += spec.period
+        if spec.at > sim.now:
+            yield sim.timeout(spec.at - sim.now)
+        self._apply(spec)
 
     # -- fault application ---------------------------------------------------------
     def _resolve(self, spec: FaultSpec) -> list:
         category = spec.category
         sel = spec.selector
-        if category in ("host", "tor", "power"):
+        if spec.is_domain:
             return self._resolve_domain(category, sel)
-        if category in ("link", "nic"):
-            pool = self.links
-        elif category == "ssd":
-            pool = self.ssds
-        elif category == "target":
-            pool = self.targets
-        else:  # transfer
+        if category == "transfer":
             if sel == "*":
                 return [lst for _, lst in self.transfers]
             return [lst for nm, lst in self.transfers if nm == sel]
+        pool = self.links
         if sel == "*":
             return list(pool)
         if sel.isdigit():
@@ -231,7 +195,7 @@ class FaultInjector:
         self.ctx.trace.emit(
             "fault", spec.kind,
             target=getattr(component, "name", spec.target),
-            duration=spec.duration, magnitude=spec.magnitude,
+            duration=spec.duration,
         )
         getattr(self, "_apply_" + spec.kind.replace("-", "_"))(spec, component)
 
@@ -243,64 +207,11 @@ class FaultInjector:
             self.ctx.sim.process(self._restore_link(link, spec.duration),
                                  name=f"faults/restore-{link.name}")
 
-    def _apply_nic_down(self, spec: FaultSpec, link) -> None:
-        link.fail()
-        self._notify("on_link_down", link, True)
-
     def _restore_link(self, link, duration: float):
         yield self.ctx.sim.timeout(duration)
         if link.failed:
             link.restore()
             self._notify("on_link_up", link)
-
-    def _apply_degrade(self, spec: FaultSpec, link) -> None:
-        link.degrade(spec.magnitude)
-        if spec.duration > 0.0:
-            self.ctx.sim.process(self._undegrade_link(link, spec.duration),
-                                 name=f"faults/undegrade-{link.name}")
-
-    def _undegrade_link(self, link, duration: float):
-        yield self.ctx.sim.timeout(duration)
-        link.degrade(1.0)
-
-    def _apply_loss(self, spec: FaultSpec, link) -> None:
-        self._notify("on_loss", link, spec.magnitude)
-
-    def _apply_qp_error(self, spec: FaultSpec, link) -> None:
-        self._notify("on_qp_error", link)
-
-    def _apply_cm_delay(self, spec: FaultSpec, link) -> None:
-        until = (self.ctx.sim.now + spec.duration
-                 if spec.duration > 0.0 else float("inf"))
-        self._cm_penalty[id(link)] = (until, spec.magnitude)
-
-    def _apply_target_stall(self, spec: FaultSpec, target) -> None:
-        # An unresponsive tgtd looks like dead fabric from the initiator:
-        # every link terminating on the target's machine goes down.
-        machine = target.machine
-        stalled = [ln for ln in self.links
-                   if ln.a.machine is machine or ln.b.machine is machine]
-        for link in stalled:
-            link.fail()
-            self._notify("on_link_down", link, spec.duration <= 0.0)
-            if spec.duration > 0.0:
-                self.ctx.sim.process(self._restore_link(link, spec.duration),
-                                     name=f"faults/restore-{link.name}")
-
-    def _apply_ssd_degrade(self, spec: FaultSpec, dev) -> None:
-        base = dev.throttled_rate if dev.throttled else dev.burst_rate
-        dev.bandwidth.set_capacity(base * spec.magnitude)
-        if spec.duration > 0.0:
-            self.ctx.sim.process(self._restore_ssd(dev, spec.duration),
-                                 name=f"faults/restore-{dev.name}")
-
-    def _restore_ssd(self, dev, duration: float):
-        yield self.ctx.sim.timeout(duration)
-        # Re-read the thermal state at restore time: a device that crossed
-        # its thermal budget during the spike comes back throttled.
-        dev.bandwidth.set_capacity(
-            dev.throttled_rate if dev.throttled else dev.burst_rate
-        )
 
     def _apply_crash(self, spec: FaultSpec, listener) -> None:
         fn = getattr(listener, "on_crash", None)

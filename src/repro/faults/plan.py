@@ -1,4 +1,4 @@
-"""Declarative fault plans: what breaks, where, when, and how often.
+"""Declarative fault plans: what breaks, where, and when.
 
 A :class:`FaultPlan` is an immutable schedule of typed
 :class:`FaultSpec` entries.  Plans are data, not behaviour: the
@@ -13,18 +13,19 @@ and the ``REPRO_FAULTS`` environment variable)::
     kind@target[,key=value...][;kind@target,...]
 
     link-down@link:1,at=5,duration=2      # one 2 s outage on link 1
-    link-down@link:0,at=4,period=6,count=3  # a flapping port
-    degrade@link:*,at=10,magnitude=0.5    # halve every link
-    nic-down@link:2,at=8                  # permanent NIC failure
-    loss@link:0,at=5,magnitude=0.3,period=4,count=5,jitter=0.5
+    link-down@link:2,at=8                 # permanent NIC/port failure
+    link-down@tor:3,at=1,duration=1,stagger=0.05  # a cascading ToR cut
+    crash@transfer:*,at=4,duration=1      # every transfer restarts
 
-Targets are ``category:selector`` pairs; the selector is an index into
-the context's registration order, an inclusive index range
-(``link:0-3``), a component name, or ``*`` for all registered
-components of that category.  ``jitter`` adds an
-exponentially-distributed delay (mean ``jitter`` seconds, drawn from the
-context's ``"faults"`` RNG stream) to each occurrence, so randomized
-plans stay bit-reproducible per seed.
+Two kinds exist: ``link-down`` takes links dark (``duration=0`` means
+for good) and ``crash`` kills a registered transfer, restarting it
+after ``duration`` seconds.  The fields are ``at``, ``duration`` and
+``stagger``, all finite and ``>= 0``.
+
+Targets are ``category:selector`` pairs.  ``link`` selects by index
+into the context's registration order, an inclusive index range
+(``link:0-3``), a link name, or ``*`` for every registered link;
+``transfer`` selects by name or ``*``.
 
 **Failure domains** are hierarchical targets over registered topology
 (``host:<name>``, ``tor:<pod>``, ``power:<domain>``): at arm time the
@@ -32,13 +33,15 @@ injector expands a domain to the correlated set of links registered
 under it — a ToR cut takes out a whole pod of rails at once.  The
 ``stagger`` field spreads a multi-component expansion over seeded
 exponential per-component offsets (mean ``stagger`` seconds from the
-same ``"faults"`` stream), modeling the cascade of a real domain
-failure instead of one synchronized instant.
+context's ``"faults"`` RNG stream), modeling the cascade of a real
+domain failure instead of one synchronized instant; runs stay
+bit-reproducible per seed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -53,35 +56,26 @@ __all__ = [
     "scoped_plan",
 ]
 
-#: Every fault type the injector knows how to apply.
-FAULT_KINDS = frozenset({
-    "link-down",     # link outage; duration=0 means permanent
-    "nic-down",      # permanent NIC/port failure (never restored)
-    "degrade",       # clamp link to magnitude x nominal for duration
-    "loss",          # loss burst: magnitude = fraction of in-flight window
-    "qp-error",      # RDMA QP async error (stale rkey / retry exceeded)
-    "cm-delay",      # CM handshakes pay +magnitude seconds for duration
-    "target-stall",  # iSER target unresponsive: its links drop for duration
-    "ssd-degrade",   # SSD latency spike: magnitude x bandwidth for duration
-    "crash",         # process crash; restart after duration seconds
-})
+#: Every fault kind, with the target categories it may name.
+_KIND_TARGETS = {
+    # link outage; duration=0 means permanent (a dead NIC or port)
+    "link-down": ("link", "host", "tor", "power"),
+    # process crash; restart after duration seconds
+    "crash": ("transfer",),
+}
 
-_TARGET_CATEGORIES = ("link", "nic", "ssd", "target", "transfer")
+#: Every fault type the injector knows how to apply.
+FAULT_KINDS = frozenset(_KIND_TARGETS)
 
 #: Hierarchical failure-domain categories: selectors name registered
 #: topology groups (see ``FaultInjector.register_domain``) instead of
 #: individual components, and expand to correlated link sets at arm time.
 _DOMAIN_CATEGORIES = ("host", "tor", "power")
 
-_FIELD_ALIASES = {
-    "at": "at", "t": "at",
-    "duration": "duration", "dur": "duration",
-    "magnitude": "magnitude", "mag": "magnitude",
-    "period": "period",
-    "count": "count", "n": "count",
-    "jitter": "jitter",
-    "stagger": "stagger",
-}
+_CATEGORIES = ("link", "transfer") + _DOMAIN_CATEGORIES
+
+#: The timing fields a clause may set, all seconds.
+_FIELDS = ("at", "duration", "stagger")
 
 
 def parse_range(selector: str) -> "tuple[int, int] | None":
@@ -100,10 +94,6 @@ class FaultSpec:
     target: str
     at: float = 0.0
     duration: float = 0.0
-    magnitude: float = 1.0
-    period: float = 0.0
-    count: int = 1
-    jitter: float = 0.0
     #: Mean per-component offset (seconds) when the target expands to
     #: several components; 0 applies the whole set at one instant.
     stagger: float = 0.0
@@ -115,11 +105,16 @@ class FaultSpec:
                 f"expected one of {sorted(FAULT_KINDS)}"
             )
         category, sep, selector = self.target.partition(":")
-        known = _TARGET_CATEGORIES + _DOMAIN_CATEGORIES
-        if not sep or category not in known or not selector:
+        if not sep or category not in _CATEGORIES or not selector:
             raise ValueError(
                 f"fault target must be 'category:selector' with category in "
-                f"{known}, got {self.target!r}"
+                f"{_CATEGORIES}, got {self.target!r}"
+            )
+        allowed = _KIND_TARGETS[self.kind]
+        if category not in allowed:
+            raise ValueError(
+                f"{self.kind} cannot target {category!r} "
+                f"(in {self.target!r}); expected one of {allowed}"
             )
         rng = parse_range(selector)
         if rng is not None:
@@ -134,30 +129,15 @@ class FaultSpec:
                     f"bad range selector {selector!r} in {self.target!r}: "
                     f"need lo <= hi"
                 )
-        if self.at < 0:
-            raise ValueError(f"at must be >= 0, got {self.at}")
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
-        if self.jitter < 0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
-        if self.stagger < 0:
-            raise ValueError(f"stagger must be >= 0, got {self.stagger}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.count > 1 and self.period <= 0:
-            raise ValueError("period must be > 0 when count > 1")
-        if self.kind in ("degrade", "ssd-degrade", "loss"):
-            if not (0.0 < self.magnitude <= 1.0):
+        for name in _FIELDS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
-                    f"{self.kind} magnitude must be in (0, 1], "
-                    f"got {self.magnitude}"
-                )
-        elif self.magnitude < 0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+                    f"{name} must be finite and >= 0, got {value}")
 
     @property
     def category(self) -> str:
-        """The target category (``link``, ``ssd``, ...)."""
+        """The target category (``link``, ``transfer``, ``tor``, ...)."""
         return self.target.partition(":")[0]
 
     @property
@@ -184,13 +164,17 @@ class FaultSpec:
         for part in parts[1:]:
             key, eq, value = part.partition("=")
             key = key.strip()
-            if not eq or key not in _FIELD_ALIASES:
+            if not eq or key not in _FIELDS:
                 raise ValueError(
                     f"bad fault field {part!r} in {clause!r}; expected one of "
-                    f"{sorted(set(_FIELD_ALIASES))}"
+                    f"{list(_FIELDS)}"
                 )
-            name = _FIELD_ALIASES[key]
-            kwargs[name] = int(value) if name == "count" else float(value)
+            try:
+                kwargs[key] = float(value)
+            except ValueError:
+                raise ValueError(
+                    f"{key} must be a number, got {value.strip()!r} "
+                    f"in {clause!r}") from None
         return cls(**kwargs)
 
 
@@ -221,16 +205,12 @@ class FaultPlan:
     def canonical(self) -> str:
         """Stable JSON form — the plan's result-cache identity component.
 
-        ``stagger`` only appears when set: a plan that never staggers
-        keys identically to its pre-domain-era spelling.
+        ``stagger`` only appears when set.
         """
         entries = []
         for s in self.specs:
-            entry = {
-                "kind": s.kind, "target": s.target, "at": s.at,
-                "duration": s.duration, "magnitude": s.magnitude,
-                "period": s.period, "count": s.count, "jitter": s.jitter,
-            }
+            entry = {"kind": s.kind, "target": s.target, "at": s.at,
+                     "duration": s.duration}
             if s.stagger > 0.0:
                 entry["stagger"] = s.stagger
             entries.append(entry)

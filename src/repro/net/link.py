@@ -78,7 +78,6 @@ class Link:
         ctx = a.machine.ctx
         self._nominal_rate = rate
         self._failed = False
-        self._degrade_fraction = 1.0
         self._ab = FluidResource(ctx.fluid, rate, f"{self.name}/a->b")
         self._ba = FluidResource(ctx.fluid, rate, f"{self.name}/b->a")
         self._ab.kind = "link"  # type: ignore[attr-defined]
@@ -144,28 +143,9 @@ class Link:
         self._set_rate(0.0)
 
     def restore(self) -> None:
-        """Bring a failed link back up (degradation, if any, persists).
-
-        On a link that is *not* failed this clears any degradation,
-        returning it to the nominal rate.
-        """
-        if not self._failed:
-            self._degrade_fraction = 1.0
+        """Bring the link back up at its nominal rate."""
         self._failed = False
-        self._set_rate(self._nominal_rate * self._degrade_fraction)
-
-    def degrade(self, fraction: float) -> None:
-        """Clamp the link to *fraction* of nominal (e.g. FEC storms).
-
-        Composable with a ``fail()``/``restore()`` cycle: degrading a
-        failed link keeps it dark now and takes effect on restore;
-        ``degrade(1.0)`` lifts the degradation.
-        """
-        if not (0.0 < fraction <= 1.0):
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self._degrade_fraction = fraction
-        if not self._failed:
-            self._set_rate(self._nominal_rate * fraction)
+        self._set_rate(self._nominal_rate)
 
     def __repr__(self) -> str:
         return f"<Link {self.name!r} rate={self.rate:.3g} B/s delay={self.delay:g}s>"

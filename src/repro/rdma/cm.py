@@ -86,13 +86,12 @@ class ConnectionManager:
             if inj is None:
                 yield self.ctx.sim.timeout(3 * link.delay)
             else:
-                # Under fault injection the exchange can be slowed
-                # (cm-delay) or time out on a dark link; retry with the
-                # stack's capped exponential backoff until it is up.
+                # Under fault injection the exchange can time out on a
+                # dark link; retry with the stack's capped exponential
+                # backoff until it is up.
                 attempt = 0
                 while True:
-                    penalty = inj.handshake_delay(link)
-                    yield self.ctx.sim.timeout(3 * link.delay + penalty)
+                    yield self.ctx.sim.timeout(3 * link.delay)
                     if not link.failed:
                         break
                     yield self.ctx.sim.timeout(DEFAULT_RECOVERY.backoff(attempt))

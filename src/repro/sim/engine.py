@@ -377,6 +377,9 @@ class Simulator:
         #: same-timestamp flow transitions share one deferred rebalance
         #: flushed before any later event observes the new rates.
         self._advance_hooks: list[Callable[[], None]] = []
+        #: The event a ``run(until=event)`` call is waiting for: the one
+        #: failed event allowed to have no callbacks (run raises it).
+        self._awaited: Optional[Event] = None
 
     def add_advance_hook(self, hook: Callable[[], None]) -> None:
         """Run *hook()* before the clock advances past the current instant.
@@ -514,6 +517,10 @@ class Simulator:
         if callbacks:
             for cb in callbacks:
                 cb(event)
+        elif event._ok is False and event is not self._awaited:
+            # Nothing observes this failure (e.g. a fire-and-forget
+            # process raised): surface it instead of dropping it.
+            raise event._value
         # Recycle plain timeouts nobody holds a reference to any more
         # (CPython: the local `event` plus getrefcount's own argument).
         if (
@@ -535,6 +542,9 @@ class Simulator:
         * ``until=float`` — run until the clock reaches that time.
         * ``until=Event`` — run until the event fires; returns its value
           (raising if the event failed).
+
+        A failed event that nothing waits on (no callbacks, and not the
+        ``until`` event) raises its exception out of ``run``/``step``.
         """
         t0 = time.perf_counter()
         processed = self.stats.events_processed
@@ -550,14 +560,18 @@ class Simulator:
 
             if isinstance(until, Event):
                 target = until
-                while not target.processed:
-                    if not self._heap:
-                        if self._flush_advance_hooks():
-                            continue
-                        raise SimulationError(
-                            f"simulation starved before {target!r} fired"
-                        )
-                    self._step()
+                outer, self._awaited = self._awaited, target
+                try:
+                    while not target.processed:
+                        if not self._heap:
+                            if self._flush_advance_hooks():
+                                continue
+                            raise SimulationError(
+                                f"simulation starved before {target!r} fired"
+                            )
+                        self._step()
+                finally:
+                    self._awaited = outer
                 if target._ok:
                     return target._value
                 raise target._value

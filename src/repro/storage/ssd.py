@@ -67,8 +67,6 @@ class SsdDevice(BlockDevice):
         self._served_total = 0.0
         self._last_check = ctx.sim.now
         ctx.sim.process(self._thermal_loop(), name=f"{name}/thermal")
-        if ctx.faults is not None:
-            ctx.faults.add_ssd(self)
 
     # -- thermal model ------------------------------------------------------------
     def _record_service(self, nbytes: float) -> None:

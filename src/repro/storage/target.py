@@ -102,8 +102,6 @@ class IserTarget:
         self.tuning: Tuning = tuning
         self.n_links = n_links
         self.name = name
-        if ctx.faults is not None:
-            ctx.faults.add_target(self)
         self.pd = ProtectionDomain(machine, f"{name}/pd")
         from repro.rdma.cm import ConnectionManager
 

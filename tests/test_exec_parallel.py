@@ -9,6 +9,7 @@ indistinguishable, down to the bytes of EXPERIMENTS.md.
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro import metrics
 from repro.__main__ import main
@@ -19,6 +20,9 @@ from repro.exec import ExecContext, ResultCache, SimTask, executor, run_tasks
 #: experiments with multi-leg plans plus a single-task module — enough to
 #: exercise fan-out, dedup and fallback without running the whole ledger.
 SUBSET = ("table1", "fig09", "fig10", "fig11")
+
+#: The committed seed-0 quick ledger.
+LEDGER = pathlib.Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
 def echo_task(*, seed, cal, tag):
@@ -39,6 +43,8 @@ def test_generate_experiments_md_parallel_is_byte_identical():
     serial = generate_experiments_md(quick=True)
     parallel = generate_experiments_md(quick=True, jobs=2)
     assert parallel == serial
+    # ... and both are the committed ledger, byte for byte
+    assert serial == LEDGER.read_text(encoding="utf-8")
 
 
 def test_report_cache_hits_reproduce_fresh_run(tmp_path):

@@ -58,8 +58,8 @@ def test_domain_target_validation():
 
 
 def test_canonical_omits_default_stagger():
-    """Plans without stagger keep their pre-domain canonical form
-    (cache identities of old plans must not shift)."""
+    """A plan that never staggers carries no stagger key in its
+    canonical form (its cache identity)."""
     plain = FaultPlan.parse("link-down@link:1,at=5,duration=2")
     assert "stagger" not in plain.canonical()
     staggered = FaultPlan.parse("link-down@tor:1,at=5,duration=2,stagger=0.1")

@@ -56,9 +56,10 @@ def test_cli_rejects_a_bad_variable_with_its_name(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["--faults", "link-down@link:1,t=oops"], "bad --faults spec:"),
+    (["--faults", "link-down@link:1,at=oops"], "bad --faults spec:"),
     (["--availability-hosts", "0"], "bad --availability-hosts:"),
     (["--availability-rates", "x"], "bad --availability-rates:"),
+    (["--faults", "link-down@link:1,at=nan"], "bad --faults spec:"),
 ])
 def test_cli_rejects_a_bad_flag_with_its_name(argv, flag, capsys):
     assert main(["run", "table1", *argv]) == 2
@@ -68,7 +69,7 @@ def test_cli_rejects_a_bad_flag_with_its_name(argv, flag, capsys):
 # -- the fault plan: explicit wins, the scope fills in -------------------------
 
 def test_an_explicit_plan_wins_over_the_scope():
-    own = FaultPlan.parse("nic-down@link:0,at=1")
+    own = FaultPlan.parse("link-down@link:0,at=1")
     assert Context.create().faults is None
     with fault_scope(PLAN):
         assert scoped_plan() == PLAN
@@ -87,20 +88,25 @@ def test_an_explicit_plan_wins_over_the_scope():
 
 def test_task_identity_golden():
     """Cache keys pinned byte-for-byte: fault-free and with a plan."""
-    params = {"tool": "rftp", "faults": "nic-down@link:0,at=4",
+    params = {"tool": "rftp", "faults": "link-down@link:0,at=4",
               "duration": 12.0, "fault_at": 4.0}
     target = "repro.core.experiments.fault_legs:recovery_leg"
     free = SimTask(target, params, seed=3)
     assert free.identity() == (
         '{"cal":null,"faults":"","params":{"duration":12.0,"fault_at":4.0,'
-        '"faults":"nic-down@link:0,at=4","tool":"rftp"},"seed":3,'
+        '"faults":"link-down@link:0,at=4","tool":"rftp"},"seed":3,'
         '"target":"repro.core.experiments.fault_legs:recovery_leg","v":9}')
     assert free.cache_key("fp") == (
-        "f747dd2d2467fc4eb6fe6d3ba7df08229b2c8c39993d439a6142eeec13d110d2")
+        "1335df40f21e696f160015a650b94381202d9eee502143ea5f226b8f3f29109e")
     armed = SimTask(target, params, seed=3, faults=FaultPlan.parse(
-        "link-down@link:1,at=5,duration=2;degrade@link:*,magnitude=0.5"))
+        "link-down@link:1,at=5,duration=2;crash@transfer:*,at=6"))
+    assert armed.identity().startswith(
+        '{"cal":null,"faults":"[{\\"at\\":5.0,\\"duration\\":2.0,'
+        '\\"kind\\":\\"link-down\\",\\"target\\":\\"link:1\\"},'
+        '{\\"at\\":6.0,\\"duration\\":0.0,\\"kind\\":\\"crash\\",'
+        '\\"target\\":\\"transfer:*\\"}]","params"')
     assert armed.cache_key("fp") == (
-        "ef85703cc32711b5b8c12948213b51137c6d8e1b2049ff521d01f4a86702c09f")
+        "4ed7069f1dd16200bf757b62d9413b30a48887db77c28335d90a4379a1775e99")
 
 
 def armed_probe(*, seed, cal):

@@ -148,6 +148,26 @@ def test_process_failure_propagates():
         sim.run(until=p)
 
 
+def test_unobserved_process_failure_is_not_dropped():
+    """A fire-and-forget process that raises stops the run with its error."""
+    sim = Simulator()
+    reached = []
+
+    def proc():
+        yield sim.timeout(1.0)
+        raise RuntimeError("boom")
+
+    def bystander():
+        yield sim.timeout(3.0)
+        reached.append(sim.now)
+
+    sim.process(proc())
+    sim.process(bystander())
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=5)
+    assert sim.now == 1.0 and not reached
+
+
 def test_yield_failed_event_raises_in_process():
     sim = Simulator()
     ev = sim.event()
