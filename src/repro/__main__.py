@@ -10,7 +10,10 @@ Usage::
     python -m repro run fig09 --full     # paper-scale durations
     python -m repro run fig09 --faults "link-down@link:1,at=5,duration=2"
 
-Exit status is non-zero if any paper-anchored check diverges.
+Exit status is non-zero if any paper-anchored check diverges.  With a
+fault plan, ``run`` prints how many faults it injected and how many
+named no target, and exits 2 if none was injected and one was not
+resolved (a plan that matches nothing, such as a typo in a selector).
 
 Independent simulation tasks fan out across ``--jobs`` worker processes
 and are served from a content-addressed result cache under
@@ -96,6 +99,7 @@ def cmd_run(args) -> int:
         print(f"available: {', '.join(mods)}", file=sys.stderr)
         return 2
     failures = 0
+    before = metrics.snapshot()
     with executor(jobs=config.jobs), fault_scope(config.faults):
         for name in names:
             t0 = time.time()
@@ -105,6 +109,16 @@ def cmd_run(args) -> int:
             print(f"\n[{name} finished in {time.time() - t0:.1f}s wall]\n")
             if not report.all_ok:
                 failures += 1
+    if config.faults is not None:
+        counts = metrics.delta(before)["faults"]
+        injected, unresolved = counts["faults_injected"], counts["unresolved"]
+        print(f"faults: injected={injected} unresolved={unresolved}",
+              file=sys.stderr)
+        if unresolved and not injected:
+            targets = ", ".join(spec.target for spec in config.faults.specs)
+            print(f"bad --faults spec: no target matched ({targets})",
+                  file=sys.stderr)
+            return 2
     if failures:
         print(f"{failures} experiment(s) diverged from the paper",
               file=sys.stderr)

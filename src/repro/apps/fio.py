@@ -70,10 +70,6 @@ class FioResult:
         """I/O operations per second at the job's block size."""
         return self.bandwidth / self.job.block_size
 
-    def cpu_percent(self) -> float:
-        """Total initiator-side CPU as percent-of-one-core."""
-        return 100.0 * self.accounting.total_seconds / self.runtime
-
     def completion_latency(self) -> float:
         """Mean per-I/O completion latency implied by the run.
 
@@ -143,10 +139,7 @@ def run_fio(
     for f in flows:
         ctx.fluid.stop(f)
 
-    ledger = CpuAccounting("fio")
-    for t in threads:
-        ledger.add_many(t.accounting.seconds_by_category())
-
+    ledger = CpuAccounting.total((t.accounting for t in threads), "fio")
     return FioResult(
         total_bytes=total,
         runtime=job.runtime,

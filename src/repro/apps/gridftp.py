@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.fs.vfs import FileSystem
 from repro.hw.nic import Nic
@@ -73,14 +73,6 @@ class GridFtpResult:
     def goodput_gbps(self) -> float:
         """Mean payload rate in gigabits/second."""
         return to_gbps(self.goodput)
-
-    def cpu_percent(self, side: str = "sender") -> Dict[str, float]:
-        """CPU utilization in percent-of-one-core, by category."""
-        acc = self.sender_accounting if side == "sender" else self.receiver_accounting
-        return {
-            k: 100.0 * v / self.duration
-            for k, v in acc.seconds_by_category().items()
-        }
 
 
 class GridFtp:
@@ -230,17 +222,13 @@ class GridFtp:
             if f._active:
                 self.ctx.fluid.stop(f)
 
-        def ledger(threads, name):
-            acc = CpuAccounting(name)
-            for t in threads:
-                acc.add_many(t.accounting.seconds_by_category())
-            return acc
-
         return GridFtpResult(
             total_bytes=total,
             duration=duration,
             n_processes=self.processes,
-            sender_accounting=ledger(self._send_threads, "gridftp-snd"),
-            receiver_accounting=ledger(self._recv_threads, "gridftp-rcv"),
+            sender_accounting=CpuAccounting.total(
+                (t.accounting for t in self._send_threads), "gridftp-snd"),
+            receiver_accounting=CpuAccounting.total(
+                (t.accounting for t in self._recv_threads), "gridftp-rcv"),
             series=series,
         )

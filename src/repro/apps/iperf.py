@@ -54,13 +54,6 @@ class IperfResult:
         """Aggregate rate in gigabits/second."""
         return to_gbps(self.aggregate_rate)
 
-    def cpu_percent(self) -> Dict[str, float]:
-        """Percent-of-one-core per category over the run."""
-        return {
-            k: 100.0 * v / self.duration
-            for k, v in self.accounting.seconds_by_category().items()
-        }
-
     def copy_share(self) -> float:
         """Fraction of all CPU cycles spent in data copies (perf's view)."""
         by_cat = self.accounting.seconds_by_category()
@@ -164,10 +157,9 @@ def run_iperf(
         per_direction[key] = per_direction.get(key, 0.0) + moved
         conn.close()
 
-    ledger = CpuAccounting("iperf")
-    for conn in connections:
-        for acc in (conn.sender.thread.accounting, conn.receiver.thread.accounting):
-            ledger.add_many(acc.seconds_by_category())
+    threads = [t for conn in connections
+               for t in (conn.sender.thread, conn.receiver.thread)]
+    ledger = CpuAccounting.total((t.accounting for t in threads), "iperf")
 
     return IperfResult(
         total_bytes=total,

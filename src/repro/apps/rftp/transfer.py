@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional, Union
 
 from repro.faults.injector import faults_active
-from repro.faults.recovery import DEFAULT_RECOVERY
+from repro.faults import recovery
 from repro.fs.vfs import FileSystem
 from repro.hw.nic import Nic
 from repro.hw.topology import Machine
@@ -102,14 +102,6 @@ class RftpResult:
     def goodput_gbps(self) -> float:
         """Mean payload rate in gigabits/second."""
         return to_gbps(self.goodput)
-
-    def cpu_percent(self, side: str = "sender") -> Dict[str, float]:
-        """CPU utilization in percent-of-one-core, by category."""
-        acc = self.sender_accounting if side == "sender" else self.receiver_accounting
-        return {
-            k: 100.0 * v / self.duration
-            for k, v in acc.seconds_by_category().items()
-        }
 
 
 class _LinkRail:
@@ -405,7 +397,7 @@ class RftpTransfer:
         debited (``_lost_bytes``) and the retransmit counters charged.
         """
         inj = self.ctx.faults
-        window = (DEFAULT_RECOVERY.window_loss_fraction
+        window = (recovery.WINDOW_LOSS_FRACTION
                   * self._credits * self.config.block_size)
         # Bulk halt: one settle freezes every stream's byte count; the
         # accounting loop below then only reads ``transferred``.
@@ -444,13 +436,11 @@ class RftpTransfer:
 
     def _supervise(self, rail: _LinkRail, permanent: bool):
         """Detect a dead rail, reclaim its credits, and try to reconnect."""
-        rec = DEFAULT_RECOVERY
         inj = self.ctx.faults
         sim = self.ctx.sim
         link = rail.sn.link
         t_down = sim.now
-        if rec.detect_timeout > 0.0:
-            yield sim.timeout(rec.detect_timeout)
+        yield sim.timeout(recovery.DETECT_TIMEOUT)
         if self._stopped or not rail.alive:
             rail.supervising = False
             return
@@ -462,11 +452,11 @@ class RftpTransfer:
         self._apply_boost()
         attempt = 0
         while not self._stopped:
-            if permanent or attempt >= rec.retransmit_budget:
+            if permanent or attempt >= recovery.RETRANSMIT_BUDGET:
                 rail.gave_up = True
                 inj.stats.count("giveups")
                 break
-            yield sim.timeout(rec.backoff(attempt))
+            yield sim.timeout(recovery.backoff(attempt))
             attempt += 1
             if self._stopped:
                 break
@@ -497,7 +487,7 @@ class RftpTransfer:
         rail.supervising = True
 
         def reattach():
-            yield self.ctx.sim.timeout(DEFAULT_RECOVERY.backoff_base)
+            yield self.ctx.sim.timeout(recovery.backoff(0))
             if not self._stopped and not link.failed and not rail.alive:
                 yield from self._reconnect(rail, self.ctx.sim.now)
             rail.supervising = False
@@ -555,10 +545,7 @@ class RftpTransfer:
         return total
 
     def _ledger(self, threads: List[SimThread], name: str) -> CpuAccounting:
-        acc = CpuAccounting(name)
-        for t in threads:
-            acc.add_many(t.accounting.seconds_by_category())
-        return acc
+        return CpuAccounting.total((t.accounting for t in threads), name)
 
     def run(self, duration: float, sample_interval: float = 1.0) -> RftpResult:
         """Start (if needed), run for *duration*, and summarize."""

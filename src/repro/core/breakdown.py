@@ -13,8 +13,9 @@ Two views of where the work goes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
+from repro.core.metrics import CpuBreakdown
 from repro.kernel.accounting import CpuAccounting
 from repro.util.validation import check_positive
 
@@ -33,21 +34,14 @@ FIG4_LABELS = {
 }
 
 
-def fig4_categories(
-    accountings: Iterable[CpuAccounting], wall: float
-) -> Dict[str, float]:
-    """Aggregate CPU percent-of-one-core per Fig. 4 bucket.
+def fig4_categories(acc: CpuAccounting, wall: float) -> Dict[str, float]:
+    """One ledger's percent-of-one-core per Fig. 4 bucket over *wall* s.
 
-    Sums the given ledgers (e.g. all sender- and receiver-side threads,
-    matching the paper's "total CPU" convention) over *wall* seconds.
+    Pass the sum of every sender- and receiver-side thread
+    (:meth:`CpuAccounting.total`) for the paper's "total CPU" convention.
     """
-    check_positive("wall", wall)
-    total: Dict[str, float] = {}
-    for acc in accountings:
-        for cat, seconds in acc.seconds_by_category().items():
-            label = FIG4_LABELS.get(cat, cat)
-            total[label] = total.get(label, 0.0) + 100.0 * seconds / wall
-    return total
+    pct = CpuBreakdown.from_accounting(acc, wall).by_category
+    return {FIG4_LABELS.get(cat, cat): v for cat, v in pct.items()}
 
 
 @dataclass(frozen=True)

@@ -66,10 +66,9 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
     )
     res = xfer.run(duration)
     rftp_gbps = res.goodput_gbps
-    merged = CpuAccounting("rftp")
-    for src in (res.sender_accounting, res.receiver_accounting):
-        merged.add_many(src.seconds_by_category())
-    rftp_cats: Dict[str, float] = fig4_categories([merged], duration)
+    merged = CpuAccounting.total(
+        (res.sender_accounting, res.receiver_accounting), "rftp")
+    rftp_cats: Dict[str, float] = fig4_categories(merged, duration)
     rftp_total = sum(rftp_cats.values())
     for cat, pct in sorted(rftp_cats.items(), key=lambda kv: -kv[1]):
         if pct >= 0.5:
@@ -85,7 +84,7 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
     tcp_gbps = ires.aggregate_gbps
     # add the /dev/zero load cost iperf itself pays at the source
     load_pct = 100.0 * ires.aggregate_rate / ctx2.cal.dev_zero_fill_rate
-    tcp_cats = fig4_categories([ires.accounting], duration)
+    tcp_cats = fig4_categories(ires.accounting, duration)
     tcp_cats["data loading"] = tcp_cats.get("data loading", 0.0) + load_pct
     tcp_total = sum(tcp_cats.values())
     for cat, pct in sorted(tcp_cats.items(), key=lambda kv: -kv[1]):

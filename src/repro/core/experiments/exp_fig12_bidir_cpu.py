@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from repro.core.calibration import Calibration
 from repro.core.experiments.exp_fig11_bidir import bidir_plan
+from repro.core.metrics import CpuBreakdown
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
 
@@ -41,13 +42,10 @@ def assemble(results, quick: bool = True, seed: int = 0,
         ("GridFTP", "uni", grid_uni),
         ("GridFTP", "bidir", grid_bi),
     ):
-        cpu = res.sender_cpu.by_category.copy()
+        cpu = CpuBreakdown(res.sender_cpu.by_category.copy())
         for k, v in res.receiver_cpu.by_category.items():
-            cpu[k] = cpu.get(k, 0.0) + v
-        usr = sum(v for k, v in cpu.items()
-                  if k in ("usr_proto", "load", "offload"))
-        sys_ = sum(v for k, v in cpu.items()
-                   if k in ("sys_proto", "copy", "irq", "coherence", "io"))
+            cpu.by_category[k] = cpu.get(k) + v
+        usr, sys_ = cpu.usr, cpu.sys
         report.add_row([tool, mode, round(res.goodput_gbps, 1),
                         round(usr), round(sys_), round(usr + sys_)])
 

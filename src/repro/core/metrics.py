@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.kernel.accounting import CpuAccounting
+from repro.kernel.accounting import SYS_CATEGORIES, USR_CATEGORIES, CpuAccounting
 from repro.sim.trace import TimeSeries
 from repro.util.units import to_gbps
 
@@ -43,23 +43,15 @@ class CpuBreakdown:
     @property
     def usr(self) -> float:
         """User-space share (protocol + load + offload)."""
-        return sum(
-            v
-            for k, v in self.by_category.items()
-            if k in ("usr_proto", "load", "offload")
-        )
+        return sum(v for k, v in self.by_category.items() if k in USR_CATEGORIES)
 
     @property
     def sys(self) -> float:
         """Kernel-side share (stack + copies + interrupts + I/O)."""
-        return sum(
-            v
-            for k, v in self.by_category.items()
-            if k in ("sys_proto", "copy", "irq", "coherence", "io")
-        )
+        return sum(v for k, v in self.by_category.items() if k in SYS_CATEGORIES)
 
     def get(self, category: str) -> float:
-        """Take an amount; blocks (as an event) until available."""
+        """Percent of one core spent in *category* (0 if none)."""
         return self.by_category.get(category, 0.0)
 
     def __str__(self) -> str:

@@ -29,6 +29,7 @@ from repro.fs.vfs import FileSystem
 from repro.fs.xfs import XfsFileSystem
 from repro.hw.presets import backend_lan_host, frontend_lan_host
 from repro.hw.topology import Machine
+from repro.kernel.accounting import CpuAccounting
 from repro.net.topology import wire_frontend_lan, wire_san
 from repro.sim.context import Context
 from repro.storage.initiator import IserInitiator
@@ -237,16 +238,10 @@ class EndToEndSystem:
                 if f._active:
                     self.ctx.fluid.stop(f)
 
-        def ledger(threads, name):
-            from repro.kernel.accounting import CpuAccounting
-
-            acc = CpuAccounting(name)
-            for t in threads:
-                acc.add_many(t.accounting.seconds_by_category())
-            return acc
-
-        snd_acc = ledger(ab._send_threads + ba._send_threads, "snd")
-        rcv_acc = ledger(ab._recv_threads + ba._recv_threads, "rcv")
+        snd_acc = CpuAccounting.total(
+            (t.accounting for t in ab._send_threads + ba._send_threads), "snd")
+        rcv_acc = CpuAccounting.total(
+            (t.accounting for t in ab._recv_threads + ba._recv_threads), "rcv")
         return RunResult(
             label=f"GridFTP bidir ({self.tuning.label})",
             total_bytes=total,

@@ -6,8 +6,8 @@ the modeled stack does when the fabric misbehaves.  A
 outages and NIC failures, failure-domain cuts, process crashes); the
 :class:`~repro.faults.injector.FaultInjector` drives them through
 ordinary simulator events so runs stay bit-reproducible per seed; and
-:class:`~repro.faults.recovery.RecoveryConfig` parameterises how the
-RFTP engine retransmits, reconnects, and fails over.
+:mod:`~repro.faults.recovery` fixes how the RFTP engine retransmits,
+reconnects (:func:`~repro.faults.recovery.backoff`), and fails over.
 
 Arm a plan per context with ``Context.create(faults=plan)``, or
 run-wide with ``--faults`` / ``REPRO_FAULTS`` (the CLI's
@@ -22,16 +22,15 @@ from repro.faults.plan import (
     fault_scope,
     scoped_plan,
 )
-from repro.faults.recovery import DEFAULT_RECOVERY, RecoveryConfig
+from repro.faults.recovery import backoff
 
 __all__ = [
-    "DEFAULT_RECOVERY",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
     "FaultStats",
-    "RecoveryConfig",
+    "backoff",
     "fault_scope",
     "faults_active",
     "scoped_plan",

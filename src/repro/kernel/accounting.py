@@ -1,34 +1,43 @@
-"""CPU-time accounting in the style of getrusage(2) and perf(1).
+"""CPU-time ledgers in the style of getrusage(2) and perf(1).
 
 The paper reports CPU cost as "percent of one fully-utilized core"
 (Fig. 4 note), split into categories: user-space protocol processing,
 kernel protocol processing, user<->kernel data copies, data loading,
 data offloading, interrupt handling.  :class:`CpuAccounting` accumulates
 core-seconds per category (fluid flows debit it via their ``charges``)
-and converts to the paper's percent-of-a-core representation over a
-measurement window.
+and :meth:`CpuAccounting.total` sums several ledgers into one.
+:class:`repro.core.metrics.CpuBreakdown` turns a ledger into the paper's
+percent-of-a-core view and its usr/sys split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Iterable
 
-import numpy as np
+__all__ = [
+    "CpuAccount", "CpuAccounting", "CATEGORIES", "USR_CATEGORIES",
+    "SYS_CATEGORIES",
+]
 
-__all__ = ["CpuAccount", "CpuAccounting", "CATEGORIES"]
-
-#: Canonical cost categories used across the figures.
-CATEGORIES = (
+#: Categories the paper reports as "usr" (getrusage's ``ru_utime``).
+USR_CATEGORIES = (
     "usr_proto",  # user-space protocol processing (RFTP descriptors, iperf loop)
-    "sys_proto",  # kernel TCP/IP stack processing
-    "copy",       # user<->kernel / page-cache data copies
     "load",       # data loading (/dev/zero fill, file reads)
     "offload",    # data offloading (/dev/null dump, file writes)
+)
+
+#: Categories the paper reports as "sys" (getrusage's ``ru_stime``).
+SYS_CATEGORIES = (
+    "sys_proto",  # kernel TCP/IP stack processing
+    "copy",       # user<->kernel / page-cache data copies
     "irq",        # interrupt/softirq handling
     "coherence",  # cache-coherence stalls (NUMA write invalidations)
     "io",         # block-I/O submission/completion handling
 )
+
+#: Canonical cost categories used across the figures.
+CATEGORIES = USR_CATEGORIES + SYS_CATEGORIES
 
 
 @dataclass
@@ -44,23 +53,6 @@ class CpuAccount:
             raise ValueError(f"negative charge on {self.name!r}: {amount}")
         self.seconds += amount
 
-    def add_many(self, amounts: Sequence[float]) -> None:
-        """Accumulate a batch of amounts in one call (array sink).
-
-        The batch is summed with :func:`numpy.sum` before the single
-        accumulate, so array-producing callers (the vectorized fluid
-        settle, report assembly) pay one validation and one attribute
-        store per batch instead of one per element.
-        """
-        arr = np.asarray(amounts, dtype=float)
-        if arr.size == 0:
-            return
-        if arr.min() < 0:
-            raise ValueError(
-                f"negative charge on {self.name!r}: {float(arr.min())}"
-            )
-        self.seconds += float(arr.sum())
-
 
 class CpuAccounting:
     """Per-entity (thread/process/host) CPU time ledger."""
@@ -68,8 +60,16 @@ class CpuAccounting:
     def __init__(self, name: str = ""):
         self.name = name
         self._accounts: Dict[str, CpuAccount] = {}
-        self._window_start = 0.0
-        self._window_snapshot: Dict[str, float] = {}
+
+    @classmethod
+    def total(cls, ledgers: Iterable["CpuAccounting"],
+              name: str = "") -> "CpuAccounting":
+        """A new ledger summing *ledgers* category by category, in order."""
+        out = cls(name)
+        for ledger in ledgers:
+            for category, seconds in ledger.seconds_by_category().items():
+                out.account(category).add(seconds)
+        return out
 
     def account(self, category: str) -> CpuAccount:
         """The accumulator for *category* (created on first use)."""
@@ -83,16 +83,6 @@ class CpuAccounting:
         """Directly add CPU seconds to a category."""
         self.account(category).add(seconds)
 
-    def add_many(self, seconds_by_category: Mapping[str, float]) -> None:
-        """Add CPU seconds to several categories in one call.
-
-        Equivalent to calling :meth:`add` per item; used by report
-        assembly to merge a whole per-task ledger at once.
-        """
-        for category, seconds in seconds_by_category.items():
-            self.account(category).add(seconds)
-
-    # -- totals ----------------------------------------------------------------
     @property
     def total_seconds(self) -> float:
         """Sum of CPU seconds across categories."""
@@ -101,47 +91,6 @@ class CpuAccounting:
     def seconds_by_category(self) -> Dict[str, float]:
         """CPU seconds per accounting category."""
         return {k: a.seconds for k, a in self._accounts.items()}
-
-    def user_seconds(self) -> float:
-        """Time the paper would report as 'usr'."""
-        usr = ("usr_proto", "load", "offload")
-        return sum(self._accounts[k].seconds for k in usr if k in self._accounts)
-
-    def system_seconds(self) -> float:
-        """Time the paper would report as 'sys'."""
-        sys_ = ("sys_proto", "copy", "irq", "coherence", "io")
-        return sum(self._accounts[k].seconds for k in sys_ if k in self._accounts)
-
-    # -- windowed utilization -------------------------------------------------
-    def begin_window(self, now: float) -> None:
-        """Mark the start of a measurement window."""
-        self._window_start = now
-        self._window_snapshot = self.seconds_by_category()
-
-    def utilization(self, now: float) -> Dict[str, float]:
-        """Percent-of-one-core per category since :meth:`begin_window`.
-
-        Matches the paper's convention: 122.0 means 1.22 fully-used cores.
-        """
-        wall = now - self._window_start
-        if wall <= 0:
-            return {k: 0.0 for k in self._accounts}
-        out = {}
-        for k, acct in self._accounts.items():
-            base = self._window_snapshot.get(k, 0.0)
-            out[k] = 100.0 * (acct.seconds - base) / wall
-        return out
-
-    def total_utilization(self, now: float) -> float:
-        """Total percent-of-one-core over the current window."""
-        return sum(self.utilization(now).values())
-
-    def merged(self, others: Iterable["CpuAccounting"]) -> "CpuAccounting":
-        """A new ledger summing this one with *others*."""
-        out = CpuAccounting(self.name)
-        for src in (self, *others):
-            out.add_many(src.seconds_by_category())
-        return out
 
     def __repr__(self) -> str:
         parts = ", ".join(

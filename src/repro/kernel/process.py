@@ -75,7 +75,8 @@ class SimProcess:
 
     def merged_accounting(self) -> CpuAccounting:
         """Process-wide ledger: own plus all threads'."""
-        return self.accounting.merged(t.accounting for t in self.threads)
+        return CpuAccounting.total(
+            (self.accounting, *(t.accounting for t in self.threads)), self.name)
 
     def __repr__(self) -> str:
         return (

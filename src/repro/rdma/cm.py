@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.faults.injector import faults_active
-from repro.faults.recovery import DEFAULT_RECOVERY
+from repro.faults.recovery import backoff
 from repro.hw.nic import Nic
 from repro.hw.topology import Machine
 from repro.rdma.mr import MemoryRegion, ProtectionDomain
@@ -94,7 +94,7 @@ class ConnectionManager:
                     yield self.ctx.sim.timeout(3 * link.delay)
                     if not link.failed:
                         break
-                    yield self.ctx.sim.timeout(DEFAULT_RECOVERY.backoff(attempt))
+                    yield self.ctx.sim.timeout(backoff(attempt))
                     attempt += 1
             qp_c._connect(qp_s)
             qp_s._connect(qp_c)

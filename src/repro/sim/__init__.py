@@ -32,7 +32,7 @@ from repro.sim.fluid import FluidFlow, FluidResource, FluidScheduler, FluidStats
 from repro.sim.resources import Store
 from repro.sim.rng import RngRegistry
 from repro.sim.sampling import SamplerHub, hub_for
-from repro.sim.trace import EventRateProbe, ThroughputProbe, TimeSeries, TraceLog
+from repro.sim.trace import ThroughputProbe, TimeSeries, TraceLog
 
 __all__ = [
     "Simulator",
@@ -54,6 +54,5 @@ __all__ = [
     "RngRegistry",
     "TimeSeries",
     "ThroughputProbe",
-    "EventRateProbe",
     "TraceLog",
 ]

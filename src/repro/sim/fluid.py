@@ -181,11 +181,6 @@ class FluidResource:
             scheduler.flush()
         return scheduler._load.get(self, 0.0)
 
-    @property
-    def utilization(self) -> float:
-        """Load divided by capacity (0 if capacity is 0)."""
-        return self.load / self._capacity if self._capacity > 0 else 0.0
-
     def __repr__(self) -> str:
         return f"<FluidResource {self.name!r} cap={self._capacity:.3g} B/s>"
 

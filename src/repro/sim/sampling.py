@@ -9,29 +9,22 @@ so those samples are closed-form computable — there is no information in
 a 1 Hz probe of a linear function.
 
 This module exploits that.  Probes declare *channels* on a per-simulator
-:class:`SamplerHub` instead of spawning one generator process each:
-
-* a **rate** channel wraps a cumulative counter ``C(t)`` (bytes moved,
-  CPU seconds, events processed) and records
-  ``(C(t_k) - C(t_k - dt)) / dt`` at every sample point ``t_k``;
-* a **gauge** channel wraps an instantaneous value that is
-  piecewise-constant between fluid epochs (resource utilization, load).
+:class:`SamplerHub` instead of spawning one generator process each.  A
+channel wraps a cumulative counter ``C(t)`` (bytes moved) and records
+``(C(t_k) - C(t_k - dt)) / dt`` at every sample point ``t_k``.
 
 The hub subscribes to :class:`~repro.sim.fluid.FluidScheduler` rate
 epochs.  At every epoch boundary (rebalance/settle), and at run
 boundaries and channel ``stop()``, all elapsed sample points in
 ``(last_epoch, now]`` are vectorized with NumPy: cumulative counters are
 linear within an epoch, so the backfilled rates are exact (``rate x
-dt``), and gauges hold one value per epoch.  Quiescent intervals are
-fast-forwarded with **zero heap events**.
+dt``).  Quiescent intervals are fast-forwarded with **zero heap
+events**.
 
 The series equal what a per-tick sampler process would record (settle,
 then read the counter, once per interval) to floating-point tolerance;
 ``tests/test_sampler_equivalence.py`` keeps such a shadow sampler as the
-oracle.  The one exception is kernel *self-measurement*: event-rate
-channels count simulator events, and a per-tick sampler's own ticks
-would be events, so there the backfilled series linearly interpolates
-the dynamics-only event count between epochs.
+oracle.
 """
 
 from __future__ import annotations
@@ -48,9 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.trace import TimeSeries
 
 __all__ = ["hub_for", "SamplerHub", "Channel"]
-
-#: Channel kinds (see :class:`Channel`).
-KINDS = ("rate", "gauge")
 
 #: Sample points within this fraction of an interval of an epoch
 #: boundary are treated as landing exactly on it.
@@ -72,15 +62,12 @@ def hub_for(sim: Simulator) -> "SamplerHub":
 class Channel:
     """One declared telemetry stream: counter + interval + target series.
 
-    ``kind="rate"`` treats ``counter()`` as a cumulative total and
-    records per-interval average rates; ``kind="gauge"`` treats it as an
-    instantaneous value (piecewise-constant between fluid epochs).
-
-    The channel only stores anchors and is fast-forwarded by the hub at
-    epoch/run boundaries.
+    ``counter()`` is a cumulative total; the channel records
+    per-interval average rates.  It only stores anchors and is
+    fast-forwarded by the hub at epoch/run boundaries.
     """
 
-    __slots__ = ("hub", "counter", "interval", "series", "kind",
+    __slots__ = ("hub", "counter", "interval", "series",
                  "_next_t", "_last_total", "_t0", "_c0", "_stopped")
 
     def __init__(
@@ -89,22 +76,18 @@ class Channel:
         counter: Callable[[], float],
         interval: float,
         series: "TimeSeries",
-        kind: str = "rate",
     ):
         if interval <= 0:
             raise ValueError(f"interval must be > 0, got {interval}")
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         self.hub = hub
         self.counter = counter
         self.interval = float(interval)
         self.series = series
-        self.kind = kind
         self._stopped = False
         now = hub.sim.now
         self._next_t = now + self.interval
         self._t0 = now
-        self._last_total = float(counter()) if kind == "rate" else 0.0
+        self._last_total = float(counter())
         self._c0 = self._last_total
         hub._channels.append(self)
 
@@ -120,21 +103,10 @@ class Channel:
     def _on_epoch(self, now: float) -> int:
         """Fast-forward the channel to *now*; returns samples recorded.
 
-        Called with fluid progress already settled at *now* and (for
-        gauges) rates/loads still holding their values for the epoch
-        that is ending, so ``counter()`` is exact for every backfilled
-        point.
+        Called with fluid progress already settled at *now*; the
+        cumulative counter is linear over ``(_t0, now]``, so every
+        backfilled point is exact.
         """
-        if self.kind == "gauge":
-            n = self._pending(now)
-            if n:
-                iv = self.interval
-                ts = self._next_t + iv * np.arange(n)
-                v = float(self.counter())
-                self.series.record_many(ts, np.full(n, v))
-                self._next_t = float(ts[-1]) + iv
-            return n
-        # rate: the cumulative counter is linear over (_t0, now].
         c1 = float(self.counter())
         t0 = self._t0
         elapsed = now - t0
@@ -207,10 +179,9 @@ class SamplerHub:
         counter: Callable[[], float],
         interval: float,
         series: "TimeSeries",
-        kind: str = "rate",
     ) -> Channel:
         """Declare a telemetry channel (see :class:`Channel`)."""
-        return Channel(self, counter, interval, series, kind=kind)
+        return Channel(self, counter, interval, series)
 
     @property
     def active(self) -> bool:

@@ -1,8 +1,7 @@
 """Measurement: time series, throughput probes and a structured trace log.
 
-These utilities produce the data behind every figure: throughput
-timelines (Figs. 9, 11), CPU-utilization windows (Figs. 8, 10, 12, 14)
-and per-event traces used in tests.
+These utilities produce the throughput timelines behind Figs. 9 and 11
+and the per-event traces used in tests.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 from repro.sim.engine import Simulator
 from repro.sim.sampling import hub_for
 
-__all__ = ["TimeSeries", "ThroughputProbe", "EventRateProbe", "TraceLog"]
+__all__ = ["TimeSeries", "ThroughputProbe", "TraceLog"]
 
 
 @dataclass
@@ -138,39 +137,7 @@ class ThroughputProbe:
         self.counter = counter
         self.interval = interval
         self.series = TimeSeries(name=name or "throughput")
-        self._channel = hub_for(sim).channel(
-            counter, interval, self.series, kind="rate")
-
-    def flush(self) -> None:
-        """Materialize every sample due up to the current instant."""
-        self._channel.flush()
-
-    def stop(self) -> TimeSeries:
-        """Stop the activity; returns/flushes what it accumulated."""
-        return self._channel.stop()
-
-
-class EventRateProbe:
-    """Samples the kernel's event counters into a rate time series.
-
-    Each sample records how many simulator events were processed per
-    *simulated* second over the last interval — the kernel-load view that
-    pairs with :class:`ThroughputProbe`'s byte view.  Reads the
-    :class:`~repro.sim.engine.SimStats` counters maintained by the engine.
-
-    This is kernel *self*-measurement: the sampler schedules no ticks of
-    its own and linearly interpolates the dynamics-only event count across
-    each fluid epoch.
-    """
-
-    def __init__(self, sim: Simulator, interval: float = 1.0, name: str = ""):
-        self.sim = sim
-        self.interval = interval
-        self.series = TimeSeries(name=name or "events/s")
-        stats = sim.stats
-        self._channel = hub_for(sim).channel(
-            lambda: float(stats.events_processed), interval, self.series,
-            kind="rate")
+        self._channel = hub_for(sim).channel(counter, interval, self.series)
 
     def flush(self) -> None:
         """Materialize every sample due up to the current instant."""

@@ -23,6 +23,7 @@ from typing import Dict, Literal, Optional
 import numpy as np
 
 from repro.hw.topology import Machine
+from repro.kernel.accounting import CpuAccounting
 from repro.kernel.numa import NumaPolicy, numactl
 from repro.kernel.process import SimProcess, SimThread
 from repro.kernel.work import PathSpec
@@ -202,10 +203,10 @@ class IserTarget:
             threads_per_lun=threads_per_lun,
         )
 
-    def accounting(self):
+    def accounting(self) -> CpuAccounting:
         """Merged CPU ledger across all target processes/threads."""
-        ledgers = [p.merged_accounting() for p in self.processes]
-        return ledgers[0].merged(ledgers[1:]) if ledgers else None
+        return CpuAccounting.total(
+            [p.merged_accounting() for p in self.processes], self.name)
 
     def __repr__(self) -> str:
         return (

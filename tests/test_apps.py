@@ -5,6 +5,7 @@ import pytest
 from repro.apps.fio import FioJob, run_fio
 from repro.apps.iperf import run_iperf
 from repro.apps.streambench import run_stream_model
+from repro.core.metrics import CpuBreakdown
 from repro.hw import Machine, backend_lan_host, frontend_lan_host
 from repro.kernel import NumaPolicy, place_region
 from repro.net.topology import wire_frontend_lan, wire_san
@@ -132,7 +133,7 @@ def test_fio_on_local_ramdisk():
                   FioJob(rw="write", block_size=1 * MIB, numjobs=2,
                          runtime=5.0, bind_node=0))
     assert res.bandwidth > 1e9  # memory-speed
-    assert res.cpu_percent() > 0
+    assert CpuBreakdown.from_accounting(res.accounting, res.runtime).total > 0
 
 
 def test_fio_small_blocks_cost_more_cpu_per_byte():

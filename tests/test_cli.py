@@ -93,6 +93,18 @@ def test_cli_service_flags_exported(capsys):
             in capsys.readouterr().out)
 
 
+def test_cli_fails_a_fault_plan_that_matches_nothing(capsys):
+    # A typo in a selector must not pass as a fault-free run.
+    assert main(["run", "fig09", "--faults",
+                 "link-down@link:rial0,at=1"]) == 2
+    err = capsys.readouterr().err
+    assert "faults: injected=0 unresolved=" in err
+    assert "bad --faults spec" in err and "link:rial0" in err
+    # A plan that fires reports its counts and keeps the run's status.
+    assert main(["run", "table1", "--faults", "link-down@link:1,at=1"]) == 0
+    assert "faults: injected=" in capsys.readouterr().err
+
+
 def test_footer_stats_suppress_idle_subsystems():
     """Disabled subsystems report None, so their footer lines vanish."""
     stats: dict = {}

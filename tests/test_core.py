@@ -87,7 +87,7 @@ def test_fig4_categories_maps_labels():
     acc = CpuAccounting("t")
     acc.add("copy", 1.0)
     acc.add("sys_proto", 2.0)
-    cats = fig4_categories([acc], wall=10.0)
+    cats = fig4_categories(acc, wall=10.0)
     assert cats["data copy"] == pytest.approx(10.0)
     assert cats["kernel protocol"] == pytest.approx(20.0)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps.rftp.transfer import RftpConfig, RftpTransfer
 from repro.config import RunConfig
-from repro.faults import FaultInjector, FaultPlan, FaultSpec, RecoveryConfig
+from repro.faults import FaultInjector, FaultPlan, FaultSpec, backoff
 from repro.hw import Machine, Nic, NicKind, frontend_lan_host
 from repro.net.link import connect
 from repro.net.topology import wire_frontend_lan
@@ -153,16 +153,9 @@ def test_link_fail_is_idempotent():
 
 
 def test_recovery_config_backoff_caps():
-    rec = RecoveryConfig(backoff_base=0.1, backoff_factor=2.0, backoff_cap=2.0)
-    assert rec.backoff(0) == pytest.approx(0.1)
-    assert rec.backoff(3) == pytest.approx(0.8)
-    assert rec.backoff(10) == pytest.approx(2.0)  # capped
-    with pytest.raises(ValueError):
-        RecoveryConfig(detect_timeout=-1.0)
-    with pytest.raises(ValueError):
-        RecoveryConfig(retransmit_budget=0)
-    with pytest.raises(ValueError):
-        RecoveryConfig(window_loss_fraction=1.5)
+    assert backoff(0) == pytest.approx(0.1)
+    assert backoff(3) == pytest.approx(0.8)
+    assert backoff(10) == pytest.approx(2.0)  # capped
 
 
 # --- Fault plans: parsing, validation, canonical form -----------------------------

