@@ -11,9 +11,12 @@ Usage::
     python -m repro run fig09 --faults "link-down@link:1,at=5,duration=2"
 
 Exit status is non-zero if any paper-anchored check diverges.  With a
-fault plan, ``run`` prints how many faults it injected and how many
-named no target, and exits 2 if none was injected and one was not
-resolved (a plan that matches nothing, such as a typo in a selector).
+fault plan, ``run`` prints how many faults it injected, how many named
+no target and how many simulation contexts armed the plan.  It exits 2
+if no fault came due at all (no context armed the plan, or no armed
+simulation ran to a fault's time, as in the analytic ``table1``) or if
+none was injected and one was not resolved (a plan that matches
+nothing, such as a typo in a selector).
 
 Independent simulation tasks fan out across ``--jobs`` worker processes
 and are served from a content-addressed result cache under
@@ -112,8 +115,14 @@ def cmd_run(args) -> int:
     if config.faults is not None:
         counts = metrics.delta(before)["faults"]
         injected, unresolved = counts["faults_injected"], counts["unresolved"]
-        print(f"faults: injected={injected} unresolved={unresolved}",
-              file=sys.stderr)
+        print(f"faults: injected={injected} unresolved={unresolved} "
+              f"armed={counts['armed']}", file=sys.stderr)
+        if not injected and not unresolved:
+            why = ("no simulation context armed it" if not counts["armed"]
+                   else "no armed simulation ran to a fault's time")
+            print(f"bad --faults spec: no fault came due in "
+                  f"{', '.join(names)} ({why})", file=sys.stderr)
+            return 2
         if unresolved and not injected:
             targets = ", ".join(spec.target for spec in config.faults.specs)
             print(f"bad --faults spec: no target matched ({targets})",

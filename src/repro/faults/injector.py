@@ -26,10 +26,11 @@ __all__ = ["FaultInjector", "FaultStats", "faults_active"]
 
 
 #: Process-wide fault counters (the ``faults`` registry layer).
+#: ``armed`` counts the contexts that armed a non-empty plan.
 _TOTALS = metrics.counters(
-    "faults", faults_injected=0, unresolved=0, retransmitted_bytes=0.0,
-    streams_failed=0, reconnects=0, giveups=0, recovery_seconds=0.0,
-    domain_faults=0)
+    "faults", armed=0, faults_injected=0, unresolved=0,
+    retransmitted_bytes=0.0, streams_failed=0, reconnects=0, giveups=0,
+    recovery_seconds=0.0, domain_faults=0)
 
 
 class FaultStats(metrics.Counters):
@@ -64,6 +65,7 @@ class FaultInjector:
         self._rng = None
         ctx.faults = self
         if not plan.empty:
+            self.stats.count("armed")
             for spec in plan.specs:
                 ctx.sim.process(
                     self._drive(spec), name=f"faults/{spec.kind}@{spec.target}"

@@ -100,9 +100,19 @@ def test_cli_fails_a_fault_plan_that_matches_nothing(capsys):
     err = capsys.readouterr().err
     assert "faults: injected=0 unresolved=" in err
     assert "bad --faults spec" in err and "link:rial0" in err
-    # A plan that fires reports its counts and keeps the run's status.
-    assert main(["run", "table1", "--faults", "link-down@link:1,at=1"]) == 0
-    assert "faults: injected=" in capsys.readouterr().err
+    # A plan that fires reports its counts and keeps the run's status
+    # (fig09's checks diverge once a link goes down).
+    assert main(["run", "fig09", "--faults", "link-down@link:1,at=1"]) == 1
+    assert "faults: injected=2 unresolved=0" in capsys.readouterr().err
+
+
+def test_cli_fails_a_fault_plan_no_simulation_runs(capsys):
+    # table1 builds its testbed in a context, arming the plan, but runs
+    # no simulation: no fault comes due, so the plan did nothing.
+    assert main(["run", "table1", "--faults", "link-down@link:1,at=1"]) == 2
+    err = capsys.readouterr().err
+    assert "faults: injected=0 unresolved=0 armed=1" in err
+    assert "bad --faults spec: no fault came due in table1" in err
 
 
 def test_footer_stats_suppress_idle_subsystems():
