@@ -89,6 +89,13 @@ def test_switch_backplane_oversubscription():
 FULL_LEDGER_SEED1_SHA256 = (
     "cf23753c0d318019dc5522072780f91808f91c552575c7882149cb799bbe3fc5")
 
+#: sha256 of the default-seed paper-scale ledger, checked by CI's
+#: ledger-gate job (about a minute, too slow for tier-1).  A change that
+#: moves a model number on purpose regenerates it with
+#: ``python -m repro report --full --no-cache -o full.md && sha256sum full.md``.
+FULL_LEDGER_SHA256 = (
+    "b17444c828870c98bcea006b42d7adae9f00300d056acd3e067fde7b9451cd9a")
+
 
 def test_full_mode_ledger_generates():
     """REPRO_FULL-equivalent: the whole paper-scale ledger in one call."""
