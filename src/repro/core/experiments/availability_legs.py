@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import Calibration
+from repro.core.experiments.fleet_legs import FIXED_ROUNDS, _spec
 from repro.faults.plan import FaultPlan
 
 __all__ = ["availability_leg", "domain_determinism_leg", "fault_plan_for",
@@ -131,10 +132,8 @@ def availability_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                      hosts_per_pod: int = 8, rate_per_host: float = 3.0,
                      size_mean_mib: float = 1024.0, wan_tenants: int = 2,
                      serve_s: float = 4.0, horizon_s: float = 6.0,
-                     crash_at: float = 2.0, restart_s: float = 0.5,
-                     fixed_rounds: int = 2) -> Dict[str, Any]:
+                     crash_at: float = 2.0, restart_s: float = 0.5) -> Dict[str, Any]:
     """One availability curve point: ToR cuts + a broker crash."""
-    from repro.core.experiments.fleet_legs import _spec
     from repro.service.fabric import run_fabric
 
     spec = _spec(hosts, hosts_per_pod,
@@ -144,7 +143,7 @@ def availability_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     plan = fault_plan_for(
         n_pods=spec.n_pods, fault_rate=fault_rate, serve_s=serve_s,
         crash_at=crash_at, restart_s=restart_s)
-    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=fixed_rounds,
+    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS,
                         faults=FaultPlan.parse(plan))
     out = _merge_cells(result["cells"], serve_s)
     out.update(hosts=hosts, fault_rate=fault_rate, journal=journal,
@@ -156,8 +155,7 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
              journal: bool, hosts_per_pod: int = 8,
              rate_per_host: float = 3.0, size_mean_mib: float = 1024.0,
              serve_s: float = 6.0, horizon_s: float = 9.0,
-             crash_at: float = 3.0, restart_s: float = 0.5,
-             fixed_rounds: int = 2) -> Dict[str, Any]:
+             crash_at: float = 3.0, restart_s: float = 0.5) -> Dict[str, Any]:
     """The MTTR story: goodput timeline around one broker crash.
 
     No ToR cuts here — the only fault is the crash, so the timeline
@@ -165,14 +163,13 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     pre-crash goodput versus the amnesiac baseline that must refill
     its pipeline from scratch.
     """
-    from repro.core.experiments.fleet_legs import _spec
     from repro.service.fabric import run_fabric
 
     spec = _spec(hosts, hosts_per_pod,
                  rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
                  serve_s=serve_s, horizon_s=horizon_s, journal=journal)
     plan = f"crash@transfer:*,at={crash_at},duration={restart_s}"
-    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=fixed_rounds,
+    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS,
                         faults=FaultPlan.parse(plan))
     cells = result["cells"]
     out = _merge_cells(cells, serve_s)
@@ -227,10 +224,10 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
     plan = ("link-down@power:0,at=1.0,duration=1.0,stagger=0.1;"
             f"link-down@tor:{n_pods - 1},at=1.5,duration=0.5,stagger=0.05")
     faults = FaultPlan.parse(plan)
-    few = run_fabric(spec, seed=seed, cal=cal, n_shards=1, fixed_rounds=2,
-                     faults=faults)
+    few = run_fabric(spec, seed=seed, cal=cal, n_shards=1,
+                     fixed_rounds=FIXED_ROUNDS, faults=faults)
     many = run_fabric(spec, seed=seed, cal=cal, n_shards=n_pods,
-                      fixed_rounds=2, faults=faults)
+                      fixed_rounds=FIXED_ROUNDS, faults=faults)
     mismatches = 0
     for a, b in zip(few["cells"], many["cells"]):
         for key in ("submitted", "completed", "rescheduled",

@@ -27,6 +27,11 @@ from repro.core.calibration import Calibration
 
 __all__ = ["diff_leg", "fleet_leg"]
 
+#: Exchange rounds of every sharded fleet-scale leg under churn: job
+#: churn never quite settles the grant matrix, so these legs run the
+#: deterministic fixed-round mode.
+FIXED_ROUNDS = 2
+
 
 def _spec(hosts: int, hosts_per_pod: int, **overrides) -> "FabricSpec":
     from repro.service.fabric import FabricSpec
@@ -88,8 +93,7 @@ def _merge(result: dict, serve_s: float) -> Dict[str, Any]:
 def fleet_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
               qp_mode: str, rate_per_host: float, size_mean_mib: float,
               hosts_per_pod: int = 8, wan_tenants: int = 2,
-              serve_s: float = 4.0, horizon_s: float = 6.0,
-              fixed_rounds: int = 2) -> Dict[str, Any]:
+              serve_s: float = 4.0, horizon_s: float = 6.0) -> Dict[str, Any]:
     """One fleet curve point: *hosts* hosts under *qp_mode* accounting."""
     from repro.service.fabric import run_fabric
 
@@ -97,7 +101,7 @@ def fleet_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                  rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
                  wan_tenants=wan_tenants, serve_s=serve_s,
                  horizon_s=horizon_s, qp_mode=qp_mode)
-    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=fixed_rounds)
+    result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS)
     out = _merge(result, serve_s)
     out.update(hosts=hosts, qp_mode=qp_mode,
                offered_rate=rate_per_host * hosts)
@@ -135,7 +139,7 @@ def diff_leg(*, seed: int, cal: Optional[Calibration],
         elephants_per_pod=1, elephant_gbps=4.0, rate_per_host=4.0,
         size_mean_mib=64.0, wan_tenants=2, serve_s=horizon_s - 1.0,
         horizon_s=horizon_s)
-    cs_run = run_fabric(churn, seed=seed, cal=cal, fixed_rounds=2)
+    cs_run = run_fabric(churn, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS)
     cu_run = run_fabric(churn, seed=seed, cal=cal, sharded=False)
     return {
         "static_max_rel_err": max(errs),

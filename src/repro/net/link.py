@@ -4,7 +4,9 @@ A :class:`Link` cables two NICs together (directly or through a switch
 port) and owns one fluid resource per direction, sized to the slower
 endpoint's usable data rate.  Link fluid resources are tagged
 ``kind="link"`` so the TCP model can recognise network (loss-capable)
-bottlenecks as opposed to host-side ones.
+bottlenecks as opposed to host-side ones.  The cut WAN links of a
+sharded fabric are not cabled here: :mod:`repro.sim.shard` stands each
+one up as a single fluid resource with the same tag.
 """
 
 from __future__ import annotations
@@ -15,39 +17,7 @@ from repro.hw.nic import Nic
 from repro.sim.fluid import FluidResource
 from repro.util.validation import check_non_negative
 
-__all__ = ["CutLinkStub", "Link", "Switch", "connect"]
-
-
-class CutLinkStub:
-    """One cell's local stand-in for a cut WAN/aggregation link.
-
-    Topology sharding (:mod:`repro.sim.shard`) cuts the fabric along
-    its wide-area links; inside a cell the cut link appears as this
-    stub — a single fluid resource whose capacity is the cell's
-    currently *granted* share of the real link, stepped per epoch by
-    the boundary-exchange protocol via :meth:`set_capacity`.  Tagged
-    ``kind="link"`` like a real link direction, so loss-capable
-    bottleneck classification is unchanged under sharding.
-    """
-
-    def __init__(self, ctx, name: str, capacity: float):
-        check_non_negative("capacity", capacity)
-        self.ctx = ctx
-        self.name = name
-        self.resource = FluidResource(ctx.fluid, capacity, name)
-        self.resource.kind = "link"  # type: ignore[attr-defined]
-
-    @property
-    def capacity(self) -> float:
-        """The currently granted share in bytes/second."""
-        return self.resource.capacity
-
-    def set_capacity(self, capacity: float) -> None:
-        """Re-grant the stub (settles and rebalances, closing a rate epoch)."""
-        self.resource.set_capacity(capacity)
-
-    def __repr__(self) -> str:
-        return f"<CutLinkStub {self.name!r} grant={self.capacity:.3g} B/s>"
+__all__ = ["Link", "Switch", "connect"]
 
 
 class Link:

@@ -27,7 +27,7 @@ and runs at the QP-cache thrash derate sampled at admission.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.faults.injector import faults_active
 from repro.faults.plan import FaultPlan
@@ -54,7 +54,8 @@ class FabricSpec:
 
     n_pods: int = 2
     hosts_per_pod: int = 8
-    #: WAN links; pod *p* egresses over ``wan{p % n_wan_links}``.
+    #: WAN links; pod *p* egresses over ``wan{p % n_wan_links}``, so
+    #: there may be no more of them than pods.
     n_wan_links: int = 1
     wan_gbps: float = 100.0
     uplink_gbps: float = 80.0
@@ -100,6 +101,10 @@ class FabricSpec:
         check_positive("n_pods", self.n_pods)
         check_positive("hosts_per_pod", self.hosts_per_pod)
         check_positive("n_wan_links", self.n_wan_links)
+        if self.n_wan_links > self.n_pods:
+            raise ValueError(
+                f"n_wan_links ({self.n_wan_links}) exceeds n_pods "
+                f"({self.n_pods}): a WAN link no pod crosses")
         check_positive("wan_gbps", self.wan_gbps)
         check_positive("uplink_gbps", self.uplink_gbps)
         check_non_negative("rate_per_host", self.rate_per_host)
@@ -117,9 +122,11 @@ class FabricSpec:
 
 
 def boundary_links(spec: FabricSpec) -> list[BoundaryLink]:
-    """The fabric's cut set: its WAN links."""
-    return [BoundaryLink(f"wan{k}", spec.wan_gbps * _GBPS)
-            for k in range(spec.n_wan_links)]
+    """The cut link each pod crosses: pod *p* egresses over
+    ``wan{p % n_wan_links}``."""
+    wan = [BoundaryLink(f"wan{k}", spec.wan_gbps * _GBPS)
+           for k in range(spec.n_wan_links)]
+    return [wan[p % spec.n_wan_links] for p in range(spec.n_pods)]
 
 
 class FleetBroker(TransferBroker):
@@ -197,7 +204,7 @@ class FleetBroker(TransferBroker):
             self.qpool.release(job.rail.index, job.tenant)
 
 
-def fleet_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
+def fleet_cell(*, ctx: Context, cell: int, port: BoundaryPort,
                horizon: float, spec: dict):
     """Shard cell target: build and serve one pod; ledger at ``finish()``."""
     s = FabricSpec(**spec)
@@ -216,7 +223,6 @@ def fleet_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
     uplink = FluidResource(ctx.fluid, s.uplink_gbps * _GBPS,
                            f"pod{cell}/uplink")
     uplink.kind = "link"  # type: ignore[attr-defined]
-    port = ports[f"wan{cell % s.n_wan_links}"]
     qpool = None
     if s.qp_mode != "off":
         qpool = QpPoolSet(ctx, QpPoolConfig(
@@ -277,8 +283,7 @@ def fleet_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
 
 
 def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
-               sharded: bool = True, n_shards: int = 0, tol: float = 1e-9,
-               max_rounds: int = 6, fixed_rounds: int = 0,
+               sharded: bool = True, n_shards: int = 0, fixed_rounds: int = 0,
                faults: FaultPlan | None = None) -> dict:
     """One fabric scenario through the sharded (or reference) runtime,
     every cell armed with *faults* (None: the run-wide plan)."""
@@ -286,14 +291,12 @@ def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
         spec = FabricSpec(**spec)
     common = dict(
         target="repro.service.fabric:fleet_cell",
-        n_cells=spec.n_pods,
-        boundaries=boundary_links(spec),
+        links=boundary_links(spec),
         horizon=spec.horizon_s,
         epoch_dt=spec.epoch_dt,
         params={"spec": asdict(spec)},
         seed=seed, cal=cal, faults=faults,
     )
     if sharded:
-        return run_sharded(**common, n_shards=n_shards, tol=tol,
-                           max_rounds=max_rounds, fixed_rounds=fixed_rounds)
+        return run_sharded(**common, n_shards=n_shards, fixed_rounds=fixed_rounds)
     return run_unsharded(**common)

@@ -9,17 +9,16 @@ name).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.sim.context import Context
 from repro.sim.fluid import FluidFlow, FluidResource
 from repro.sim.shard import BoundaryPort
 
 
-def demo_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
+def demo_cell(*, ctx: Context, cell: int, port: BoundaryPort,
               horizon: float, n_local: int = 2, local_rate: float = 100e6,
-              cross_rate: Optional[float] = None, cross_skew: float = 0.0,
-              boundary: str = "wan0"):
+              cross_rate: Optional[float] = None, cross_skew: float = 0.0):
     """A minimal cell: *n_local* private flows + one cross-boundary flow.
 
     The cross flow's own cap is ``cross_rate * (1 + cross_skew * cell)``
@@ -35,7 +34,7 @@ def demo_cell(*, ctx: Context, cell: int, ports: Dict[str, BoundaryPort],
         ctx.fluid.start(flow)
     cap = (None if cross_rate is None
            else cross_rate * (1.0 + cross_skew * cell))
-    path, charges = ports[boundary].flow_leg(cap=cap)
+    path, charges = port.flow_leg(cap=cap)
     cross = FluidFlow(path, size=None, cap=cap, charges=charges,
                       name=f"cell{cell}/x")
     ctx.fluid.start(cross)

@@ -30,6 +30,7 @@ def test_spec_rejects_serve_past_horizon():
     ("wan_gbps", 0.0),        # would divide by zero in the shard exchange
     ("uplink_gbps", 0.0),     # would run silently and complete no job
     ("rate_per_host", -1.0),  # would silently disable the workload
+    ("n_wan_links", 3),       # 2 pods: a WAN link no pod would cross
 ])
 def test_spec_rejects_bad_rates(field, value):
     with pytest.raises(ValueError, match=field):
@@ -37,9 +38,12 @@ def test_spec_rejects_bad_rates(field, value):
 
 
 def test_boundary_links_cover_the_wan():
-    spec = FabricSpec(n_wan_links=3, wan_gbps=80.0)
+    spec = FabricSpec(n_pods=5, n_wan_links=3, wan_gbps=80.0)
     links = boundary_links(spec)
-    assert [b.name for b in links] == ["wan0", "wan1", "wan2"]
+    # One link per pod: pod p crosses wan{p % 3}, and pods on the same
+    # link share one BoundaryLink.
+    assert [b.name for b in links] == ["wan0", "wan1", "wan2", "wan0", "wan1"]
+    assert links[3] is links[0] and links[4] is links[1]
     assert all(b.capacity == pytest.approx(10e9) for b in links)
     assert FabricSpec(n_pods=4, hosts_per_pod=16).n_hosts == 64
 

@@ -17,8 +17,7 @@ from repro.sim.shard import BoundaryLink, run_sharded
 
 DEMO = dict(
     target="tests.shard_cells:demo_cell",
-    n_cells=5,
-    boundaries=[BoundaryLink("wan0", 200e6)],
+    links=[BoundaryLink("wan0", 200e6)] * 5,
     horizon=5.0, epoch_dt=1.0,
     params={"n_local": 2, "cross_rate": 80e6, "cross_skew": 0.3},
     seed=23,

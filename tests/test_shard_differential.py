@@ -19,8 +19,8 @@ def _both(**kw):
     sharded = run_sharded(**kw)
     unsharded = run_unsharded(**{
         k: v for k, v in kw.items()
-        if k in ("target", "n_cells", "boundaries", "horizon", "epoch_dt",
-                 "params", "seed", "cal")})
+        if k in ("target", "links", "horizon", "epoch_dt", "params", "seed",
+                 "cal")})
     return sharded, unsharded
 
 
@@ -35,8 +35,7 @@ def _assert_cells_match(sharded, unsharded, keys=("local_bytes",
 def _demo(**over):
     kw = dict(
         target="tests.shard_cells:demo_cell",
-        n_cells=3,
-        boundaries=[BoundaryLink("wan0", 300e6)],
+        links=[BoundaryLink("wan0", 300e6)] * 3,
         horizon=6.0, epoch_dt=1.0,
         params={"n_local": 2, "local_rate": 50e6},
         seed=11,
@@ -93,13 +92,21 @@ def test_local_traffic_never_crosses_the_cut():
 
 
 def test_multi_boundary_cells_settle_every_cut_link():
-    kw = _demo(
-        boundaries=[BoundaryLink("wan0", 120e6), BoundaryLink("wan1", 1e9)],
-        params={"n_local": 1, "cross_rate": None})
+    # Cells 0 and 2 share a narrow wan0; cell 1 alone crosses a wide
+    # wan1 that its capped flow cannot fill.
+    wan0, wan1 = BoundaryLink("wan0", 120e6), BoundaryLink("wan1", 1e9)
+    kw = _demo(links=[wan0, wan1, wan0],
+               params={"n_local": 1, "cross_rate": 400e6})
     sharded, unsharded = _both(**kw)
     _assert_cells_match(sharded, unsharded)
-    assert sharded["exchange"]["boundaries"]["wan0"]["utilization"] == (
-        pytest.approx(1.0, rel=REL))
+    links = sharded["exchange"]["boundaries"]
+    assert list(links) == ["wan0", "wan1"]
+    for name, row in links.items():
+        assert row["bytes"] > 0.0
+        assert row["bytes"] == pytest.approx(
+            unsharded["exchange"]["boundaries"][name]["bytes"], rel=REL)
+    assert links["wan0"]["utilization"] == pytest.approx(1.0, rel=REL)
+    assert links["wan1"]["utilization"] == pytest.approx(0.4, rel=REL)
 
 
 def test_fabric_static_elephants_match_reference():

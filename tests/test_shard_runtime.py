@@ -6,6 +6,9 @@ import pytest
 from repro.__main__ import _parser, _run_config
 from repro.config import RunConfig
 from repro.exec.runner import ExecContext, executor
+from repro.service.fabric import FabricSpec, run_fabric
+from repro.sim.engine import Simulator
+from repro.sim.fluid import FluidResource
 from repro.sim.shard import (BoundaryLink, ShardStats, cell_seed,
                              run_sharded, slice_cells)
 from repro.sim.shard import _waterfill
@@ -61,8 +64,7 @@ def test_waterfill_conserves_capacity_when_oversubscribed():
 def _demo_kwargs(**over):
     kw = dict(
         target="tests.shard_cells:demo_cell",
-        n_cells=2,
-        boundaries=[BoundaryLink("wan0", 1e9)],
+        links=[BoundaryLink("wan0", 1e9)] * 2,
         horizon=4.0, epoch_dt=1.0,
         params={"n_local": 1, "cross_rate": 100e6},
         seed=3,
@@ -79,7 +81,7 @@ def test_rejects_fractional_epoch_horizon():
 def test_rejects_duplicate_boundary_names():
     with pytest.raises(ValueError, match="unique"):
         run_sharded(**_demo_kwargs(
-            boundaries=[BoundaryLink("wan0", 1e9), BoundaryLink("wan0", 2e9)]))
+            links=[BoundaryLink("wan0", 1e9), BoundaryLink("wan0", 2e9)]))
 
 
 def test_unsaturated_boundary_early_accepts_in_one_round():
@@ -102,12 +104,42 @@ def test_fixed_round_mode_runs_exactly_that_many_rounds():
 
 def test_contended_boundary_converges_within_round_budget():
     result = run_sharded(**_demo_kwargs(
-        boundaries=[BoundaryLink("wan0", 100e6)],
+        links=[BoundaryLink("wan0", 100e6)] * 2,
         params={"n_local": 1, "cross_rate": None}))
     ex = result["exchange"]
     assert ex["converged"] and not ex["early_accept"]
     assert 1 < ex["rounds"] <= 6
     assert ex["boundaries"]["wan0"]["utilization"] <= 1.0 + 1e-6
+
+
+def test_fabric_cell_holds_one_cut_resource_and_one_ticker(monkeypatch):
+    # Two WAN links, two pods: each cell stands up its own link only.
+    made = []
+    res_init, process = FluidResource.__init__, Simulator.process
+
+    def spy_init(self, scheduler, capacity, name=""):
+        res_init(self, scheduler, capacity, name)
+        made.append(("cut", scheduler.sim, name))
+
+    def spy_process(self, gen, name=""):
+        made.append(("ticker", self, name))
+        return process(self, gen, name)
+
+    monkeypatch.setattr(FluidResource, "__init__", spy_init)
+    monkeypatch.setattr(Simulator, "process", spy_process)
+    spec = FabricSpec(n_pods=2, hosts_per_pod=1, n_wan_links=2,
+                      elephants_per_pod=1, rate_per_host=0.0, serve_s=3.0,
+                      horizon_s=3.0, qp_mode="off")
+    with executor(jobs=1):
+        result = run_fabric(spec, seed=3, n_shards=1, fixed_rounds=1)
+    assert list(result["exchange"]["boundaries"]) == ["wan0", "wan1"]
+    cuts = [(sim, name) for kind, sim, name in made
+            if kind == "cut" and name.endswith("/cut")]
+    tickers = [(sim, name) for kind, sim, name in made
+               if kind == "ticker" and name.endswith("/epochs")]
+    assert [name for _sim, name in cuts] == ["wan0/cut", "wan1/cut"]
+    assert len(tickers) == 2
+    assert [sim for sim, _name in tickers] == [sim for sim, _name in cuts]
 
 
 # -- REPRO_JOBS default worker count ---------------------------------------
