@@ -1,23 +1,23 @@
-"""Topology-sharded fabric benchmark: 512 hosts, 8 workers vs 1 process.
+"""Topology-sharded fabric benchmark: 512 hosts, sharded vs unsharded.
 
 Runs one datacenter fabric — 64 pods of 8 front-end hosts each, four
 WAN tenants per pod funnelling onto a single contended 100 Gbps WAN
 link — through both execution paths of :mod:`repro.sim.shard`:
 
 * **sharded** — each pod is a cell with its own event kernel and fluid
-  solver; cells run as shard tasks on an 8-worker
-  :mod:`repro.exec` process pool and exchange per-epoch boundary flow
-  rates over two fixed settle rounds;
+  solver; every round runs the cells one after another in this process,
+  and they exchange per-epoch boundary flow rates over two fixed settle
+  rounds;
 * **reference** — the identical fabric in one process, one event loop,
   one fluid graph, where every job start and finish rebalances the
   WAN-coupled giant component spanning all 64 pods.
 
 This is the tentpole number for topology sharding: the cut keeps each
 pod's rebalances O(pod flows) instead of O(fleet flows), so the win is
-algorithmic — it holds even on a single core, and worker processes
-stack on top of it.  The checks pin the deterministic contract: the
-sharded fleet completes *exactly* the same job count as the reference,
-sheds nothing, and conserves boundary bytes.
+algorithmic — both arms run in one process on one core.  The checks
+pin the deterministic contract: the sharded fleet completes *exactly*
+the same job count as the reference, sheds nothing, and conserves
+boundary bytes.
 
 The >=4x floor is the acceptance criterion (measured ~5x on one core;
 CI machines are noisy, the floor is the guarantee).  Refresh the
@@ -33,7 +33,6 @@ import json
 import os
 import time
 
-from repro.exec.runner import executor
 from repro.service.fabric import FabricSpec, run_fabric
 from repro.sim.engine import Simulator
 
@@ -45,15 +44,14 @@ SPEC = FabricSpec(
     n_pods=64, hosts_per_pod=8,
     n_wan_links=1, wan_gbps=100.0,
     rate_per_host=3.0, size_mean_mib=4096.0,
-    n_tenants=8, wan_tenants=4,
-    serve_s=6.0, horizon_s=8.0, epoch_dt=1.0,
+    wan_tenants=4,
+    serve_s=6.0, horizon_s=8.0,
     elephants_per_pod=2, elephant_gbps=4.0,
 )
 #: Deterministic boundary exchange: two fixed settle rounds.
 FIXED_ROUNDS = 2
-N_WORKERS = int(os.environ.get("REPRO_SHARD_BENCH_JOBS", "8") or "8")
-#: The sharding acceptance floor: the 8-worker sharded fabric must beat
-#: the single-process reference by at least this much.
+#: The sharding acceptance floor: the sharded fabric must beat the
+#: unsharded reference by at least this much, both in one process.
 MIN_SPEEDUP = float(os.environ.get("REPRO_SHARD_MIN_SPEEDUP", "4.0"))
 
 
@@ -70,16 +68,14 @@ def _totals(result: dict) -> dict:
 def test_shard_fabric_512_hosts(results_dir):
     assert SPEC.n_hosts == 512
 
-    with executor(jobs=N_WORKERS):
-        t0 = time.perf_counter()
-        sharded = run_fabric(SPEC, seed=SEED, fixed_rounds=FIXED_ROUNDS)
-        wall_sharded = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sharded = run_fabric(SPEC, seed=SEED, fixed_rounds=FIXED_ROUNDS)
+    wall_sharded = time.perf_counter() - t0
 
     events_before = Simulator.events_processed_total
-    with executor(jobs=1):
-        t0 = time.perf_counter()
-        reference = run_fabric(SPEC, seed=SEED, sharded=False)
-        wall_reference = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    reference = run_fabric(SPEC, seed=SEED, sharded=False)
+    wall_reference = time.perf_counter() - t0
     events = Simulator.events_processed_total - events_before
 
     speedup = wall_reference / wall_sharded if wall_sharded > 0 else 0.0
@@ -112,7 +108,7 @@ def test_shard_fabric_512_hosts(results_dir):
         "ops": events,
         "wall_seconds": wall_sharded,
         "events_per_sec": events / wall_sharded if wall_sharded > 0 else 0.0,
-        "jobs": N_WORKERS,
+        "jobs": 1,
         "cache": None,
         "all_ok": all_ok,
         "checks": [
@@ -125,7 +121,6 @@ def test_shard_fabric_512_hosts(results_dir):
         "speedup": speedup,
         "n_hosts": SPEC.n_hosts,
         "n_pods": SPEC.n_pods,
-        "n_shards": exchange["n_shards"],
         "completed": st["completed"],
     }
     results_dir.mkdir(parents=True, exist_ok=True)
@@ -133,8 +128,8 @@ def test_shard_fabric_512_hosts(results_dir):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print(f"\nshard fabric 512 hosts: reference {wall_reference:.2f} s "
-          f"(1 process), sharded {wall_sharded:.2f} s ({N_WORKERS} workers, "
-          f"{exchange['rounds']} rounds) -> {speedup:.1f}x, "
+          f"(unsharded), sharded {wall_sharded:.2f} s "
+          f"({exchange['rounds']} rounds) -> {speedup:.1f}x, "
           f"{st['completed']} jobs completed in both")
 
     assert all_ok, "shard fabric diverged: " + ", ".join(

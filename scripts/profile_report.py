@@ -28,8 +28,8 @@ kernel)::
         --leg repro.core.experiments.service_legs:service_leg \
         --param policy=numa-blind --param duration=4.0
 
-``python -m repro report --profile [N]`` is the in-CLI shortcut for the
-no-argument form.  Profiling is always serial and cache-free — worker
+The no-argument form profiles the same report ``python -m repro
+report`` writes.  Profiling is always serial and cache-free — worker
 processes and cache hits would hide the simulation cost being measured.
 """
 

@@ -142,16 +142,10 @@ def cmd_report(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     stats: dict = {}
 
-    def _generate() -> str:
-        with fault_scope(config.faults):
-            return generate_experiments_md(
-                quick=not config.full, seed=args.seed, verbose=True,
-                jobs=config.jobs, cache=cache, stats=stats, config=config)
-
-    if args.profile is None:
-        text = _generate()
-    else:
-        text = _profiled(_generate, top=args.profile)
+    with fault_scope(config.faults):
+        text = generate_experiments_md(
+            quick=not config.full, seed=args.seed, verbose=True,
+            jobs=config.jobs, cache=cache, stats=stats, config=config)
     with open(args.output, "w") as fh:
         fh.write(text)
     print(f"wrote {args.output}")
@@ -176,18 +170,6 @@ def cmd_report(args) -> int:
             json.dump(stats, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
-
-
-def _profiled(fn, top: int):
-    """Run *fn* under cProfile, dump the top-N cumulative rows to stderr."""
-    import cProfile
-    import pstats
-
-    prof = cProfile.Profile()
-    result = prof.runcall(fn)
-    stats = pstats.Stats(prof, stream=sys.stderr)
-    stats.sort_stats("cumulative").print_stats(top)
-    return result
 
 
 def _jobs_type(text: str) -> int:
@@ -278,10 +260,6 @@ def _parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--no-cache", action="store_true",
         help="disable the result cache: recompute every simulation run")
-    p_rep.add_argument(
-        "--profile", type=int, nargs="?", const=30, default=None, metavar="N",
-        help="run under cProfile and print the top N functions by "
-        "cumulative time to stderr (default N: 30)")
     p_rep.add_argument(
         "--stats-json", default=None, metavar="FILE",
         help="also write executor stats (jobs, task count, cache "

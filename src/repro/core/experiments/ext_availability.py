@@ -12,8 +12,9 @@ crash in the middle, at the **same seed** for a *journaled* broker
 (write-ahead job journal, replayed at restart) and an *amnesiac*
 baseline (no journal: queued work vanishes, orphaned flows are torn
 down, unobserved completions are lost).  An MTTR pair isolates restart
-recovery on a crash-only plan, and a determinism leg anchors that
-correlated domain faults expand identically at any shard count.
+recovery on a crash-only plan, and a determinism leg checks that
+correlated domain faults expand identically when the same fabric is
+rerun at one seed.
 
 Run-configuration knobs (both ordinary leg parameters, so they hash
 into the result-cache identity):
@@ -87,7 +88,7 @@ def fault_rates(quick: bool = True, config: RunConfig = RunConfig()) -> tuple:
 def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
          config: RunConfig = RunConfig()) -> list[SimTask]:
     """Per (hosts, fault rate): journaled and amnesiac legs at the same
-    seed; plus the MTTR pair and the shard-determinism anchor."""
+    seed; plus the MTTR pair and the rerun-determinism anchor."""
     sizes = avail_sizes(quick, config)
     rates = fault_rates(quick, config)
     tasks: list[SimTask] = []
@@ -179,8 +180,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
         f"{ma['lost_bytes'] / 1e9:.1f} GB vs {mj['lost_bytes'] / 1e9:.1f} GB",
         ok=ma["lost_bytes"] > 0.0 and mj["lost_bytes"] == 0.0)
     report.add_check(
-        "correlated domain faults are shard-count invariant",
-        "identical per-pod ledgers at 1 vs N shards", det["identical"],
+        "correlated domain faults rerun identically",
+        "identical per-pod ledgers on a same-seed rerun", det["identical"],
         ok=det["identical"] and det["rescheduled"] > 0)
 
     report.notes.append(
@@ -203,7 +204,7 @@ def assemble(results, quick: bool = True, seed: int = 0,
         "(host/tor/power domains), with stagger offsets drawn from each "
         f"cell's own \"faults\" stream: the determinism anchor completed "
         f"{det['completed']} jobs with {det['mismatches']} ledger "
-        "mismatches between shard counts.")
+        "mismatches between two same-seed runs.")
     return report
 
 

@@ -5,10 +5,11 @@ the question operators actually face — what happens at datacenter
 scale, where thousands of tenants multiplex pooled QPs over shared
 NICs.  This extension runs N-host/M-tenant fabrics
 (:mod:`repro.service.fabric`) through the topology-sharded runtime
-(:mod:`repro.sim.shard`): each pod simulates independently on the
-process pool and only per-epoch WAN boundary rates are exchanged, so
+(:mod:`repro.sim.shard`): each pod simulates independently in its
+own event loop and only per-epoch WAN boundary rates are exchanged, so
 the sweep scales past what one event loop can hold while staying
-seed-stable and worker-count-independent.
+seed-stable; each fleet size is one task on the process pool, so the
+ledger is worker-count-independent.
 
 At each fleet size the ``pooled`` QP mode (RDMAvisor-style per-tenant
 pools) and the ``per-job`` baseline (every job creates its own QP) run
@@ -173,7 +174,7 @@ def assemble(results, quick: bool = True, seed: int = 0,
         f"completed {diff['churn_completed_sharded']} jobs in both modes. "
         "Pods simulate independently (one cell per pod, NUMA-local rails "
         "never cross the cut), so results are byte-identical at any "
-        "worker or shard count.")
+        "worker count.")
     return report
 
 

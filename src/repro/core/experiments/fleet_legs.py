@@ -5,9 +5,9 @@ through the topology-sharded runtime (:mod:`repro.sim.shard`) and folds
 the per-pod ledgers into a fleet scorecard: sustained jobs/s, latency
 percentiles over every pod's completed jobs, the QP/CM cliff counters
 summed fleet-wide, and the boundary-exchange accounting.  The leg is a
-single :class:`~repro.exec.SimTask` target, so the whole fabric — shard
-fan-out included — caches as one content-addressed entry; inside a
-worker process the nested shard tasks simply run serially.
+single :class:`~repro.exec.SimTask` target: every exchange round runs
+its cells in the leg's own process, so the whole fabric caches as one
+content-addressed entry.
 
 The differential leg is the experiment's correctness anchor: the same
 small fabric through the sharded and single-process reference paths,

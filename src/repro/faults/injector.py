@@ -180,8 +180,8 @@ class FaultInjector:
             # Correlated-but-cascading failure: every component of the
             # expansion fires after its own seeded exponential offset,
             # drawn in registration order so the cascade is identical at
-            # any worker or shard count (the draws happen in this cell's
-            # own "faults" stream).
+            # any worker count and on every rerun (the draws happen in
+            # this cell's own "faults" stream).
             if self._rng is None:
                 self._rng = self.ctx.rng.stream("faults")
             for component in targets:

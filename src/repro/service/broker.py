@@ -55,7 +55,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -189,8 +189,7 @@ class TransferBroker:
         if workload is not None:
             self.generator = WorkloadGenerator(
                 ctx, workload, self.submit,
-                n_nodes=fleet.hosts[0].n_nodes,
-                submit_many=self.submit_many)
+                n_nodes=fleet.hosts[0].n_nodes)
         # Fault integration is opt-in by plan: with no active injector
         # the broker registers nothing and the hooks below never run.
         inj = faults_active(ctx)
@@ -225,29 +224,6 @@ class TransferBroker:
 
     def submit(self, tenant: str, size: float, touch_node: int = 0) -> Optional[int]:
         """Submit one job; returns its session id, or None when shed."""
-        return self._submit_one(tenant, size, touch_node, None)
-
-    def submit_many(
-        self, arrivals: Iterable[Tuple[str, float, int]],
-    ) -> List[Optional[int]]:
-        """Submit a same-timestamp burst; one id (or None) per arrival.
-
-        Admission, placement and shed decisions are made in arrival
-        order — exactly the decisions a loop of :meth:`submit` would
-        make — but the whole burst's flow starts are deferred and
-        launched through one
-        :meth:`~repro.sim.fluid.FluidScheduler.start_many` settle.
-        """
-        batch: List[Tuple[_Job, FluidFlow]] = []
-        ids = [self._submit_one(tenant, size, touch_node, batch)
-               for tenant, size, touch_node in arrivals]
-        if batch:
-            self._launch_many(batch)
-        return ids
-
-    def _submit_one(self, tenant: str, size: float, touch_node: int,
-                    batch: Optional[List[Tuple["_Job", FluidFlow]]],
-                    ) -> Optional[int]:
         check_positive("size", size)
         if self._crashed:
             # A dead control plane accepts nothing: the client's request
@@ -270,7 +246,7 @@ class TransferBroker:
         self._queue.append(job)
         if self.journal is not None:
             self.journal.log_submit(job.job_id)
-        self._dispatch(batch)
+        self._dispatch()
         if job.state is JobState.QUEUED and len(self._queue) > self.config.max_queue:
             # Bounded queue: the newcomer is shed, not an older job.
             self._queue.remove(job)
@@ -284,19 +260,16 @@ class TransferBroker:
         return job.job_id
 
     # -- admission + dispatch ----------------------------------------------
-    def _dispatch(
-        self, batch: Optional[List[Tuple["_Job", FluidFlow]]] = None,
-        limit: Optional[int] = None, force: bool = False,
-    ) -> None:
+    def _dispatch(self, limit: Optional[int] = None,
+                  force: bool = False) -> None:
         """Start every queued job that admission and placement allow.
 
         Scans in FIFO order; jobs blocked on quota or budget are skipped
         rather than head-of-line blocking unrelated tenants.  The pass
         defers every zero-delay launch and starts them through one bulk
-        ``start_many`` settle; a caller-supplied *batch*
-        (``submit_many``) widens that to the whole arrival burst.
-        Control-plane decisions are identical either way: placement reads
-        rail loads, which ``_start`` updates immediately.
+        ``start_many`` settle.  Control-plane decisions are identical to
+        one-by-one starts: placement reads rail loads, which ``_start``
+        updates immediately.
 
         While crashed nothing dispatches; while draining a restart
         backlog only the pacer itself dispatches (``force``), with
@@ -306,9 +279,7 @@ class TransferBroker:
             return
         if not self._queue:
             return
-        local = batch is None
-        if local:
-            batch = []
+        batch: List[Tuple[_Job, FluidFlow]] = []
         started: List[_Job] = []
         # Both admission clauses only tighten while the scan runs (starts
         # consume quota and budget; nothing frees them mid-scan), so a
@@ -342,7 +313,7 @@ class TransferBroker:
                 break
         for job in started:
             self._queue.remove(job)
-        if local and batch:
+        if batch:
             self._launch_many(batch)
 
     def _base_route(self, rail: Rail, buffer_node: int):

@@ -47,10 +47,26 @@ __all__ = ["FabricSpec", "FleetBroker", "boundary_links", "fleet_cell",
 #: One Gbit/s in bytes/second.
 _GBPS = 1e9 / 8.0
 
+#: Pod uplink rate (Gbit/s) funnelling cross-fabric traffic to the WAN.
+UPLINK_GBPS = 80.0
+#: Boundary-exchange epoch (seconds): grants are re-cut once per epoch.
+EPOCH_S = 1.0
+#: Per-pod broker queue bound (jobs); twice ``BrokerConfig``'s default.
+MAX_QUEUE = 512
+#: Pods per power domain: ``power:<d>`` cuts pods ``d*k .. d*k+k-1``.
+PODS_PER_POWER = 4
+
 
 @dataclass(frozen=True)
 class FabricSpec:
-    """One fleet scenario: topology, workload, cliffs, horizon."""
+    """One fleet scenario: topology, workload, horizon.
+
+    Broker admission, QP/CM cliffs and tenant count are the
+    :class:`~repro.service.broker.BrokerConfig`,
+    :class:`~repro.rdma.qpool.QpPoolConfig` and
+    :class:`~repro.service.workload.WorkloadConfig` defaults (queue
+    bound: :data:`MAX_QUEUE`).
+    """
 
     n_pods: int = 2
     hosts_per_pod: int = 8
@@ -58,7 +74,6 @@ class FabricSpec:
     #: there may be no more of them than pods.
     n_wan_links: int = 1
     wan_gbps: float = 100.0
-    uplink_gbps: float = 80.0
     #: Long-lived replication flows per pod and their per-flow cap.
     elephants_per_pod: int = 2
     elephant_gbps: float = 4.0
@@ -67,37 +82,17 @@ class FabricSpec:
     #: Job arrivals per host per second; 0 disables the workload.
     rate_per_host: float = 0.0
     size_mean_mib: float = 64.0
-    size_dist: str = "lognormal"
-    lognormal_sigma: float = 1.0
-    #: Jobs per arrival event (same-timestamp bursts when > 1).
-    burst: int = 1
-    n_tenants: int = 8
     #: Tenants whose jobs cross the WAN (the first this-many indices).
     wan_tenants: int = 2
     #: Arrivals stop at ``serve_s``; the sim drains until ``horizon_s``.
     serve_s: float = 8.0
     horizon_s: float = 10.0
-    epoch_dt: float = 1.0
-    policy: str = "numa-aware"
-    tenant_quota: int = 8
-    max_queue: int = 512
-    budget_fraction: float = 1.5
     #: QP accounting: "pooled" / "per-job" / "off".
     qp_mode: str = "pooled"
-    qp_per_tenant: int = 1
-    qp_cache: int = 24
-    thrash_floor: float = 0.35
-    cm_rate: float = 64.0
-    cm_base_ms: float = 2.0
-    #: Crash tolerance, forwarded into BrokerConfig: keep a job journal,
-    #: and the restart backlog drain rate (job starts/second).
+    #: Crash tolerance, forwarded into BrokerConfig: keep a job journal.
     journal: bool = True
-    recovery_rate: float = 64.0
-    #: Pods per power domain: ``power:<d>`` cuts pods ``d*k .. d*k+k-1``.
-    pods_per_power: int = 4
 
     def __post_init__(self) -> None:
-        check_positive("pods_per_power", self.pods_per_power)
         check_positive("n_pods", self.n_pods)
         check_positive("hosts_per_pod", self.hosts_per_pod)
         check_positive("n_wan_links", self.n_wan_links)
@@ -106,13 +101,14 @@ class FabricSpec:
                 f"n_wan_links ({self.n_wan_links}) exceeds n_pods "
                 f"({self.n_pods}): a WAN link no pod crosses")
         check_positive("wan_gbps", self.wan_gbps)
-        check_positive("uplink_gbps", self.uplink_gbps)
         check_non_negative("rate_per_host", self.rate_per_host)
         if self.qp_mode not in QP_MODES:
             raise ValueError(
                 f"qp_mode must be one of {QP_MODES}, got {self.qp_mode!r}")
-        if self.wan_tenants > self.n_tenants:
-            raise ValueError("wan_tenants cannot exceed n_tenants")
+        if self.wan_tenants > WorkloadConfig.n_tenants:
+            raise ValueError(
+                f"wan_tenants cannot exceed the {WorkloadConfig.n_tenants} "
+                "tenants")
         if self.serve_s > self.horizon_s:
             raise ValueError("serve_s cannot exceed horizon_s")
 
@@ -211,7 +207,7 @@ def fleet_cell(*, ctx: Context, cell: int, port: BoundaryPort,
     fleet = RailFleet(ctx, n_hosts=s.hosts_per_pod, name_prefix=f"pod{cell}-")
     # Fleet topology as failure domains: the pod's ToR is its rail set
     # (`tor:<cell>`), and pods share power domains in blocks of
-    # `pods_per_power` (`power:<cell // pods_per_power>`).  Under
+    # `PODS_PER_POWER` (`power:<cell // PODS_PER_POWER>`).  Under
     # sharding each cell registers only its own pod, so a tor:/power:
     # cut lands on exactly the cells it covers — the same correlated
     # link set the unsharded reference expands.
@@ -219,31 +215,20 @@ def fleet_cell(*, ctx: Context, cell: int, port: BoundaryPort,
     if inj is not None:
         pod_links = [r.link for r in fleet.rails]
         inj.register_domain("tor", str(cell), pod_links)
-        inj.register_domain("power", str(cell // s.pods_per_power), pod_links)
-    uplink = FluidResource(ctx.fluid, s.uplink_gbps * _GBPS,
+        inj.register_domain("power", str(cell // PODS_PER_POWER), pod_links)
+    uplink = FluidResource(ctx.fluid, UPLINK_GBPS * _GBPS,
                            f"pod{cell}/uplink")
     uplink.kind = "link"  # type: ignore[attr-defined]
     qpool = None
     if s.qp_mode != "off":
-        qpool = QpPoolSet(ctx, QpPoolConfig(
-            mode=s.qp_mode, qp_per_tenant=s.qp_per_tenant,
-            qp_cache=s.qp_cache, thrash_floor=s.thrash_floor,
-            cm_rate=s.cm_rate, cm_base_s=s.cm_base_ms / 1e3))
+        qpool = QpPoolSet(ctx, QpPoolConfig(mode=s.qp_mode))
     workload = None
     if s.rate_per_host > 0.0:
         workload = WorkloadConfig(
             rate=s.rate_per_host * s.hosts_per_pod,
-            size_mean=s.size_mean_mib * MIB,
-            size_dist=s.size_dist,
-            lognormal_sigma=s.lognormal_sigma,
-            burst=s.burst,
-            n_tenants=s.n_tenants)
+            size_mean=s.size_mean_mib * MIB)
     broker = FleetBroker(
-        ctx, fleet,
-        BrokerConfig(policy=s.policy, tenant_quota=s.tenant_quota,
-                     max_queue=s.max_queue,
-                     budget_fraction=s.budget_fraction,
-                     journal=s.journal, recovery_rate=s.recovery_rate),
+        ctx, fleet, BrokerConfig(max_queue=MAX_QUEUE, journal=s.journal),
         workload, uplink=uplink, port=port, wan_tenants=s.wan_tenants,
         qpool=qpool, name=f"pod{cell}")
     elephants = []
@@ -283,7 +268,7 @@ def fleet_cell(*, ctx: Context, cell: int, port: BoundaryPort,
 
 
 def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
-               sharded: bool = True, n_shards: int = 0, fixed_rounds: int = 0,
+               sharded: bool = True, fixed_rounds: int = 0,
                faults: FaultPlan | None = None) -> dict:
     """One fabric scenario through the sharded (or reference) runtime,
     every cell armed with *faults* (None: the run-wide plan)."""
@@ -293,10 +278,10 @@ def run_fabric(spec: FabricSpec | dict, *, seed: int = 0, cal=None,
         target="repro.service.fabric:fleet_cell",
         links=boundary_links(spec),
         horizon=spec.horizon_s,
-        epoch_dt=spec.epoch_dt,
+        epoch_dt=EPOCH_S,
         params={"spec": asdict(spec)},
         seed=seed, cal=cal, faults=faults,
     )
     if sharded:
-        return run_sharded(**common, n_shards=n_shards, fixed_rounds=fixed_rounds)
+        return run_sharded(**common, fixed_rounds=fixed_rounds)
     return run_unsharded(**common)

@@ -7,8 +7,9 @@ the whole fleet.  This module partitions the topology into **cells**
 (pods): each cell keeps its hosts' NUMA-local rails, NICs and links
 intact inside one private :class:`~repro.sim.context.Context`, and the
 fabric is cut only along WAN/aggregation links — the
-:class:`BoundaryLink` set.  Cells then run as independent tasks on the
-:mod:`repro.exec` process pool, grouped into shard slices.
+:class:`BoundaryLink` set.  Each exchange round runs every cell in the
+calling process, one after another; a leg that wants process-level
+parallelism is itself one task on the :mod:`repro.exec` pool.
 
 **Boundary protocol.**  The simulated horizon is split into fixed
 epochs.  Every cell crosses exactly one cut link, given per cell by
@@ -38,12 +39,11 @@ round.  The fixed point of the iteration is the *flow-level* max-min
 fair allocation over the cut links, the same allocation the unsharded
 kernel computes, which is what the 1e-6 differential suite checks.
 
-**Determinism.**  The cell — not the shard — is the unit of
-simulation: cell *i* always runs in its own context seeded
-``cell_seed(seed, i)``, whatever shard slice it lands in, and the
+**Determinism.**  The cell is the unit of simulation: cell *i* always
+runs in its own context seeded ``cell_seed(seed, i)``, and the
 coordinator's arithmetic is over deterministically ordered arrays.
-Results are therefore byte-identical across worker counts *and* shard
-counts; only wall-clock changes.
+Results are therefore byte-identical across worker counts and reruns;
+only wall-clock changes.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import metrics
-from repro.exec import SimTask, run_tasks
-from repro.faults.plan import FaultPlan, scoped_plan
+from repro.exec import SimTask
+from repro.faults.plan import FaultPlan
 from repro.sim.context import Context
 from repro.sim.fluid import FluidResource
 
@@ -66,7 +66,6 @@ __all__ = [
     "cell_seed",
     "run_sharded",
     "run_unsharded",
-    "slice_cells",
 ]
 
 #: Relative slack treated as saturation when classifying port epochs.
@@ -109,18 +108,6 @@ class ShardStats:
 def cell_seed(seed: int, cell: int) -> int:
     """The derived root seed of cell *cell* (same recipe as ``RngRegistry.fork``)."""
     return (seed * 1_000_003 + cell + 1) % (2 ** 63)
-
-
-def slice_cells(n_cells: int, n_shards: int) -> List[List[int]]:
-    """Partition ``range(n_cells)`` into ``n_shards`` balanced contiguous slices."""
-    n_shards = max(1, min(n_shards, n_cells))
-    base, extra = divmod(n_cells, n_shards)
-    slices, start = [], 0
-    for s in range(n_shards):
-        width = base + (1 if s < extra else 0)
-        slices.append(list(range(start, start + width)))
-        start += width
-    return slices
 
 
 class _Acc:
@@ -239,16 +226,17 @@ def _cut_set(links: Sequence[BoundaryLink]) -> Dict[BoundaryLink, List[int]]:
     return members
 
 
-# -- cell-slice task target ------------------------------------------------
+# -- one exchange round ----------------------------------------------------
 
 def run_cell_slice(*, seed: int, cal, target: str, cells: Sequence[Sequence],
-                   horizon: float, epoch_dt: float,
-                   params: Dict[str, Any]) -> List[dict]:
-    """Run one shard slice: each cell in its own context, sequentially.
+                   horizon: float, epoch_dt: float, params: Dict[str, Any],
+                   faults: Optional[FaultPlan]) -> List[dict]:
+    """Run one exchange round: each cell in its own context, sequentially.
 
     Each entry of *cells* is ``[cell, link name, grant series]``: the
     cell, the cut link it crosses and the per-epoch capacity granted to
-    it there.  The cell target (an importable ``"module:function"``) is
+    it there.  Every cell's context arms *faults* (None: the run-wide
+    plan).  The cell target (an importable ``"module:function"``) is
     called as ``fn(ctx=, cell=, port=, horizon=, **params)`` and must
     return a ``finish()`` callable producing the cell's ledger.
     Returns one ``{"ledger", "demand"}`` record per cell, in *cells*
@@ -257,7 +245,8 @@ def run_cell_slice(*, seed: int, cal, target: str, cells: Sequence[Sequence],
     fn = SimTask(target).resolve()
     out: List[dict] = []
     for cell, name, grants in cells:
-        ctx = Context.create(seed=cell_seed(seed, cell), cal=cal)
+        ctx = Context.create(seed=cell_seed(seed, cell), cal=cal,
+                             faults=faults)
         port = BoundaryPort(
             ctx, _link_resource(ctx.fluid, grants[0], f"{name}/cut"),
             grants=grants, epoch_dt=epoch_dt)
@@ -332,21 +321,19 @@ def _oversubscribed(link: BoundaryLink, demands: List[dict],
 def run_sharded(*, target: str, links: Sequence[BoundaryLink],
                 horizon: float, epoch_dt: float,
                 params: Optional[Dict[str, Any]] = None,
-                seed: int = 0, cal=None, n_shards: int = 0,
-                fixed_rounds: int = 0, faults: Optional[FaultPlan] = None) -> dict:
+                seed: int = 0, cal=None, fixed_rounds: int = 0,
+                faults: Optional[FaultPlan] = None) -> dict:
     """Run one cell of *target* per entry of *links* under the
     boundary-exchange protocol; cell *i* crosses ``links[i]``.
 
-    ``n_shards=0`` slices one shard per ambient worker.  By default the
-    iteration runs until the grants are stable within ``_TOL``, for at
-    most ``_MAX_ROUNDS`` rounds; ``fixed_rounds > 0`` instead runs
-    exactly that many rounds (deterministic fixed-round mode).  Every
-    cell arms *faults* (None: the run-wide plan), carried by its shard
-    task.  The result — ``{"cells": [ledger...], "exchange": {...}}``
-    — is byte-identical whatever the worker or shard count.
+    Every round runs all cells in this process (:func:`run_cell_slice`).
+    By default the iteration runs until the grants are stable within
+    ``_TOL``, for at most ``_MAX_ROUNDS`` rounds; ``fixed_rounds > 0``
+    instead runs exactly that many rounds (deterministic fixed-round
+    mode).  Every cell arms *faults* (None: the run-wide plan).  The
+    result — ``{"cells": [ledger...], "exchange": {...}}`` — is
+    byte-identical whatever the worker count.
     """
-    from repro.exec.runner import get_exec_context
-
     if horizon <= 0 or epoch_dt <= 0:
         raise ValueError("horizon and epoch_dt must be > 0")
     n_epochs = max(1, int(round(horizon / epoch_dt)))
@@ -357,39 +344,24 @@ def run_sharded(*, target: str, links: Sequence[BoundaryLink],
     links = list(links)
     cut = _cut_set(links)
     n_cells = len(links)
-    if n_shards <= 0:
-        n_shards = get_exec_context().effective_jobs
-    slices = slice_cells(n_cells, n_shards)
-    faults = faults if faults is not None else scoped_plan()
 
     # Round 0: optimistic grants — every cell may burst to its full link.
     caps = np.array([b.capacity for b in links], dtype=float)
     grants = np.repeat(caps[:, None], n_epochs, axis=1)
 
-    def _round(tag: str) -> tuple[List[dict], List[dict]]:
-        tasks = [
-            SimTask(
-                "repro.sim.shard:run_cell_slice",
-                {
-                    "target": target,
-                    "cells": [[c, links[c].name, grants[c].tolist()]
-                              for c in cells],
-                    "horizon": horizon,
-                    "epoch_dt": epoch_dt,
-                    "params": params,
-                },
-                seed=seed, cal=cal, faults=faults,
-                label=f"shard/{tag}/cells{cells[0]}-{cells[-1]}",
-            )
-            for cells in slices
-        ]
-        merged: List[dict] = []
-        for piece in run_tasks(tasks):
-            merged.extend(piece)
+    def _round() -> tuple[List[dict], List[dict]]:
+        # A module-global call, so a wrapper installed on
+        # ``repro.sim.shard.run_cell_slice`` sees every round.
+        merged = run_cell_slice(
+            seed=seed, cal=cal, target=target,
+            cells=[[c, links[c].name, grants[c].tolist()]
+                   for c in range(n_cells)],
+            horizon=horizon, epoch_dt=epoch_dt, params=params,
+            faults=faults)
         return [r["demand"] for r in merged], [r["ledger"] for r in merged]
 
     rounds_wanted = fixed_rounds if fixed_rounds > 0 else _MAX_ROUNDS
-    demands, ledgers = _round("r0")
+    demands, ledgers = _round()
     rounds_run = 1
     early = False
     converged = False
@@ -411,7 +383,7 @@ def run_sharded(*, target: str, links: Sequence[BoundaryLink],
                 converged = True
                 break
         grants = new
-        demands, ledgers = _round(f"r{rounds_run}")
+        demands, ledgers = _round()
         rounds_run += 1
     if fixed_rounds > 0:
         converged = True
@@ -429,7 +401,6 @@ def run_sharded(*, target: str, links: Sequence[BoundaryLink],
         "early_accept": early,
         "converged": converged,
         "n_cells": n_cells,
-        "n_shards": len(slices),
         "n_epochs": n_epochs,
         "boundaries": boundaries,
     }
@@ -489,7 +460,6 @@ def run_unsharded(*, target: str, links: Sequence[BoundaryLink],
         "early_accept": False,
         "converged": True,
         "n_cells": len(ports),
-        "n_shards": 1,
         "n_epochs": max(1, int(round(horizon / epoch_dt))),
         "boundaries": boundaries,
     }

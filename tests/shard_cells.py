@@ -2,9 +2,8 @@
 
 :func:`demo_cell` is the minimal cell model that
 ``repro.sim.shard.run_sharded`` and ``run_unsharded`` drive in the
-protocol, determinism and runtime tests, named as the task target
-``tests.shard_cells:demo_cell`` (worker processes import it by that
-name).
+protocol, determinism and runtime tests, named as the cell target
+``tests.shard_cells:demo_cell`` (the runtime imports it by that name).
 """
 
 from __future__ import annotations

@@ -87,14 +87,14 @@ def test_switch_backplane_oversubscription():
 #: number on purpose regenerates it with
 #: ``python -m repro report --full --no-cache --seed 1 -o full.md && sha256sum full.md``.
 FULL_LEDGER_SEED1_SHA256 = (
-    "cf23753c0d318019dc5522072780f91808f91c552575c7882149cb799bbe3fc5")
+    "d4b192c6b53a27b7a74967345b66244a61b69313ac723014431d6eecabc8b877")
 
 #: sha256 of the default-seed paper-scale ledger, checked by CI's
 #: ledger-gate job (about a minute, too slow for tier-1).  A change that
 #: moves a model number on purpose regenerates it with
 #: ``python -m repro report --full --no-cache -o full.md && sha256sum full.md``.
 FULL_LEDGER_SHA256 = (
-    "b17444c828870c98bcea006b42d7adae9f00300d056acd3e067fde7b9451cd9a")
+    "64a7fe62731bafbde08cf9e94ca0f8016032224d95d2d5976995762662da8a16")
 
 
 def test_full_mode_ledger_generates():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.service import WorkloadConfig, WorkloadGenerator
+from repro.service.workload import LOGNORMAL_SIGMA
 from repro.sim.context import Context
 from repro.sim.rng import RngRegistry
 from repro.util.units import MIB
@@ -42,9 +43,8 @@ def test_poisson_rate_roughly_honored():
     assert 1700 < len(events) < 2300
 
 
-@pytest.mark.parametrize("dist", ["lognormal"])
-def test_size_distributions_hit_their_mean(dist):
-    cfg = WorkloadConfig(rate=200.0, size_dist=dist, size_mean=64 * MIB)
+def test_lognormal_sizes_hit_their_mean():
+    cfg = WorkloadConfig(rate=200.0, size_mean=64 * MIB)
     sizes = [size for _, _, size, _ in _collect(cfg, seed=3, until=60.0)]
     assert len(sizes) > 5000
     mean = sum(sizes) / len(sizes)
@@ -93,45 +93,39 @@ def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(rate=0.0)
     with pytest.raises(ValueError):
-        WorkloadConfig(size_dist="uniform")
+        WorkloadConfig(n_tenants=0)
 
 
 def _expected_draws(config, seed, until, n_nodes=2):
     """The documented draw order, replayed on fresh streams of one seed.
 
-    Each arrival draws a gap from ``service.arrivals``; each of its
-    jobs then draws its tenant, size and first-touch node, in that order,
-    from ``service.tenants``, ``service.sizes`` and ``service.placement``.
+    Each arrival draws a gap from ``service.arrivals``; its job then
+    draws its tenant, size and first-touch node, in that order, from
+    ``service.tenants``, ``service.sizes`` and ``service.placement``.
     """
     rng = RngRegistry(seed)
     arrivals = rng.stream("service.arrivals")
     tenants = rng.stream("service.tenants")
     sizes = rng.stream("service.sizes")
     touch = rng.stream("service.placement")
-    sigma = config.lognormal_sigma
+    sigma = LOGNORMAL_SIGMA
+    mu = math.log(config.size_mean) - 0.5 * sigma * sigma
     out = []
     t = 0.0
     while True:
         t = t + float(arrivals.exponential(1.0 / config.rate))
         if t > until:
             return out
-        for _ in range(config.burst):
-            tenant = f"tenant{int(tenants.integers(config.n_tenants))}"
-            if config.size_dist == "lognormal":
-                mu = math.log(config.size_mean) - 0.5 * sigma * sigma
-                size = float(sizes.lognormal(mu, sigma))
-            else:
-                size = float(config.size_mean)
-            out.append((t, tenant, size, int(touch.integers(n_nodes))))
+        tenant = f"tenant{int(tenants.integers(config.n_tenants))}"
+        size = float(sizes.lognormal(mu, sigma))
+        out.append((t, tenant, size, int(touch.integers(n_nodes))))
 
 
-@pytest.mark.parametrize("config,bulk", [
-    (WorkloadConfig(rate=40.0), False),
-    (WorkloadConfig(rate=25.0, burst=3, n_tenants=5), True),
-    (WorkloadConfig(rate=25.0, burst=3, n_tenants=5), False),
-    (WorkloadConfig(rate=25.0, burst=2, size_dist="fixed"), True),
-], ids=["poisson", "burst-submit_many", "burst-submit", "burst-fixed"])
-def test_draws_follow_the_documented_order(config, bulk):
+@pytest.mark.parametrize("config", [
+    WorkloadConfig(rate=40.0),
+    WorkloadConfig(rate=25.0, n_tenants=5),
+], ids=["poisson", "five-tenants"])
+def test_draws_follow_the_documented_order(config):
     """Every submission equals the scalar draws taken in documented order."""
     ctx = Context.create(seed=11)
     got = []
@@ -139,11 +133,7 @@ def test_draws_follow_the_documented_order(config, bulk):
     def submit(tenant, size, node):
         got.append((ctx.now, tenant, size, node))
 
-    def submit_many(jobs):
-        got.extend((ctx.now, *job) for job in jobs)
-
-    gen = WorkloadGenerator(ctx, config, submit, n_nodes=3,
-                            submit_many=submit_many if bulk else None)
+    gen = WorkloadGenerator(ctx, config, submit, n_nodes=3)
     gen.start()
     ctx.sim.run(until=6.0)
     expected = _expected_draws(config, seed=11, until=6.0, n_nodes=3)

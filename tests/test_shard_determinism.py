@@ -1,16 +1,16 @@
-"""Seed-stability of the sharded runtime: results never depend on how
-many workers or shards execute the cells.
+"""Seed-stability of the sharded runtime: results never depend on the
+worker count or on how often the run is repeated.
 
-The cell — not the shard — is the unit of simulation: cell *i* always
-runs in its own context seeded ``cell_seed(seed, i)`` and the
-coordinator's arithmetic is over deterministically ordered arrays, so
-ledgers are byte-identical (canonical JSON) across ``--jobs`` counts
-and shard counts.  ``exchange["n_shards"]`` legitimately varies and is
-masked before comparison.
+The cell is the unit of simulation: cell *i* always runs in its own
+context seeded ``cell_seed(seed, i)`` and the coordinator's arithmetic
+is over deterministically ordered arrays, so ledgers are byte-identical
+(canonical JSON) across ``--jobs`` counts, in a worker process or in
+the caller, and across reruns.
 """
 
 import json
 
+from repro.exec import SimTask, run_tasks
 from repro.exec.runner import executor
 from repro.service.fabric import FabricSpec, run_fabric
 from repro.sim.shard import BoundaryLink, run_sharded
@@ -29,34 +29,41 @@ FABRIC = FabricSpec(
     size_mean_mib=64.0, wan_tenants=2, serve_s=3.0, horizon_s=4.0)
 
 
-def _canon(result: dict) -> str:
-    masked = dict(result, exchange=dict(result["exchange"], n_shards=None))
-    return json.dumps(masked, sort_keys=True)
+def _canon(result) -> str:
+    return json.dumps(result, sort_keys=True)
 
 
-def test_demo_ledgers_identical_across_shard_counts():
-    reference = _canon(run_sharded(**DEMO, n_shards=1))
-    for n_shards in (2, 3, 4, 5):
-        assert _canon(run_sharded(**DEMO, n_shards=n_shards)) == reference, (
-            f"n_shards={n_shards} diverged")
+def test_demo_reruns_are_byte_identical():
+    assert _canon(run_sharded(**DEMO)) == _canon(run_sharded(**DEMO))
 
 
 def test_demo_ledgers_identical_across_worker_counts():
+    # Two sharded runs as pool tasks: in this process at jobs=1, each in
+    # its own worker process at jobs=2.
+    params = {k: v for k, v in DEMO.items() if k != "seed"}
+    tasks = [SimTask("repro.sim.shard:run_sharded", params, seed=seed)
+             for seed in (23, 24)]
     with executor(jobs=1):
-        serial = _canon(run_sharded(**DEMO))
-    with executor(jobs=8):
-        parallel = _canon(run_sharded(**DEMO))
+        serial = _canon(run_tasks(tasks))
+    with executor(jobs=2):
+        parallel = _canon(run_tasks(tasks))
     assert parallel == serial
 
 
-def test_fabric_ledgers_identical_across_workers_and_shards():
-    outputs = set()
-    for jobs, n_shards in ((1, 1), (1, 3), (2, 0), (4, 2)):
-        with executor(jobs=jobs):
-            result = run_fabric(FABRIC, seed=7, n_shards=n_shards,
-                                fixed_rounds=2)
-        outputs.add(_canon(result))
-    assert len(outputs) == 1
+def test_fabric_ledgers_identical_across_worker_counts():
+    # Two fleet legs: at jobs=2 each runs in its own worker process, at
+    # jobs=1 both run in this one; the sharded fabric inside must not
+    # notice.
+    tasks = [SimTask("repro.core.experiments.fleet_legs:fleet_leg",
+                     {"hosts": 16, "qp_mode": mode, "rate_per_host": 3.0,
+                      "size_mean_mib": 64.0, "hosts_per_pod": 8,
+                      "serve_s": 2.0, "horizon_s": 3.0}, seed=7)
+             for mode in ("pooled", "per-job")]
+    with executor(jobs=1):
+        serial = _canon(run_tasks(tasks))
+    with executor(jobs=2):
+        parallel = _canon(run_tasks(tasks))
+    assert parallel == serial
 
 
 def test_fabric_reruns_are_byte_identical_at_equal_seed():

@@ -1,37 +1,25 @@
-"""Shard-runtime units: slicing, water-filling, ports, REPRO_JOBS."""
+"""Shard-runtime units: cell seeds, water-filling, ports, REPRO_JOBS."""
 
 import numpy as np
 import pytest
 
 from repro.__main__ import _parser, _run_config
 from repro.config import RunConfig
+from repro.exec import ResultCache, SimTask, run_tasks
 from repro.exec.runner import ExecContext, executor
 from repro.service.fabric import FabricSpec, run_fabric
 from repro.sim.engine import Simulator
 from repro.sim.fluid import FluidResource
-from repro.sim.shard import (BoundaryLink, ShardStats, cell_seed,
-                             run_sharded, slice_cells)
+from repro.sim.shard import BoundaryLink, ShardStats, cell_seed, run_sharded
 from repro.sim.shard import _waterfill
 
 
-# -- cell slicing ----------------------------------------------------------
-
-def test_slices_are_balanced_and_contiguous():
-    slices = slice_cells(10, 3)
-    assert [len(s) for s in slices] == [4, 3, 3]
-    assert [c for s in slices for c in s] == list(range(10))
-
-
-def test_slices_clamp_to_cell_count():
-    assert slice_cells(2, 8) == [[0], [1]]
-    assert slice_cells(5, 1) == [list(range(5))]
-    assert slice_cells(5, 0) == [list(range(5))]
-
+# -- cell seeds ------------------------------------------------------------
 
 def test_cell_seeds_are_distinct_and_shard_independent():
     seeds = [cell_seed(7, c) for c in range(64)]
     assert len(set(seeds)) == 64
-    # The recipe depends only on (seed, cell) — never on shard layout.
+    # The recipe depends only on (seed, cell) — never on run order.
     assert cell_seed(7, 3) == seeds[3]
 
 
@@ -131,7 +119,7 @@ def test_fabric_cell_holds_one_cut_resource_and_one_ticker(monkeypatch):
                       elephants_per_pod=1, rate_per_host=0.0, serve_s=3.0,
                       horizon_s=3.0, qp_mode="off")
     with executor(jobs=1):
-        result = run_fabric(spec, seed=3, n_shards=1, fixed_rounds=1)
+        result = run_fabric(spec, seed=3, fixed_rounds=1)
     assert list(result["exchange"]["boundaries"]) == ["wan0", "wan1"]
     cuts = [(sim, name) for kind, sim, name in made
             if kind == "cut" and name.endswith("/cut")]
@@ -140,6 +128,29 @@ def test_fabric_cell_holds_one_cut_resource_and_one_ticker(monkeypatch):
     assert [name for _sim, name in cuts] == ["wan0/cut", "wan1/cut"]
     assert len(tickers) == 2
     assert [sim for sim, _name in tickers] == [sim for sim, _name in cuts]
+
+
+def test_fleet_leg_runs_its_rounds_in_process(tmp_path, monkeypatch):
+    # Every exchange round runs in the leg's own process: a cached leg
+    # writes one entry (its own) and executes one task, whatever the
+    # ambient worker count.
+    executed = []
+    execute = SimTask.execute
+
+    def spy(self):
+        executed.append(self.target)
+        return execute(self)
+
+    monkeypatch.setattr(SimTask, "execute", spy)
+    task = SimTask("repro.core.experiments.fleet_legs:fleet_leg",
+                   {"hosts": 16, "qp_mode": "pooled", "rate_per_host": 2.0,
+                    "size_mean_mib": 32.0, "serve_s": 1.0, "horizon_s": 2.0},
+                   seed=3)
+    with executor(jobs=2, cache=ResultCache(tmp_path)):
+        (result,) = run_tasks([task])
+    assert result["rounds"] == 2
+    assert len(list(tmp_path.rglob("*.pkl"))) == 1
+    assert executed == [task.target]
 
 
 # -- REPRO_JOBS default worker count ---------------------------------------
