@@ -29,6 +29,7 @@ import time
 from dataclasses import replace
 
 from repro import metrics
+from repro.config import RunConfig
 from repro.core.experiments import ext_sensitivity
 from repro.exec import run_tasks
 from repro.sim.engine import Simulator
@@ -69,7 +70,7 @@ def _run_once(mode: str, quick: bool) -> dict:
 
 
 def test_ext_sensitivity_gang(results_dir):
-    quick = os.environ.get("REPRO_FULL", "") != "1"
+    quick = not RunConfig.from_env().full
     min_speedup = _min_speedup(quick)
     n_cells = len(ext_sensitivity.plan(quick=quick))
 

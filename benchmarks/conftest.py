@@ -35,6 +35,7 @@ import time
 
 import pytest
 
+from repro.config import RunConfig
 from repro.exec import ResultCache, executor
 from repro.sim.engine import Simulator
 
@@ -62,7 +63,7 @@ def run_experiment(benchmark, results_dir, bench_cache):
 
     def _run(module, name: str, quick: bool | None = None):
         if quick is None:
-            quick = os.environ.get("REPRO_FULL", "") != "1"
+            quick = not RunConfig.from_env().full
 
         measured = {}
 

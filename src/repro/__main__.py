@@ -58,29 +58,19 @@ def cmd_list(_args) -> int:
     return 0
 
 
-#: Flags parsed like their ``REPRO_*`` variable: ``(field, flag name)``.
-_CONFIG_FLAGS = (
-    ("faults", "--faults spec"),
-    ("service_policy", "--service-policy"),
-    ("arrival_rate", "--arrival-rate"),
-    ("avail_hosts", "--availability-hosts"),
-    ("avail_rates", "--availability-rates"),
-)
-
-
 def _run_config(args) -> RunConfig | None:
     """The run's configuration: the environment, overridden by flags.
 
     Validated once, up front: bad input prints the variable's or the
-    flag's name and returns None (exit status 2).
+    flag's name and returns None (exit status 2).  ``--faults`` is parsed
+    like ``REPRO_FAULTS``.
     """
     label = "environment"
     try:
         config = RunConfig.from_env()
-        for field, label in _CONFIG_FLAGS:
-            text = getattr(args, field)
-            if text is not None:
-                config = config.parse(field, text)
+        if args.faults is not None:
+            label = "--faults spec"
+            config = config.parse("faults", args.faults)
     except ValueError as exc:
         print(f"bad {label}: {exc}", file=sys.stderr)
         return None
@@ -106,8 +96,7 @@ def cmd_run(args) -> int:
     with executor(jobs=config.jobs), fault_scope(config.faults):
         for name in names:
             t0 = time.time()
-            run = mods[name].run
-            report = run(quick=not config.full, seed=args.seed, **config.kwargs_for(run))
+            report = mods[name].run(quick=not config.full, seed=args.seed)
             print(report.render())
             print(f"\n[{name} finished in {time.time() - t0:.1f}s wall]\n")
             if not report.all_ok:
@@ -145,7 +134,7 @@ def cmd_report(args) -> int:
     with fault_scope(config.faults):
         text = generate_experiments_md(
             quick=not config.full, seed=args.seed, verbose=True,
-            jobs=config.jobs, cache=cache, stats=stats, config=config)
+            jobs=config.jobs, cache=cache, stats=stats)
     with open(args.output, "w") as fh:
         fh.write(text)
     print(f"wrote {args.output}")
@@ -203,27 +192,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "'link-down@link:1,at=5,duration=2' (default: the REPRO_FAULTS "
         "environment variable; part of the result-cache identity; see "
         "docs/MODELING.md section 9)")
-    parser.add_argument(
-        "--service-policy", default=None, metavar="POLICY",
-        help="baseline policy the ext-service capacity curves compare "
-        "numa-aware against: numa-blind (default) or fifo (also "
-        "REPRO_SERVICE_POLICY; part of the result-cache identity)")
-    parser.add_argument(
-        "--arrival-rate", default=None, metavar="JOBS_PER_S",
-        help="ext-service offered load in jobs/s per host (also "
-        "REPRO_SERVICE_ARRIVAL; part of the result-cache identity)")
-    parser.add_argument(
-        "--availability-hosts", dest="avail_hosts", default=None,
-        metavar="N[,N...]",
-        help="host counts the ext-availability sweep runs, e.g. '128' or "
-        "'128,512' (also REPRO_AVAIL_HOSTS; part of the result-cache "
-        "identity)")
-    parser.add_argument(
-        "--availability-rates", dest="avail_rates", default=None,
-        metavar="R[,R...]",
-        help="ToR fault rates (fraction of pods cut) for ext-availability, "
-        "e.g. '0.5' or '0.25,0.5,1.0' (also REPRO_AVAIL_RATE; part of "
-        "the result-cache identity)")
 
 
 def _parser() -> argparse.ArgumentParser:

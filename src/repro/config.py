@@ -4,53 +4,43 @@ The CLI builds a :class:`RunConfig` from the ``REPRO_*`` environment
 (:meth:`RunConfig.from_env`, the package's only reader of it) and its
 flags, and hands it on explicitly; nothing is written back.  The fault
 plan alone also travels implicitly, in
-:func:`~repro.faults.plan.fault_scope`.
+:func:`~repro.faults.plan.fault_scope`.  Each experiment's sweep is its
+own constant: no variable re-keys it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
+from repro.exec.runner import parse_jobs
 from repro.faults.plan import FaultPlan
 
 __all__ = ["RunConfig"]
 
 
-def _knob(name: str) -> Tuple[str, Callable[[str], object]]:
-    """Field *name*'s environment variable and its one parser."""
-    from repro.core.experiments import ext_availability, ext_service
-    from repro.exec.runner import parse_jobs
+def _parse_full(text: str) -> bool:
+    """``"1"`` is paper scale, ``"0"`` quick mode; nothing else is."""
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {text!r}")
+    return text == "1"
 
-    return {
-        "faults": ("REPRO_FAULTS", FaultPlan.parse),
-        "fleet_hosts": ("REPRO_FLEET_HOSTS", ext_availability.parse_hosts),
-        "avail_hosts": ("REPRO_AVAIL_HOSTS", ext_availability.parse_hosts),
-        "avail_rates": ("REPRO_AVAIL_RATE", ext_availability.parse_rates),
-        "service_policy": ("REPRO_SERVICE_POLICY", ext_service.parse_policy),
-        "arrival_rate": ("REPRO_SERVICE_ARRIVAL", ext_service.parse_rate),
-        "jobs": ("REPRO_JOBS", parse_jobs),
-        "full": ("REPRO_FULL", lambda text: text == "1"),
-    }[name]
+
+#: Each field's environment variable and its one parser.
+_KNOBS: Dict[str, Tuple[str, Callable[[str], object]]] = {
+    "faults": ("REPRO_FAULTS", FaultPlan.parse),
+    "jobs": ("REPRO_JOBS", parse_jobs),
+    "full": ("REPRO_FULL", _parse_full),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every settable value of one run; the defaults are a plain run.
-    A None host or rate sweep keeps the experiment's quick/full one."""
+    """Every settable value of one run; the defaults are a plain run."""
 
     faults: Optional[FaultPlan] = None
-    fleet_hosts: Optional[Tuple[int, ...]] = None
-    avail_hosts: Optional[Tuple[int, ...]] = None
-    avail_rates: Optional[Tuple[float, ...]] = None
-    #: The baseline ext-service compares numa-aware against.
-    service_policy: str = "numa-blind"
-    #: ext-service jobs/s per host: ~50% rail utilization at the 128 MiB
-    #: quick-mode mean size.
-    arrival_rate: float = 55.0
     #: Worker processes; 0 = one per CPU core.
     jobs: int = 1
     #: Paper-scale durations.
@@ -66,7 +56,7 @@ class RunConfig:
         env = os.environ if environ is None else environ
         config = cls()
         for field in dataclasses.fields(cls):
-            var = _knob(field.name)[0]
+            var = _KNOBS[field.name][0]
             text = env.get(var, "").strip()
             if text:
                 try:
@@ -78,11 +68,5 @@ class RunConfig:
     def parse(self, name: str, text: str) -> RunConfig:
         """A copy with field *name* parsed from *text* by the parser
         behind its variable (which raises ``ValueError``)."""
-        value = _knob(name)[1](text.strip())
+        value = _KNOBS[name][1](text.strip())
         return dataclasses.replace(self, **{name: value})
-
-    def kwargs_for(self, fn: Callable) -> dict:
-        """``{"config": self}`` if *fn* takes a ``config`` argument:
-        the experiment modules that read a knob declare one."""
-        return ({"config": self}
-                if "config" in inspect.signature(fn).parameters else {})

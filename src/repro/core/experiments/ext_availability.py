@@ -16,24 +16,19 @@ recovery on a crash-only plan, and a determinism leg checks that
 correlated domain faults expand identically when the same fabric is
 rerun at one seed.
 
-Run-configuration knobs (both ordinary leg parameters, so they hash
-into the result-cache identity):
-
-* ``avail_hosts`` (``REPRO_AVAIL_HOSTS``) — comma-separated host counts
-  replacing the default sweep (CI's availability-smoke runs ``128``);
-* ``avail_rates`` (``REPRO_AVAIL_RATE``) — comma-separated ToR fault
-  rates replacing the default curve.
+The sweep is fixed per mode: 16 hosts at fault rates 0.5 and 1.0 in
+quick mode, 128 and 512 hosts at 0.25, 0.5 and 1.0 at paper scale.
+Both are ordinary leg parameters, so they hash into the result-cache
+identity.
 """
 
 from __future__ import annotations
 
-from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
 
-__all__ = ["run", "plan", "assemble", "avail_sizes", "fault_rates",
-           "parse_hosts", "parse_rates"]
+__all__ = ["run", "plan", "assemble", "avail_sizes", "fault_rates"]
 
 _LEGS = "repro.core.experiments.availability_legs"
 
@@ -41,56 +36,22 @@ _LEGS = "repro.core.experiments.availability_legs"
 VARIANTS = (True, False)  # journal on / off
 
 
-def _parse_list(text: str, kind) -> tuple:
-    try:
-        values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        values = ()
-    if not values:
-        raise ValueError(
-            f"must be comma-separated {kind.__name__}s, got {text!r}")
-    if any(v < 0 for v in values):
-        raise ValueError(f"must be non-negative, got {text!r}")
-    return values
+def avail_sizes(quick: bool = True) -> tuple[int, ...]:
+    """Host counts to sweep."""
+    return (16,) if quick else (128, 512)
 
 
-def parse_hosts(text: str) -> tuple[int, ...]:
-    """Parse a host-count list such as ``"128,512"`` (each >= 1).
-
-    The one validator behind ``REPRO_AVAIL_HOSTS``, ``REPRO_FLEET_HOSTS``
-    and ``--availability-hosts``; raises ``ValueError`` on bad input.
-    """
-    hosts = _parse_list(text, int)
-    if 0 in hosts:
-        raise ValueError(f"must be >= 1, got {text!r}")
-    return hosts
+def fault_rates(quick: bool = True) -> tuple[float, ...]:
+    """ToR fault rates (fraction of pods cut) to sweep."""
+    return (0.5, 1.0) if quick else (0.25, 0.5, 1.0)
 
 
-def parse_rates(text: str) -> tuple[float, ...]:
-    """Parse a ToR fault-rate list such as ``"0.25,0.5"`` (each >= 0).
-
-    The one validator behind both ``REPRO_AVAIL_RATE`` and the CLI's
-    ``--availability-rates``; raises ``ValueError`` on bad input.
-    """
-    return _parse_list(text, float)
-
-
-def avail_sizes(quick: bool = True, config: RunConfig = RunConfig()) -> tuple:
-    """Host counts to sweep (``config.avail_hosts``, else the defaults)."""
-    return config.avail_hosts or ((16,) if quick else (128, 512))
-
-
-def fault_rates(quick: bool = True, config: RunConfig = RunConfig()) -> tuple:
-    """ToR fault rates to sweep (``config.avail_rates``, else defaults)."""
-    return config.avail_rates or ((0.5, 1.0) if quick else (0.25, 0.5, 1.0))
-
-
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-         config: RunConfig = RunConfig()) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0,
+         cal: Calibration | None = None) -> list[SimTask]:
     """Per (hosts, fault rate): journaled and amnesiac legs at the same
     seed; plus the MTTR pair and the rerun-determinism anchor."""
-    sizes = avail_sizes(quick, config)
-    rates = fault_rates(quick, config)
+    sizes = avail_sizes(quick)
+    rates = fault_rates(quick)
     tasks: list[SimTask] = []
     for i, hosts in enumerate(sizes):
         for rate in rates:
@@ -114,11 +75,10 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None,
-             config: RunConfig = RunConfig()) -> ExperimentReport:
+             cal: Calibration | None = None) -> ExperimentReport:
     """Fold the legs into the availability report."""
-    sizes = avail_sizes(quick, config)
-    rates = fault_rates(quick, config)
+    sizes = avail_sizes(quick)
+    rates = fault_rates(quick)
     n_curve = len(sizes) * len(rates) * len(VARIANTS)
     legs = {(leg["hosts"], leg["fault_rate"], leg["journal"]): leg
             for leg in results[:n_curve]}
@@ -208,8 +168,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-        config: RunConfig = RunConfig()) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0,
+        cal: Calibration | None = None) -> ExperimentReport:
     """Run the experiment; returns the availability report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
-    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
+    return assemble(results, quick=quick, seed=seed, cal=cal)

@@ -19,15 +19,13 @@ cliffs.  A differential leg anchors correctness: the same fabric
 through the sharded and single-process reference paths must agree to
 1e-6 on static scenarios and complete identical job counts under churn.
 
-Run-configuration knob: ``fleet_hosts`` (``REPRO_FLEET_HOSTS``) —
-comma-separated host counts replacing the default sweep (CI's
-fleet-smoke runs ``128``).  The hosts are ordinary leg parameters, so
+The sweep is fixed per mode: 16 and 32 hosts in quick mode, 128, 512
+and 2048 at paper scale.  The hosts are ordinary leg parameters, so
 they hash into the result-cache identity.
 """
 
 from __future__ import annotations
 
-from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
@@ -43,16 +41,16 @@ SIZE_MEAN_MIB = 64.0
 MODES = ("pooled", "per-job")
 
 
-def fleet_sizes(quick: bool = True, config: RunConfig = RunConfig()) -> tuple[int, ...]:
-    """Host counts to sweep (``config.fleet_hosts``, else the defaults)."""
-    return config.fleet_hosts or ((16, 32) if quick else (128, 512, 2048))
+def fleet_sizes(quick: bool = True) -> tuple[int, ...]:
+    """Host counts to sweep."""
+    return (16, 32) if quick else (128, 512, 2048)
 
 
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-         config: RunConfig = RunConfig()) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0,
+         cal: Calibration | None = None) -> list[SimTask]:
     """Per fleet size, one pooled and one per-job leg at the same seed,
     plus the sharded-vs-reference differential anchor."""
-    sizes = fleet_sizes(quick, config)
+    sizes = fleet_sizes(quick)
     tasks: list[SimTask] = []
     for i, hosts in enumerate(sizes):
         for mode in MODES:
@@ -70,10 +68,9 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None,
-             config: RunConfig = RunConfig()) -> ExperimentReport:
+             cal: Calibration | None = None) -> ExperimentReport:
     """Fold the legs into the fleet-scaling report."""
-    sizes = fleet_sizes(quick, config)
+    sizes = fleet_sizes(quick)
     legs = {(leg["hosts"], leg["qp_mode"]): leg
             for leg in results[:2 * len(sizes)]}
     diff = results[2 * len(sizes)]
@@ -178,8 +175,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-        config: RunConfig = RunConfig()) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0,
+        cal: Calibration | None = None) -> ExperimentReport:
     """Run the experiment; returns the fleet-scaling report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
-    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
+    return assemble(results, quick=quick, seed=seed, cal=cal)

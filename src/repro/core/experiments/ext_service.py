@@ -21,48 +21,26 @@ hook): jobs on the dead rail are stopped, their remaining bytes
 requeued, and rescheduled onto surviving rails, so the service degrades
 instead of stalling.
 
-Run-configuration knobs (both hashed into the result-cache identity as
-ordinary leg parameters):
-
-* ``service_policy`` (``REPRO_SERVICE_POLICY``) — baseline policy for
-  the comparison (default ``numa-blind``; ``fifo`` compares against the
-  naive round-robin instead).
-* ``arrival_rate`` (``REPRO_SERVICE_ARRIVAL``) — offered load in jobs/s
-  per host (default 55).
+The baseline (:data:`BASELINE`) and the offered load
+(:data:`ARRIVAL_RATE`) are fixed; both are ordinary leg parameters, so
+they hash into the result-cache identity.
 """
 
 from __future__ import annotations
 
-from repro.config import RunConfig
 from repro.core.calibration import Calibration
 from repro.core.report import ExperimentReport
 from repro.exec import SimTask, run_tasks
 
-__all__ = ["run", "plan", "assemble", "parse_policy", "parse_rate"]
+__all__ = ["run", "plan", "assemble"]
 
 _LEGS = "repro.core.experiments.service_legs"
 
-
-def parse_policy(text: str) -> str:
-    """Validate a baseline policy name (``REPRO_SERVICE_POLICY``,
-    ``--service-policy``); raises ``ValueError`` on bad input."""
-    from repro.service import POLICIES
-
-    if text not in POLICIES:
-        raise ValueError(f"must be one of {', '.join(POLICIES)}, got {text!r}")
-    return text
-
-
-def parse_rate(text: str) -> float:
-    """Parse an offered load in jobs/s per host (``REPRO_SERVICE_ARRIVAL``,
-    ``--arrival-rate``); raises ``ValueError`` on bad input."""
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ValueError(f"must be a number, got {text!r}") from None
-    if not rate > 0:
-        raise ValueError(f"must be > 0, got {text!r}")
-    return rate
+#: The policy numa-aware placement is compared against.
+BASELINE = "numa-blind"
+#: Offered jobs/s per host: ~50% rail utilization at the 128 MiB
+#: quick-mode mean size.
+ARRIVAL_RATE = 55.0
 
 
 def _shape(quick: bool):
@@ -72,8 +50,8 @@ def _shape(quick: bool):
     return fleets, duration, size_mean_mib
 
 
-def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-         config: RunConfig = RunConfig()) -> list[SimTask]:
+def plan(quick: bool = True, seed: int = 0,
+         cal: Calibration | None = None) -> list[SimTask]:
     """The experiment as independent tasks.
 
     Per fleet size, one ``numa-aware`` leg and one baseline leg at the
@@ -82,12 +60,11 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
     fleet and one chaos leg (mid-run rail failure) at the smallest.
     """
     fleets, duration, size_mean_mib = _shape(quick)
-    baseline = config.service_policy
-    common = {"rate_per_host": config.arrival_rate, "duration": duration,
+    common = {"rate_per_host": ARRIVAL_RATE, "duration": duration,
               "size_mean_mib": size_mean_mib}
     tasks: list[SimTask] = []
     for i, hosts in enumerate(fleets):
-        for policy in ("numa-aware", baseline):
+        for policy in ("numa-aware", BASELINE):
             tasks.append(SimTask(
                 f"{_LEGS}:service_leg",
                 {"hosts": hosts, "policy": policy, **common},
@@ -114,12 +91,9 @@ def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
 
 
 def assemble(results, quick: bool = True, seed: int = 0,
-             cal: Calibration | None = None,
-             config: RunConfig = RunConfig()) -> ExperimentReport:
+             cal: Calibration | None = None) -> ExperimentReport:
     """Fold the legs into the capacity-planning report."""
     fleets, duration, _ = _shape(quick)
-    baseline = config.service_policy
-    rate = config.arrival_rate
     pairs = results[:2 * len(fleets)]
     fifo = results[2 * len(fleets)]
     chaos = results[2 * len(fleets) + 1]
@@ -129,8 +103,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     report = ExperimentReport(
         "ext-service",
         "E6: transfer-service capacity curves — sustained jobs/s and job "
-        f"latency vs fleet size, numa-aware vs {baseline} "
-        f"({rate:g} jobs/s/host offered)",
+        f"latency vs fleet size, numa-aware vs {BASELINE} "
+        f"({ARRIVAL_RATE:g} jobs/s/host offered)",
         data_headers=["fleet", "policy", "offered /s", "sustained /s",
                       "p50 ms", "p95 ms", "p99 ms", "remote %", "shed"],
     )
@@ -159,12 +133,12 @@ def assemble(results, quick: bool = True, seed: int = 0,
     ref = fleets[-1]
     a, b = aware[ref], blind[ref]
     report.add_check(
-        f"numa-aware p99 <= {baseline} p99 at equal offered load",
+        f"numa-aware p99 <= {BASELINE} p99 at equal offered load",
         f"aware <= {b['p99_ms']:.1f} ms",
         f"{a['p99_ms']:.1f} ms",
         ok=a["p99_ms"] <= b["p99_ms"])
     report.add_check(
-        f"numa-aware p95 <= {baseline} p95 at equal offered load",
+        f"numa-aware p95 <= {BASELINE} p95 at equal offered load",
         f"aware <= {b['p95_ms']:.1f} ms",
         f"{a['p95_ms']:.1f} ms",
         ok=a["p95_ms"] <= b["p95_ms"])
@@ -179,7 +153,7 @@ def assemble(results, quick: bool = True, seed: int = 0,
         aware[ref]["remote_placements"],
         ok=all(leg["remote_placements"] == 0 for leg in aware.values()))
     report.add_check(
-        f"{baseline} pays remote placements", "> 0 remote DMA reads",
+        f"{BASELINE} pays remote placements", "> 0 remote DMA reads",
         blind[ref]["remote_placements"],
         ok=blind[ref]["remote_placements"] > 0)
 
@@ -217,7 +191,7 @@ def assemble(results, quick: bool = True, seed: int = 0,
 
     gap = b["p99_ms"] - a["p99_ms"]
     report.notes.append(
-        f"At {ref} hosts the {baseline} p99 is {gap:.1f} ms above "
+        f"At {ref} hosts the {BASELINE} p99 is {gap:.1f} ms above "
         "numa-aware on the identical job stream: remote placements run "
         "their DMA reads across QPI at the remote-access stream derate, "
         "and under load those crossings contend for the interconnect and "
@@ -235,8 +209,8 @@ def assemble(results, quick: bool = True, seed: int = 0,
     return report
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None,
-        config: RunConfig = RunConfig()) -> ExperimentReport:
+def run(quick: bool = True, seed: int = 0,
+        cal: Calibration | None = None) -> ExperimentReport:
     """Run the experiment; returns the capacity-planning report."""
-    results = run_tasks(plan(quick=quick, seed=seed, cal=cal, config=config))
-    return assemble(results, quick=quick, seed=seed, cal=cal, config=config)
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
+    return assemble(results, quick=quick, seed=seed, cal=cal)

@@ -16,12 +16,10 @@ byte-identical whatever the jobs count or cache state.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import metrics
-from repro.config import RunConfig
 from repro.core import experiments as E
 from repro.core.calibration import Calibration
 from repro.exec import (
@@ -111,14 +109,12 @@ def run_whole_experiment(*, seed: int, cal: Optional[Calibration],
 
 
 def _plan_experiment(registry: str, name: str, module, quick: bool,
-                     seed: int, cal: Optional[Calibration], config: RunConfig
+                     seed: int, cal: Optional[Calibration]
                      ) -> Tuple[List[SimTask], object]:
     """An experiment's tasks + the callable that folds results to a report."""
     if hasattr(module, "plan") and hasattr(module, "assemble"):
-        tasks = module.plan(quick=quick, seed=seed, cal=cal,
-                            **config.kwargs_for(module.plan))
-        return list(tasks), functools.partial(
-            module.assemble, **config.kwargs_for(module.assemble))
+        tasks = module.plan(quick=quick, seed=seed, cal=cal)
+        return list(tasks), module.assemble
     task = SimTask("repro.core.reportgen:run_whole_experiment",
                    {"registry": registry, "name": name, "quick": quick},
                    seed=seed, cal=cal, label=f"{registry}/{name}")
@@ -138,20 +134,18 @@ def generate_experiments_md(
     cache: Optional[ResultCache] = None,
     only: Optional[Iterable[str]] = None,
     stats: Optional[dict] = None,
-    config: RunConfig = RunConfig(),
 ) -> str:
     """Run all experiments and return the EXPERIMENTS.md content.
 
     ``jobs``/``cache`` configure the task executor (``jobs=None`` and
     ``cache=None`` defer to the ambient :class:`ExecContext`; ``jobs=0``
-    means one worker per CPU core).  ``config`` carries the knobs to the
-    modules that read them.  ``only`` restricts generation to the
+    means one worker per CPU core).  ``only`` restricts generation to the
     named experiments (tests).  ``stats``, if given, is filled in place
     with executor telemetry: jobs, task count, cache counters, wall
     seconds, and per registry layer (:mod:`repro.metrics`) the counters'
     growth over this run, worker processes included (None if idle).
-    The returned text depends only on ``quick``/``seed``/``cal``/
-    ``only``/``config`` — never on jobs or cache state.
+    The returned text depends only on ``quick``/``seed``/``cal``/``only``
+    — never on jobs or cache state.
     """
     t_start = time.perf_counter()
     counts_before = metrics.snapshot()
@@ -167,7 +161,7 @@ def generate_experiments_md(
             if only is not None and name not in only:
                 continue
             tasks, assemble = _plan_experiment(group, name, module,
-                                               quick, seed, cal, config)
+                                               quick, seed, cal)
             entries.append((group, name, tasks, assemble))
 
     flat: List[SimTask] = [t for _, _, tasks, _ in entries for t in tasks]

@@ -1,12 +1,8 @@
 """The ext-availability experiment: plan shape, the deterministic
-fault-plan generator, run-configuration knobs, and a small end-to-end
-leg."""
+fault-plan generator, and a small end-to-end leg."""
 
 import json
 
-import pytest
-
-from repro.config import RunConfig
 from repro.core.experiments import ext_availability
 from repro.core.experiments.availability_legs import (availability_leg,
                                                       fault_plan_for)
@@ -50,35 +46,6 @@ def test_fault_plan_for_is_deterministic_and_parses():
     assert len(crash) == 1 and crash[0].target == "transfer:*"
     # rate 0 with no crash is the empty plan
     assert fault_plan_for(n_pods=8, fault_rate=0.0, serve_s=4.0) == ""
-
-
-def test_env_overrides():
-    config = RunConfig.from_env({"REPRO_AVAIL_HOSTS": "8",
-                                 "REPRO_AVAIL_RATE": "1.0"})
-    assert ext_availability.avail_sizes(quick=True, config=config) == (8,)
-    assert ext_availability.fault_rates(quick=True, config=config) == (1.0,)
-    tasks = ext_availability.plan(quick=True, seed=0, config=config)
-    assert len(tasks) == 5  # 1x1x2 + mttr pair + determinism
-    with pytest.raises(ValueError, match="REPRO_AVAIL_HOSTS"):
-        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "not-a-number"})
-    with pytest.raises(ValueError, match="non-negative"):
-        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "-4"})
-    # Zero hosts is no fabric: rejected here, not deep inside the run.
-    with pytest.raises(ValueError, match="REPRO_AVAIL_HOSTS must be >= 1"):
-        RunConfig.from_env({"REPRO_AVAIL_HOSTS": "0"})
-    with pytest.raises(ValueError, match="REPRO_AVAIL_RATE"):
-        RunConfig.from_env({"REPRO_AVAIL_RATE": "-0.5"})
-
-
-def test_env_overrides_change_cache_identity():
-    # The determinism anchor takes no sweep parameters, so it (alone)
-    # keeps its identity across overrides; every swept leg re-keys.
-    base = {t.identity() for t in ext_availability.plan(quick=True, seed=0)
-            if t.label != "avail/determinism"}
-    over = {t.identity() for t in ext_availability.plan(
-                quick=True, seed=0, config=RunConfig(avail_hosts=(8,)))
-            if t.label != "avail/determinism"}
-    assert base.isdisjoint(over)
 
 
 def test_availability_leg_journal_beats_amnesia():

@@ -71,25 +71,14 @@ def test_cli_jobs_accepts_auto():
         _jobs_type("0")
 
 
-def test_cli_rejects_bad_service_policy(capsys):
-    assert main(["run", "table1", "--service-policy", "bogus"]) == 2
-    assert "bad --service-policy" in capsys.readouterr().err
-
-
-def test_cli_rejects_bad_arrival_rate(capsys):
-    assert main(["run", "table1", "--arrival-rate", "-5"]) == 2
-    assert "bad --arrival-rate" in capsys.readouterr().err
-
-
 def test_cli_service_flags_exported(capsys):
-    # The flags reach ext-service through the run configuration; main()
-    # leaves the caller's environment exactly as it found it.
+    # The flags reach the run through its configuration; main() leaves
+    # the caller's environment exactly as it found it.
     before = sorted(os.environb.items())
-    assert main(["run", "ext-service", "--service-policy", "fifo",
-                 "--arrival-rate", "25", "--faults",
+    assert main(["run", "ext-service", "-j", "1", "--faults",
                  "link-down@link:1,at=5,duration=2"]) == 0
     assert sorted(os.environb.items()) == before
-    assert ("numa-aware vs fifo (25 jobs/s/host offered)"
+    assert ("numa-aware vs numa-blind (55 jobs/s/host offered)"
             in capsys.readouterr().out)
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import RunConfig
 from repro.core.experiments import ext_fleet
 from repro.rdma.qpool import QpPoolConfig, QpPoolSet
 from repro.service.fabric import FabricSpec, boundary_links, run_fabric
@@ -167,14 +166,7 @@ def test_fabric_pooled_beats_per_job_on_identical_streams():
 # -- ext-fleet plumbing ----------------------------------------------------
 
 def test_fleet_sizes_env_override():
-    config = RunConfig.from_env({"REPRO_FLEET_HOSTS": "128, 512"})
-    assert ext_fleet.fleet_sizes(quick=True, config=config) == (128, 512)
-    with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
-        RunConfig.from_env({"REPRO_FLEET_HOSTS": "12x"})
-    with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
-        RunConfig.from_env({"REPRO_FLEET_HOSTS": "-4"})
-    with pytest.raises(ValueError, match="REPRO_FLEET_HOSTS"):
-        RunConfig.from_env({"REPRO_FLEET_HOSTS": "0"})
+    # No variable overrides the sweep: it is fixed per mode.
     assert ext_fleet.fleet_sizes(quick=True) == (16, 32)
     assert ext_fleet.fleet_sizes(quick=False) == (128, 512, 2048)
 

@@ -10,7 +10,6 @@ import pytest
 import repro
 from repro.__main__ import main
 from repro.config import RunConfig
-from repro.core.experiments import ext_fleet, ext_recovery
 from repro.exec import SimTask, executor, run_tasks
 from repro.faults.plan import FaultPlan, fault_scope, scoped_plan
 from repro.sim.context import Context
@@ -25,40 +24,34 @@ def test_defaults_are_a_plain_run():
     assert RunConfig.from_env({}) == RunConfig()
     config = RunConfig()
     assert config.faults is None and config.jobs == 1 and not config.full
-    assert (config.service_policy, config.arrival_rate) == ("numa-blind",
-                                                            55.0)
 
 
 def test_from_env_reads_every_variable():
     config = RunConfig.from_env({
-        "REPRO_FAULTS": SPEC, "REPRO_FLEET_HOSTS": "128",
-        "REPRO_AVAIL_HOSTS": "8,16", "REPRO_AVAIL_RATE": "0.5",
-        "REPRO_SERVICE_POLICY": "fifo", "REPRO_SERVICE_ARRIVAL": "25",
-        "REPRO_JOBS": "2", "REPRO_FULL": "1", "UNRELATED": "x"})
-    assert config == RunConfig(
-        faults=PLAN, fleet_hosts=(128,), avail_hosts=(8, 16),
-        avail_rates=(0.5,), service_policy="fifo", arrival_rate=25.0,
-        jobs=2, full=True)
-    # only "1" turns full mode on, as REPRO_FULL always has
-    assert not RunConfig.from_env({"REPRO_FULL": "yes"}).full
+        "REPRO_FAULTS": SPEC, "REPRO_JOBS": "2", "REPRO_FULL": "1",
+        "UNRELATED": "x"})
+    assert config == RunConfig(faults=PLAN, jobs=2, full=True)
+    # "0" and "1" are the only values; anything else fails fast
+    assert not RunConfig.from_env({"REPRO_FULL": "0"}).full
+    with pytest.raises(ValueError, match="REPRO_FULL must be 0 or 1"):
+        RunConfig.from_env({"REPRO_FULL": "yes"})
 
 
-def test_kwargs_for_passes_the_config_only_where_it_is_taken():
-    config = RunConfig(fleet_hosts=(8,))
-    assert config.kwargs_for(ext_fleet.plan) == {"config": config}
-    assert config.kwargs_for(ext_recovery.plan) == {}
+def test_cli_rejects_a_bad_full_variable(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_FULL", "true")
+    assert main(["run", "table1"]) == 2
+    assert ("bad environment: REPRO_FULL must be 0 or 1, got 'true'"
+            in capsys.readouterr().err)
 
 
 def test_cli_rejects_a_bad_variable_with_its_name(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_AVAIL_HOSTS", "0")
+    monkeypatch.setenv("REPRO_JOBS", "0")
     assert main(["run", "table1"]) == 2
-    assert "REPRO_AVAIL_HOSTS must be >= 1" in capsys.readouterr().err
+    assert "bad environment: REPRO_JOBS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,flag", [
     (["--faults", "link-down@link:1,at=oops"], "bad --faults spec:"),
-    (["--availability-hosts", "0"], "bad --availability-hosts:"),
-    (["--availability-rates", "x"], "bad --availability-rates:"),
     (["--faults", "link-down@link:1,at=nan"], "bad --faults spec:"),
 ])
 def test_cli_rejects_a_bad_flag_with_its_name(argv, flag, capsys):

@@ -1,11 +1,7 @@
-"""The ext-service experiment: planning, determinism, run-configuration
-knobs."""
+"""The ext-service experiment: planning and determinism."""
 
 import json
 
-import pytest
-
-from repro.config import RunConfig
 from repro.core.experiments import ext_service
 from repro.core.experiments.service_legs import service_leg
 from repro.exec import run_tasks
@@ -61,29 +57,3 @@ def test_quick_report_reproduces_and_caches():
     results = run_tasks(tasks)
     again = ext_service.assemble(results, quick=True, seed=0)
     assert again.render() == report.render()
-
-
-def test_policy_env_override():
-    config = RunConfig.from_env({"REPRO_SERVICE_POLICY": "fifo"})
-    assert config.service_policy == "fifo"
-    tasks = ext_service.plan(quick=True, seed=0, config=config)
-    assert "service/fifo-x1" in [t.label for t in tasks]
-    with pytest.raises(ValueError, match="REPRO_SERVICE_POLICY"):
-        RunConfig.from_env({"REPRO_SERVICE_POLICY": "nope"})
-
-
-def test_arrival_env_override():
-    config = RunConfig.from_env({"REPRO_SERVICE_ARRIVAL": "12.5"})
-    assert config.arrival_rate == 12.5
-    tasks = ext_service.plan(quick=True, seed=0, config=config)
-    assert tasks[0].params["rate_per_host"] == 12.5
-    for bad in ("-3", "fast"):
-        with pytest.raises(ValueError, match="REPRO_SERVICE_ARRIVAL"):
-            RunConfig.from_env({"REPRO_SERVICE_ARRIVAL": bad})
-
-
-def test_env_overrides_change_cache_identity():
-    base = [t.identity() for t in ext_service.plan(quick=True, seed=0)]
-    changed = [t.identity() for t in ext_service.plan(
-        quick=True, seed=0, config=RunConfig(arrival_rate=20.0))]
-    assert base != changed
