@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import importlib
+import inspect
 import io
 import json
 import pstats
@@ -81,7 +82,8 @@ def parse_params(pairs: list[str]) -> dict:
 
 
 def resolve_leg(leg: str, overrides: dict):
-    """A --leg TARGET -> (callable, kwargs)."""
+    """A --leg TARGET -> (callable, kwargs); exits naming any keyword
+    the target does not accept."""
     target, defaults = LEG_SHORTHANDS.get(leg, (leg, {}))
     if ":" not in target:
         known = ", ".join(LEG_SHORTHANDS)
@@ -94,6 +96,13 @@ def resolve_leg(leg: str, overrides: dict):
         raise SystemExit(f"cannot resolve leg target {target!r}: {exc}")
     kwargs = dict(defaults)
     kwargs.update(overrides)
+    accepted = inspect.signature(func).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+        unknown = [key for key in kwargs if key not in accepted]
+        if unknown:
+            raise SystemExit(
+                f"leg target {target!r} does not accept "
+                f"{', '.join(unknown)}; it accepts: {', '.join(accepted)}")
     return func, kwargs
 
 

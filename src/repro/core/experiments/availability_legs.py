@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.calibration import Calibration
-from repro.core.experiments.fleet_legs import FIXED_ROUNDS, _spec
+from repro.core.experiments.fleet_legs import FIXED_ROUNDS, WAN_TENANTS, _spec
 from repro.faults.plan import FaultPlan
 
 __all__ = ["availability_leg", "domain_determinism_leg", "fault_plan_for",
@@ -39,6 +39,25 @@ __all__ = ["availability_leg", "domain_determinism_leg", "fault_plan_for",
 _GOODPUT_WINDOW = 1.0
 #: MTTR-curve bucket width in seconds.
 _BUCKET_S = 0.5
+#: Job stream of the curve and MTTR legs: 1 GiB mean files, enough to
+#: saturate the WAN.
+RATE_PER_HOST = 3.0
+SIZE_MEAN_MIB = 1024.0
+#: Curve legs: arrivals stop at ``SERVE_S`` and the fabric drains until
+#: ``HORIZON_S``; the broker crashes at ``CRASH_AT`` and restarts
+#: ``RESTART_S`` later (the MTTR leg's restart too).
+SERVE_S = 4.0
+HORIZON_S = 6.0
+CRASH_AT = 2.0
+RESTART_S = 0.5
+#: The MTTR leg's longer window around its one crash.
+MTTR_SERVE_S = 6.0
+MTTR_HORIZON_S = 9.0
+MTTR_CRASH_AT = 3.0
+#: The determinism leg's small fabric and its horizon.
+DOMAIN_PODS = 4
+DOMAIN_HOSTS_PER_POD = 2
+DOMAIN_HORIZON_S = 4.0
 
 
 def fault_plan_for(*, n_pods: int, fault_rate: float, serve_s: float,
@@ -128,34 +147,26 @@ def _window_goodput(events: List[Tuple[float, float]], lo: float,
 
 
 def availability_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
-                     fault_rate: float, journal: bool,
-                     hosts_per_pod: int = 8, rate_per_host: float = 3.0,
-                     size_mean_mib: float = 1024.0, wan_tenants: int = 2,
-                     serve_s: float = 4.0, horizon_s: float = 6.0,
-                     crash_at: float = 2.0, restart_s: float = 0.5) -> Dict[str, Any]:
+                     fault_rate: float, journal: bool) -> Dict[str, Any]:
     """One availability curve point: ToR cuts + a broker crash."""
     from repro.service.fabric import run_fabric
 
-    spec = _spec(hosts, hosts_per_pod,
-                 rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
-                 wan_tenants=wan_tenants, serve_s=serve_s,
-                 horizon_s=horizon_s, journal=journal)
+    spec = _spec(hosts, rate_per_host=RATE_PER_HOST,
+                 size_mean_mib=SIZE_MEAN_MIB, wan_tenants=WAN_TENANTS,
+                 serve_s=SERVE_S, horizon_s=HORIZON_S, journal=journal)
     plan = fault_plan_for(
-        n_pods=spec.n_pods, fault_rate=fault_rate, serve_s=serve_s,
-        crash_at=crash_at, restart_s=restart_s)
+        n_pods=spec.n_pods, fault_rate=fault_rate, serve_s=SERVE_S,
+        crash_at=CRASH_AT, restart_s=RESTART_S)
     result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS,
                         faults=FaultPlan.parse(plan))
-    out = _merge_cells(result["cells"], serve_s)
+    out = _merge_cells(result["cells"], SERVE_S)
     out.update(hosts=hosts, fault_rate=fault_rate, journal=journal,
                plan=plan, converged=result["exchange"]["converged"])
     return out
 
 
 def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
-             journal: bool, hosts_per_pod: int = 8,
-             rate_per_host: float = 3.0, size_mean_mib: float = 1024.0,
-             serve_s: float = 6.0, horizon_s: float = 9.0,
-             crash_at: float = 3.0, restart_s: float = 0.5) -> Dict[str, Any]:
+             journal: bool) -> Dict[str, Any]:
     """The MTTR story: goodput timeline around one broker crash.
 
     No ToR cuts here — the only fault is the crash, so the timeline
@@ -165,17 +176,18 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     """
     from repro.service.fabric import run_fabric
 
-    spec = _spec(hosts, hosts_per_pod,
-                 rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
-                 serve_s=serve_s, horizon_s=horizon_s, journal=journal)
-    plan = f"crash@transfer:*,at={crash_at},duration={restart_s}"
+    spec = _spec(hosts, rate_per_host=RATE_PER_HOST,
+                 size_mean_mib=SIZE_MEAN_MIB, serve_s=MTTR_SERVE_S,
+                 horizon_s=MTTR_HORIZON_S, journal=journal)
+    plan = f"crash@transfer:*,at={MTTR_CRASH_AT},duration={RESTART_S}"
     result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS,
                         faults=FaultPlan.parse(plan))
     cells = result["cells"]
-    out = _merge_cells(cells, serve_s)
+    out = _merge_cells(cells, MTTR_SERVE_S)
     events = _timeline(cells)
-    restart_at = crash_at + restart_s
-    pre = _window_goodput(events, crash_at - _GOODPUT_WINDOW, crash_at)
+    restart_at = MTTR_CRASH_AT + RESTART_S
+    pre = _window_goodput(events, MTTR_CRASH_AT - _GOODPUT_WINDOW,
+                          MTTR_CRASH_AT)
     # Recovery: slide a goodput window from the restart forward (while
     # arrivals still flow) — the best window is the recovered level, and
     # MTTR is the time from crash until a window first clears 95% of the
@@ -184,20 +196,20 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     post = 0.0
     mttr_s = float("inf")
     t = restart_at
-    while t + _GOODPUT_WINDOW <= serve_s + _GOODPUT_WINDOW:
+    while t + _GOODPUT_WINDOW <= MTTR_SERVE_S + _GOODPUT_WINDOW:
         g = _window_goodput(events, t, t + _GOODPUT_WINDOW)
         post = max(post, g)
         if mttr_s == float("inf") and pre > 0 and g >= 0.95 * pre:
-            mttr_s = t - crash_at
+            mttr_s = t - MTTR_CRASH_AT
         t += _BUCKET_S / 2.0
-    n_buckets = int(round(horizon_s / _BUCKET_S))
+    n_buckets = int(round(MTTR_HORIZON_S / _BUCKET_S))
     curve = [
         round(_window_goodput(events, k * _BUCKET_S, (k + 1) * _BUCKET_S), 3)
         for k in range(n_buckets)
     ]
     out.update(
         hosts=hosts, journal=journal, plan=plan,
-        crash_at=crash_at, restart_at=restart_at,
+        crash_at=MTTR_CRASH_AT, restart_at=restart_at,
         pre_crash_goodput_Bps=pre,
         post_restart_goodput_Bps=post,
         recovery_ratio=post / pre if pre > 0 else 0.0,
@@ -207,9 +219,8 @@ def mttr_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
     return out
 
 
-def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
-                           n_pods: int = 4, hosts_per_pod: int = 2,
-                           horizon_s: float = 4.0) -> Dict[str, Any]:
+def domain_determinism_leg(*, seed: int,
+                           cal: Optional[Calibration]) -> Dict[str, Any]:
     """Correlated-domain faults rerun at one seed must agree exactly."""
     from repro.service.fabric import FabricSpec, run_fabric
 
@@ -217,12 +228,14 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
     # 1.0-2.0 s must always catch running jobs, whatever the seed, or
     # `rescheduled` would be 0 and the anchor would prove nothing.
     spec = FabricSpec(
-        n_pods=n_pods, hosts_per_pod=hosts_per_pod, n_wan_links=1,
-        wan_gbps=20.0, elephants_per_pod=1, elephant_gbps=4.0,
-        rate_per_host=6.0, size_mean_mib=1024.0, wan_tenants=1,
-        serve_s=horizon_s - 1.0, horizon_s=horizon_s)
+        n_pods=DOMAIN_PODS, hosts_per_pod=DOMAIN_HOSTS_PER_POD,
+        n_wan_links=1, wan_gbps=20.0, elephants_per_pod=1,
+        elephant_gbps=4.0, rate_per_host=6.0, size_mean_mib=1024.0,
+        wan_tenants=1, serve_s=DOMAIN_HORIZON_S - 1.0,
+        horizon_s=DOMAIN_HORIZON_S)
     plan = ("link-down@power:0,at=1.0,duration=1.0,stagger=0.1;"
-            f"link-down@tor:{n_pods - 1},at=1.5,duration=0.5,stagger=0.05")
+            f"link-down@tor:{DOMAIN_PODS - 1},at=1.5,duration=0.5,"
+            "stagger=0.05")
     faults = FaultPlan.parse(plan)
     first = run_fabric(spec, seed=seed, cal=cal,
                        fixed_rounds=FIXED_ROUNDS, faults=faults)
@@ -236,7 +249,7 @@ def domain_determinism_leg(*, seed: int, cal: Optional[Calibration],
                 mismatches += 1
     return {
         "plan": plan,
-        "cells": n_pods,
+        "cells": DOMAIN_PODS,
         "mismatches": mismatches,
         "completed": sum(c["completed"] for c in first["cells"]),
         "rescheduled": sum(c["rescheduled"] for c in first["cells"]),

@@ -31,23 +31,34 @@ __all__ = ["diff_leg", "fleet_leg"]
 #: churn never quite settles the grant matrix, so these legs run the
 #: deterministic fixed-round mode.
 FIXED_ROUNDS = 2
+#: Hosts per pod on every fleet and availability curve leg.
+HOSTS_PER_POD = 8
+#: Tenants whose jobs cross the WAN on every curve leg.
+WAN_TENANTS = 2
+#: Curve legs: arrivals stop at ``SERVE_S``; the fabric drains until
+#: ``HORIZON_S``.
+SERVE_S = 4.0
+HORIZON_S = 6.0
+#: The differential leg's pods and horizon.
+DIFF_PODS = 4
+DIFF_HORIZON_S = 4.0
 
 
-def _spec(hosts: int, hosts_per_pod: int, **overrides) -> "FabricSpec":
+def _spec(hosts: int, **overrides) -> "FabricSpec":
     from repro.service.fabric import FabricSpec
 
-    if hosts % hosts_per_pod:
+    if hosts % HOSTS_PER_POD:
         raise ValueError(
-            f"hosts={hosts} not divisible by hosts_per_pod={hosts_per_pod}")
-    n_pods = hosts // hosts_per_pod
+            f"hosts={hosts} not divisible by hosts_per_pod={HOSTS_PER_POD}")
+    n_pods = hosts // HOSTS_PER_POD
     # WAN capacity scales with the fleet: one 100 Gbps link per four
     # pods, so the curve measures broker/fabric scaling, not a fixed
     # WAN ceiling shrinking per host.
-    return FabricSpec(n_pods=n_pods, hosts_per_pod=hosts_per_pod,
+    return FabricSpec(n_pods=n_pods, hosts_per_pod=HOSTS_PER_POD,
                       n_wan_links=max(1, n_pods // 4), **overrides)
 
 
-def _merge(result: dict, serve_s: float) -> Dict[str, Any]:
+def _merge(result: dict) -> Dict[str, Any]:
     """Fold per-pod ledgers + exchange into one fleet scorecard."""
     cells = result["cells"]
     exchange = result["exchange"]
@@ -69,7 +80,7 @@ def _merge(result: dict, serve_s: float) -> Dict[str, Any]:
         "active_end": active,
         "wan_jobs": sum(c["wan_jobs"] for c in cells),
         "wan_bytes": sum(c["wan_bytes"] for c in cells),
-        "jobs_per_s": sum(c["completed"] for c in cells) / serve_s,
+        "jobs_per_s": sum(c["completed"] for c in cells) / SERVE_S,
         "mean_ms": mean * 1e3,
         "p50_ms": float(p50) * 1e3,
         "p99_ms": float(p99) * 1e3,
@@ -91,25 +102,22 @@ def _merge(result: dict, serve_s: float) -> Dict[str, Any]:
 
 
 def fleet_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
-              qp_mode: str, rate_per_host: float, size_mean_mib: float,
-              hosts_per_pod: int = 8, wan_tenants: int = 2,
-              serve_s: float = 4.0, horizon_s: float = 6.0) -> Dict[str, Any]:
+              qp_mode: str, rate_per_host: float,
+              size_mean_mib: float) -> Dict[str, Any]:
     """One fleet curve point: *hosts* hosts under *qp_mode* accounting."""
     from repro.service.fabric import run_fabric
 
-    spec = _spec(hosts, hosts_per_pod,
-                 rate_per_host=rate_per_host, size_mean_mib=size_mean_mib,
-                 wan_tenants=wan_tenants, serve_s=serve_s,
-                 horizon_s=horizon_s, qp_mode=qp_mode)
+    spec = _spec(hosts, rate_per_host=rate_per_host,
+                 size_mean_mib=size_mean_mib, wan_tenants=WAN_TENANTS,
+                 serve_s=SERVE_S, horizon_s=HORIZON_S, qp_mode=qp_mode)
     result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS)
-    out = _merge(result, serve_s)
+    out = _merge(result)
     out.update(hosts=hosts, qp_mode=qp_mode,
                offered_rate=rate_per_host * hosts)
     return out
 
 
-def diff_leg(*, seed: int, cal: Optional[Calibration],
-             n_pods: int = 4, horizon_s: float = 4.0) -> Dict[str, Any]:
+def diff_leg(*, seed: int, cal: Optional[Calibration]) -> Dict[str, Any]:
     """Sharded vs reference on one small fabric; returns the divergences."""
     from repro.service.fabric import FabricSpec, run_fabric
 
@@ -117,9 +125,9 @@ def diff_leg(*, seed: int, cal: Optional[Calibration],
     # pure boundary arbitration, where the exchange's fixed point is
     # the global max-min allocation and agreement must be exact.
     static = FabricSpec(
-        n_pods=n_pods, hosts_per_pod=2, n_wan_links=1, wan_gbps=10.0,
+        n_pods=DIFF_PODS, hosts_per_pod=2, n_wan_links=1, wan_gbps=10.0,
         elephants_per_pod=2, elephant_gbps=6.0, elephant_skew=0.15,
-        rate_per_host=0.0, serve_s=horizon_s, horizon_s=horizon_s,
+        rate_per_host=0.0, serve_s=DIFF_HORIZON_S, horizon_s=DIFF_HORIZON_S,
         qp_mode="off")
     s = run_fabric(static, seed=seed, cal=cal)
     u = run_fabric(static, seed=seed, cal=cal, sharded=False)
@@ -135,10 +143,10 @@ def diff_leg(*, seed: int, cal: Optional[Calibration],
     # here is contended but not saturated: at saturation, epoch-granular
     # grants can legitimately move a completion across the horizon.)
     churn = FabricSpec(
-        n_pods=n_pods, hosts_per_pod=2, n_wan_links=1, wan_gbps=20.0,
+        n_pods=DIFF_PODS, hosts_per_pod=2, n_wan_links=1, wan_gbps=20.0,
         elephants_per_pod=1, elephant_gbps=4.0, rate_per_host=4.0,
-        size_mean_mib=64.0, wan_tenants=2, serve_s=horizon_s - 1.0,
-        horizon_s=horizon_s)
+        size_mean_mib=64.0, wan_tenants=2, serve_s=DIFF_HORIZON_S - 1.0,
+        horizon_s=DIFF_HORIZON_S)
     cs_run = run_fabric(churn, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS)
     cu_run = run_fabric(churn, seed=seed, cal=cal, sharded=False)
     return {

@@ -5,22 +5,24 @@ fleet multiplexes thousands of jobs over each NIC, and two cliffs
 appear that single-host runs never see (PAPERS.md, RDMAvisor):
 
 * **NIC QP-cache thrash** — a NIC caches the hot QP contexts on-chip
-  (``qp_cache`` entries).  Once the *active* QP count exceeds the
+  (:data:`QP_CACHE` entries).  Once the *active* QP count exceeds the
   cache, context fetches go to host memory over PCIe and the per-QP
   message rate derates roughly as ``cache / active`` (floored at
-  ``thrash_floor``: even a thrashing NIC still pipelines).
+  :data:`THRASH_FLOOR`: even a thrashing NIC still pipelines).
 * **CM connection storms** — every QP *creation* costs a connection-
-  manager exchange.  The CM daemon is a serial service at ``cm_rate``
-  setups/s; creations beyond it queue deterministically, so per-job QP
-  creation at fleet arrival rates turns into seconds of setup latency.
+  manager exchange.  The CM daemon is a serial service at
+  :data:`CM_RATE` setups/s; creations beyond it queue
+  deterministically, so per-job QP creation at fleet arrival rates
+  turns into seconds of setup latency.
 
 A :class:`QpPoolSet` tracks both per NIC (rail).  In ``pooled`` mode
-each (NIC, tenant) keeps up to ``qp_per_tenant`` QPs warm across jobs:
-creations happen only while the pool grows, concurrency beyond the
-pool multiplexes onto the pooled QPs, and the active-QP census counts
-at most ``qp_per_tenant`` per tenant.  In ``per-job`` mode every job
-creates (and tears down) its own QP — the RDMAvisor baseline that
-walks off both cliffs.
+each (NIC, tenant) keeps up to :data:`QP_PER_TENANT` QPs warm across
+jobs: creations happen only while the pool grows, concurrency beyond
+the pool multiplexes onto the pooled QPs, and the active-QP census
+counts at most :data:`QP_PER_TENANT` per tenant.  In ``per-job`` mode
+every job creates (and tears down) its own QP — the RDMAvisor
+baseline that walks off both cliffs.  The cliff parameters are module
+constants; the pool's one setting is its mode.
 
 Everything is closed-form and deterministic: no RNG streams, no events
 — :meth:`acquire` returns the (derate, setup-delay) pair the broker
@@ -31,46 +33,23 @@ lifetime (documented approximation; MODELING.md §12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.util.validation import check_positive
-
-__all__ = ["QP_MODES", "QpPoolConfig", "QpPoolSet"]
+__all__ = ["QP_MODES", "QpPoolSet"]
 
 #: Supported accounting modes ("off" disables the model entirely).
 QP_MODES = ("pooled", "per-job", "off")
 
-
-@dataclass(frozen=True)
-class QpPoolConfig:
-    """The QP/CM cliff knobs of one pod's NICs."""
-
-    mode: str = "pooled"
-    #: Pooled QPs kept warm per (NIC, tenant).
-    qp_per_tenant: int = 1
-    #: On-NIC QP-context cache entries per NIC.
-    qp_cache: int = 24
-    #: Worst-case message-rate derate under full cache thrash.
-    thrash_floor: float = 0.35
-    #: CM daemon service rate, QP setups per second.
-    cm_rate: float = 64.0
-    #: Uncontended CM handshake latency, seconds.
-    cm_base_s: float = 0.002
-
-    def __post_init__(self) -> None:
-        if self.mode not in QP_MODES:
-            raise ValueError(
-                f"mode must be one of {QP_MODES}, got {self.mode!r}")
-        check_positive("qp_per_tenant", self.qp_per_tenant)
-        check_positive("qp_cache", self.qp_cache)
-        check_positive("cm_rate", self.cm_rate)
-        if not (0.0 < self.thrash_floor <= 1.0):
-            raise ValueError(
-                f"thrash_floor must be in (0, 1], got {self.thrash_floor}")
-        if self.cm_base_s < 0.0:
-            raise ValueError(
-                f"cm_base_s must be >= 0, got {self.cm_base_s}")
+#: Pooled QPs kept warm per (NIC, tenant).
+QP_PER_TENANT = 1
+#: On-NIC QP-context cache entries per NIC.
+QP_CACHE = 24
+#: Worst-case message-rate derate under full cache thrash.
+THRASH_FLOOR = 0.35
+#: CM daemon service rate, QP setups per second.
+CM_RATE = 64.0
+#: Uncontended CM handshake latency, seconds.
+CM_BASE_S = 0.002
 
 
 class _NicState:
@@ -80,16 +59,18 @@ class _NicState:
         self.active: Dict[str, int] = {}
         self.pool: Dict[str, int] = {}
         #: Active QPs on the NIC: the sum over tenants of their running
-        #: jobs, each tenant capped at ``qp_per_tenant`` when pooled.
+        #: jobs, each tenant capped at ``QP_PER_TENANT`` when pooled.
         self.qps = 0
 
 
 class QpPoolSet:
     """QP census + CM queue for one pod's NICs (keyed by rail index)."""
 
-    def __init__(self, ctx, config: QpPoolConfig):
+    def __init__(self, ctx, mode: str):
+        if mode not in QP_MODES:
+            raise ValueError(f"mode must be one of {QP_MODES}, got {mode!r}")
         self.ctx = ctx
-        self.config = config
+        self.mode = mode
         self._nics: Dict[int, _NicState] = {}
         self._cm_busy_until = 0.0
         self.qps_created = 0
@@ -102,11 +83,10 @@ class QpPoolSet:
     # -- the two cliffs ----------------------------------------------------
     def _cm_setup(self) -> float:
         """One QP creation through the serial CM daemon; returns its delay."""
-        cfg = self.config
         now = self.ctx.now
         start = max(now, self._cm_busy_until)
-        self._cm_busy_until = start + 1.0 / cfg.cm_rate
-        delay = (start - now) + cfg.cm_base_s
+        self._cm_busy_until = start + 1.0 / CM_RATE
+        delay = (start - now) + CM_BASE_S
         self.qps_created += 1
         self.cm_delay_total += delay
         if delay > self.cm_delay_max:
@@ -120,19 +100,18 @@ class QpPoolSet:
         derate for the job's flow cap and the CM setup latency to wait
         before the flow starts.
         """
-        cfg = self.config
         st = self._nics.get(rail_index)
         if st is None:
             st = self._nics[rail_index] = _NicState()
         running = st.active.get(tenant, 0) + 1
         st.active[tenant] = running
-        pooled = cfg.mode == "pooled"
-        if not pooled or running <= cfg.qp_per_tenant:
+        pooled = self.mode == "pooled"
+        if not pooled or running <= QP_PER_TENANT:
             st.qps += 1
         delay = 0.0
         if pooled:
             have = st.pool.get(tenant, 0)
-            if running > have and have < cfg.qp_per_tenant:
+            if running > have and have < QP_PER_TENANT:
                 st.pool[tenant] = have + 1
                 delay = self._cm_setup()
             else:
@@ -143,8 +122,8 @@ class QpPoolSet:
         if active > self.peak_active_qps:
             self.peak_active_qps = active
         derate = 1.0
-        if active > cfg.qp_cache:
-            derate = max(cfg.thrash_floor, cfg.qp_cache / active)
+        if active > QP_CACHE:
+            derate = max(THRASH_FLOOR, QP_CACHE / active)
             self.thrashed_jobs += 1
         return derate, delay
 
@@ -153,13 +132,13 @@ class QpPoolSet:
         st = self._nics[rail_index]
         running = st.active[tenant]
         st.active[tenant] = running - 1
-        if self.config.mode != "pooled" or running <= self.config.qp_per_tenant:
+        if self.mode != "pooled" or running <= QP_PER_TENANT:
             st.qps -= 1
 
     def as_dict(self) -> dict:
         """The cliff counters, JSON-canonical (one cell's ledger entry)."""
         return {
-            "mode": self.config.mode,
+            "mode": self.mode,
             "qps_created": self.qps_created,
             "qp_reuses": self.qp_reuses,
             "thrashed_jobs": self.thrashed_jobs,

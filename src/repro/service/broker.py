@@ -9,11 +9,11 @@ ordinary events.  Everything is deterministic per seed.
 
 **Admission** enforces two budgets:
 
-* a per-tenant quota on *concurrent running jobs* — a tenant over quota
-  queues (it is not dropped), which is the multi-tenant fairness knob
-  RDMAvisor-style sharing needs;
+* a per-tenant quota on *concurrent running jobs* (:data:`TENANT_QUOTA`)
+  — a tenant over quota queues (it is not dropped), which is the
+  multi-tenant fairness RDMAvisor-style sharing needs;
 * an aggregate rail-bandwidth budget — the summed nominal demand of
-  running jobs may not exceed ``budget_fraction`` times the fleet's
+  running jobs may not exceed :data:`BUDGET_FRACTION` times the fleet's
   rail capacity, bounding oversubscription of the fabric.
 
 The queue itself is bounded: a submission that cannot start and finds
@@ -68,7 +68,7 @@ from repro.service.scheduler import POLICIES, pick_rail
 from repro.service.workload import WorkloadConfig, WorkloadGenerator
 from repro.sim.context import Context
 from repro.sim.fluid import FluidFlow
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 __all__ = ["BrokerConfig", "JobState", "ServiceStats", "TransferBroker"]
 
@@ -86,32 +86,30 @@ class JobState(enum.Enum):
     LOST = "lost"
 
 
+#: Max concurrent *running* jobs per tenant (over-quota jobs queue).
+TENANT_QUOTA = 8
+#: Aggregate running nominal demand <= fraction x fleet rail rate.
+BUDGET_FRACTION = 1.5
+#: Restart backlog drain rate (job starts/second) after a crash.
+RECOVERY_RATE = 64.0
+
+
 @dataclass(frozen=True)
 class BrokerConfig:
-    """Admission and scheduling knobs of one broker."""
+    """Scheduling policy, queue bound and journaling of one broker."""
 
     policy: str = "numa-aware"
-    #: Max concurrent *running* jobs per tenant (over-quota jobs queue).
-    tenant_quota: int = 8
     #: Bounded queue length; a submission finding it full is shed.
     max_queue: int = 256
-    #: Aggregate running nominal demand <= fraction x fleet rail rate.
-    budget_fraction: float = 1.5
     #: Keep a write-ahead job journal while a fault injector is armed
     #: (pure bookkeeping on fault-free paths; see repro.service.journal).
     journal: bool = True
-    #: Restart backlog drain rate (job starts/second) after a crash;
-    #: 0 dispatches the whole backlog at once (the CM-storm baseline).
-    recovery_rate: float = 64.0
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(
                 f"policy must be one of {POLICIES}, got {self.policy!r}")
-        check_positive("tenant_quota", self.tenant_quota)
         check_positive("max_queue", self.max_queue)
-        check_positive("budget_fraction", self.budget_fraction)
-        check_non_negative("recovery_rate", self.recovery_rate)
 
 
 #: Process-wide broker counters (the ``service`` registry layer).
@@ -179,7 +177,7 @@ class TransferBroker:
         self._cursor = 0  # fifo policy round-robin position
         self._running_by_tenant: Dict[str, int] = {}
         self._nominal = min(r.rate for r in fleet.rails)
-        self._budget = config.budget_fraction * fleet.total_rate
+        self._budget = BUDGET_FRACTION * fleet.total_rate
         self._budget_used = 0.0
         self._latencies: List[float] = []
         #: Memoized static routes keyed (rail.index, buffer_node); cleared
@@ -286,9 +284,8 @@ class TransferBroker:
         # tenant that fails quota stays failed for the rest of the scan
         # and a budget failure ends it.  Skipping on those facts is a
         # pure shortcut: the skipped iterations had no side effects.
-        cfg = self.config
-        quota = cfg.tenant_quota
-        policy = cfg.policy
+        quota = TENANT_QUOTA
+        policy = self.config.policy
         rails = self.fleet.rails
         running = self._running_by_tenant
         nominal = self._nominal
@@ -640,7 +637,7 @@ class TransferBroker:
         once (their latency honestly includes the outage); still-running
         flows are re-adopted in place — no teardown, no CM storm; the
         queued backlog is rebuilt with banked bytes intact and drained
-        through the ``recovery_rate`` pacer.
+        through the :data:`RECOVERY_RATE` pacer.
         """
         assert self.journal is not None
         for job, flow in pending:
@@ -670,20 +667,18 @@ class TransferBroker:
         for rail in self.fleet.rails:
             if not rail.alive and rail.jobs:
                 self._reschedule_rail(rail)
-        if self.config.recovery_rate > 0.0 and self._queue:
-            # Reconnect-rate limiter: drain the backlog at recovery_rate
+        if self._queue:
+            # Reconnect-rate limiter: drain the backlog at RECOVERY_RATE
             # connection setups per second instead of one thundering herd.
             self._recovering = True
             self._pacer_gen += 1
             self.ctx.sim.process(
                 self._drain_backlog(self._pacer_gen),
                 name=f"{self.name}/recovery")
-        else:
-            self._dispatch()
 
     def _drain_backlog(self, gen: int):
-        """The recovery pacer: one paced dispatch per ``1/recovery_rate`` s."""
-        gap = 1.0 / self.config.recovery_rate
+        """The recovery pacer: one paced dispatch per ``1/RECOVERY_RATE`` s."""
+        gap = 1.0 / RECOVERY_RATE
         while (gen == self._pacer_gen and not self._crashed
                and self._queue):
             self._dispatch(limit=1, force=True)

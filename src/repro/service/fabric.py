@@ -31,10 +31,10 @@ from typing import Optional
 
 from repro.faults.injector import faults_active
 from repro.faults.plan import FaultPlan
-from repro.rdma.qpool import QP_MODES, QpPoolConfig, QpPoolSet
+from repro.rdma.qpool import QP_MODES, QpPoolSet
 from repro.service.broker import BrokerConfig, TransferBroker
 from repro.service.fleet import Rail, RailFleet
-from repro.service.workload import WorkloadConfig
+from repro.service.workload import N_TENANTS, WorkloadConfig
 from repro.sim.context import Context
 from repro.sim.fluid import FluidFlow, FluidResource
 from repro.sim.shard import BoundaryLink, BoundaryPort, run_sharded, run_unsharded
@@ -61,11 +61,13 @@ PODS_PER_POWER = 4
 class FabricSpec:
     """One fleet scenario: topology, workload, horizon.
 
-    Broker admission, QP/CM cliffs and tenant count are the
-    :class:`~repro.service.broker.BrokerConfig`,
-    :class:`~repro.rdma.qpool.QpPoolConfig` and
-    :class:`~repro.service.workload.WorkloadConfig` defaults (queue
-    bound: :data:`MAX_QUEUE`).
+    Broker admission, QP/CM cliffs and tenant count are module
+    constants: :data:`~repro.service.broker.TENANT_QUOTA`,
+    :data:`~repro.service.broker.BUDGET_FRACTION` and
+    :data:`~repro.service.broker.RECOVERY_RATE`; the
+    :mod:`repro.rdma.qpool` cliff constants (``qp_mode`` picks the
+    pool's mode); :data:`~repro.service.workload.N_TENANTS`.  The queue
+    bound is :data:`MAX_QUEUE`.
     """
 
     n_pods: int = 2
@@ -105,10 +107,9 @@ class FabricSpec:
         if self.qp_mode not in QP_MODES:
             raise ValueError(
                 f"qp_mode must be one of {QP_MODES}, got {self.qp_mode!r}")
-        if self.wan_tenants > WorkloadConfig.n_tenants:
+        if self.wan_tenants > N_TENANTS:
             raise ValueError(
-                f"wan_tenants cannot exceed the {WorkloadConfig.n_tenants} "
-                "tenants")
+                f"wan_tenants cannot exceed the {N_TENANTS} tenants")
         if self.serve_s > self.horizon_s:
             raise ValueError("serve_s cannot exceed horizon_s")
 
@@ -221,7 +222,7 @@ def fleet_cell(*, ctx: Context, cell: int, port: BoundaryPort,
     uplink.kind = "link"  # type: ignore[attr-defined]
     qpool = None
     if s.qp_mode != "off":
-        qpool = QpPoolSet(ctx, QpPoolConfig(mode=s.qp_mode))
+        qpool = QpPoolSet(ctx, s.qp_mode)
     workload = None
     if s.rate_per_host > 0.0:
         workload = WorkloadConfig(

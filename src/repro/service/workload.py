@@ -37,6 +37,9 @@ __all__ = ["WorkloadConfig", "WorkloadGenerator"]
 #: Lognormal file-size sigma (tail weight) — ~1 gives a 10x p99/mean
 #: spread.
 LOGNORMAL_SIGMA = 1.0
+#: Tenants submitting jobs: each arrival draws ``tenant0`` ..
+#: ``tenant{N_TENANTS-1}`` uniformly.
+N_TENANTS = 8
 
 
 @dataclass(frozen=True)
@@ -47,12 +50,10 @@ class WorkloadConfig:
     rate: float = 20.0
     #: Mean file size in bytes (the distribution is solved to this mean).
     size_mean: float = 256 * MIB
-    n_tenants: int = 8
 
     def __post_init__(self) -> None:
         check_positive("rate", self.rate)
         check_positive("size_mean", self.size_mean)
-        check_positive("n_tenants", self.n_tenants)
 
 
 class WorkloadGenerator:
@@ -95,7 +96,7 @@ class WorkloadGenerator:
         rng = self.ctx.rng
         self._tenants = rng.stream("service.tenants")
         self._touch = rng.stream("service.placement")
-        self._tenant_names = [f"tenant{i}" for i in range(cfg.n_tenants)]
+        self._tenant_names = [f"tenant{i}" for i in range(N_TENANTS)]
         # mu solved so the draw mean is size_mean
         sigma = LOGNORMAL_SIGMA
         self._size_params = (

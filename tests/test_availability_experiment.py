@@ -54,8 +54,7 @@ def test_availability_leg_journal_beats_amnesia():
     Same seed, same faults: the journaled broker must conserve jobs and
     bytes exactly; the amnesiac baseline loses work to the restart.
     """
-    kw = dict(seed=4, cal=None, hosts=8, fault_rate=0.5, serve_s=3.0,
-              horizon_s=5.0, crash_at=1.5)
+    kw = dict(seed=4, cal=None, hosts=8, fault_rate=0.5)
     journaled = availability_leg(journal=True, **kw)
     amnesiac = availability_leg(journal=False, **kw)
     assert journaled["submitted"] == amnesiac["submitted"]  # same stream
@@ -74,8 +73,7 @@ def test_leg_restores_ambient_fault_env():
     """The leg arms its own plan (crash included) under a run-wide one,
     and leaves the run-wide plan in place for whatever runs next."""
     run_wide = FaultPlan.parse("link-down@link:0,at=5,duration=1")
-    kw = dict(seed=2, cal=None, hosts=8, fault_rate=0.0, journal=True,
-              serve_s=2.0, horizon_s=3.0, crash_at=1.0)
+    kw = dict(seed=2, cal=None, hosts=8, fault_rate=0.0, journal=True)
     alone = availability_leg(**kw)
     with fault_scope(run_wide):
         scoped = availability_leg(**kw)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.service import BrokerConfig, RailFleet, TransferBroker
+from repro.service.broker import RECOVERY_RATE
 from repro.sim.context import Context
 from repro.util.units import GIB, MIB
 
@@ -42,12 +43,12 @@ def test_crash_drops_submissions():
 
 
 def _crash_fixture(journal):
-    """2 running + 4 queued jobs, broker crash at 1 s, restart at 1.5 s."""
+    """4 running + 2 queued jobs, broker crash at 1 s, restart at 1.5 s."""
     ctx, fleet, broker = _broker(
         faults="crash@transfer:*,at=1,duration=0.5",
-        budget_fraction=0.67, journal=journal)  # ~2 concurrent
+        journal=journal)  # the budget (1.5 x 3 rails) runs 4
     jids = [broker.submit(f"tenant{i}", 8 * GIB) for i in range(6)]
-    assert broker.running == 2 and broker.queued == 4
+    assert broker.running == 4 and broker.queued == 2
     ctx.sim.run(until=30.0)
     return broker, jids
 
@@ -74,7 +75,7 @@ def test_amnesiac_restart_loses_the_backlog_and_the_flows():
     s = broker.stats
     assert s.crashes == 1
     assert s.completed == 0
-    assert s.lost == 6  # 2 orphaned flows torn down + 4 vanished queued
+    assert s.lost == 6  # 4 orphaned flows torn down + 2 vanished queued
     assert s.lost_bytes > 0.0  # the orphans had already moved bytes
     states = {broker.session(j)["state"] for j in jids}
     assert states == {"lost"}
@@ -100,34 +101,19 @@ def test_pending_completion_reconciled_exactly_once():
 
 
 def test_recovery_pacer_spaces_backlog_restarts():
-    """Post-restart the backlog drains at recovery_rate, not as a herd."""
-    ctx, fleet, broker = _broker(
-        faults="crash@transfer:*,at=1,duration=3",
-        budget_fraction=0.67, recovery_rate=2.0)
-    for i in range(2):
-        broker.submit(f"tenant{i}", 8 * GIB)  # complete mid-outage
-    queued = [broker.submit(f"tenant{i + 2}", 1 * GIB) for i in range(4)]
+    """Post-restart the backlog drains at RECOVERY_RATE, not as a herd."""
+    ctx, fleet, broker = _broker(faults="crash@transfer:*,at=1,duration=3")
+    # The budget (1.5 x 3 rails) runs four; all complete mid-outage.
+    for i in range(4):
+        broker.submit(f"tenant{i}", 8 * GIB)
+    queued = [broker.submit(f"tenant{i + 4}", 1 * GIB) for i in range(4)]
     assert broker.queued == 4
     ctx.sim.run(until=30.0)
     starts = sorted(broker.session(j)["started_at"] for j in queued)
     assert starts[0] == pytest.approx(4.0)  # restart instant
     gaps = [b - a for a, b in zip(starts, starts[1:])]
-    assert all(g == pytest.approx(0.5) for g in gaps)  # 1/recovery_rate
-    assert broker.stats.completed == 6 and broker.stats.lost == 0
-
-
-def test_unpaced_restart_dispatches_the_whole_backlog_at_once():
-    ctx, fleet, broker = _broker(
-        faults="crash@transfer:*,at=1,duration=3", recovery_rate=0.0)
-    # Default budget (1.5 x 3 rails) runs 4 concurrently; 2 queue.  All
-    # four runners complete mid-outage, so the whole backlog is
-    # admissible the instant the broker restarts.
-    jids = [broker.submit(f"tenant{i}", 8 * GIB) for i in range(6)]
-    queued = [j for j in jids if broker.session(j)["state"] == "queued"]
-    assert len(queued) == 2
-    ctx.sim.run(until=30.0)
-    starts = [broker.session(j)["started_at"] for j in queued]
-    assert all(t == pytest.approx(4.0) for t in starts)  # the CM-storm herd
+    assert all(g == pytest.approx(1.0 / RECOVERY_RATE) for g in gaps)
+    assert broker.stats.completed == 8 and broker.stats.lost == 0
 
 
 # --- fault-edge cases (the satellite checklist) -----------------------------------

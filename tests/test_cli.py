@@ -71,7 +71,7 @@ def test_cli_jobs_accepts_auto():
         _jobs_type("0")
 
 
-def test_cli_service_flags_exported(capsys):
+def test_cli_leaves_the_environment_untouched(capsys):
     # The flags reach the run through its configuration; main() leaves
     # the caller's environment exactly as it found it.
     before = sorted(os.environb.items())

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.experiments import ext_fleet
-from repro.rdma.qpool import QpPoolConfig, QpPoolSet
+from repro.rdma import qpool
+from repro.rdma.qpool import QpPoolSet
 from repro.service.fabric import FabricSpec, boundary_links, run_fabric
 from repro.sim.context import Context
 
@@ -50,22 +51,18 @@ def test_boundary_links_cover_the_wan():
 
 def test_qpool_config_validates():
     with pytest.raises(ValueError, match="mode"):
-        QpPoolConfig(mode="eager")
-    with pytest.raises(ValueError, match="thrash_floor"):
-        QpPoolConfig(thrash_floor=0.0)
-    with pytest.raises(ValueError, match="cm_base_s"):
-        QpPoolConfig(cm_base_s=-1.0)
+        QpPoolSet(Context.create(seed=0), "eager")
 
 
-def _pool(**cfg):
+def _pool(mode):
     ctx = Context.create(seed=0)
-    return ctx, QpPoolSet(ctx, QpPoolConfig(**cfg))
+    return ctx, QpPoolSet(ctx, mode)
 
 
 def test_pooled_mode_creates_once_per_tenant_then_reuses():
-    ctx, pool = _pool(mode="pooled", qp_per_tenant=1, cm_base_s=0.002)
+    ctx, pool = _pool("pooled")
     _, d0 = pool.acquire(0, "t0")
-    assert d0 >= 0.002 and pool.qps_created == 1
+    assert d0 >= qpool.CM_BASE_S and pool.qps_created == 1
     for _ in range(5):
         _, delay = pool.acquire(0, "t0")
         assert delay == 0.0
@@ -74,44 +71,52 @@ def test_pooled_mode_creates_once_per_tenant_then_reuses():
 
 
 def test_per_job_mode_queues_on_the_serial_cm():
-    ctx, pool = _pool(mode="per-job", cm_rate=10.0, cm_base_s=0.001)
+    ctx, pool = _pool("per-job")
     delays = [pool.acquire(0, "t0")[1] for _ in range(4)]
-    # Same-instant creations serialize at 1/cm_rate spacing.
-    assert delays == pytest.approx([0.001, 0.101, 0.201, 0.301])
+    # Same-instant creations serialize at 1/CM_RATE spacing.
+    spacing = 1.0 / qpool.CM_RATE
+    assert delays == pytest.approx(
+        [qpool.CM_BASE_S + k * spacing for k in range(4)])
     assert pool.qps_created == 4
-    assert pool.cm_delay_max == pytest.approx(0.301)
+    assert pool.cm_delay_max == pytest.approx(qpool.CM_BASE_S + 3 * spacing)
 
 
 def test_cache_thrash_derates_only_past_the_cache():
-    ctx, pool = _pool(mode="per-job", qp_cache=4, thrash_floor=0.1)
-    derates = [pool.acquire(0, f"t{i}")[0] for i in range(8)]
-    assert derates[:4] == [1.0] * 4
-    assert derates[4] == pytest.approx(4 / 5)
-    assert derates[7] == pytest.approx(4 / 8)
-    assert pool.thrashed_jobs == 4
-    assert pool.peak_active_qps == 8
+    ctx, pool = _pool("per-job")
+    cache = qpool.QP_CACHE
+    derates = [pool.acquire(0, f"t{i}")[0] for i in range(2 * cache)]
+    assert derates[:cache] == [1.0] * cache
+    assert derates[cache] == pytest.approx(cache / (cache + 1))
+    assert derates[-1] == pytest.approx(0.5)
+    assert pool.thrashed_jobs == cache
+    assert pool.peak_active_qps == 2 * cache
 
 
 def test_thrash_derate_floors():
-    ctx, pool = _pool(mode="per-job", qp_cache=2, thrash_floor=0.5)
-    for i in range(8):
+    ctx, pool = _pool("per-job")
+    # Past cache / floor active QPs the cache ratio drops below the floor.
+    n = int(qpool.QP_CACHE / qpool.THRASH_FLOOR) + 8
+    for i in range(n):
         derate, _ = pool.acquire(0, f"t{i}")
-    assert derate == 0.5  # 2/8 would be 0.25; the floor holds
+    assert qpool.QP_CACHE / n < qpool.THRASH_FLOOR
+    assert derate == qpool.THRASH_FLOOR  # the floor holds
 
 
 def test_pooled_census_counts_at_most_the_pool_per_tenant():
-    ctx, pool = _pool(mode="pooled", qp_per_tenant=2, qp_cache=4)
-    for _ in range(10):
+    ctx, pool = _pool("pooled")
+    n = qpool.QP_CACHE + 6
+    for _ in range(n):
         derate, _ = pool.acquire(0, "t0")
-    # 10 running jobs multiplex 2 pooled QPs: never past the cache.
+    # More running jobs than cache entries multiplex the pooled QPs:
+    # never past the cache.
     assert derate == 1.0
-    assert pool.peak_active_qps == 2
+    assert pool.peak_active_qps == qpool.QP_PER_TENANT
     pool.release(0, "t0")
-    assert pool._nics[0].active["t0"] == 9
+    assert pool._nics[0].active["t0"] == n - 1
 
 
 def test_release_keeps_pooled_qps_warm():
-    ctx, pool = _pool(mode="pooled", qp_per_tenant=1)
+    ctx, pool = _pool("pooled")
     pool.acquire(0, "t0")
     pool.release(0, "t0")
     _, delay = pool.acquire(0, "t0")
@@ -165,8 +170,7 @@ def test_fabric_pooled_beats_per_job_on_identical_streams():
 
 # -- ext-fleet plumbing ----------------------------------------------------
 
-def test_fleet_sizes_env_override():
-    # No variable overrides the sweep: it is fixed per mode.
+def test_fleet_sizes_are_fixed_per_mode():
     assert ext_fleet.fleet_sizes(quick=True) == (16, 32)
     assert ext_fleet.fleet_sizes(quick=False) == (128, 512, 2048)
 
@@ -175,7 +179,7 @@ def test_fleet_leg_rejects_indivisible_hosts():
     from repro.core.experiments.fleet_legs import fleet_leg
     with pytest.raises(ValueError, match="divisible"):
         fleet_leg(seed=0, cal=None, hosts=20, qp_mode="pooled",
-                  rate_per_host=1.0, size_mean_mib=32.0, hosts_per_pod=8)
+                  rate_per_host=1.0, size_mean_mib=32.0)
 
 
 def test_ext_fleet_quick_report_is_clean():

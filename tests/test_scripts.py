@@ -7,7 +7,8 @@ These tests drive the script in-process (``main(argv)``) against
 temporary result/baseline trees.  ``scripts/bench_summary.py`` — the
 folded ``BENCH_report.json`` CI artifact — and
 ``scripts/check_report_cache.py`` — the parallel report smoke gate — get
-the same treatment.
+the same treatment, as do ``scripts/reachability.py`` and
+``scripts/profile_report.py``'s ``--leg``/``--param`` checks.
 """
 
 import importlib.util
@@ -319,3 +320,23 @@ def test_reachability_reached_set_may_name_unknown_code(pkg):
     defined = reach.functions(pkg)
     noise = {("pkg/sub/mod.py", 1, "<lambda>"), ("other.py", 4, "used")}
     assert len(reach.unreached(defined, noise)) == len(defined)
+
+
+# --- profile_report: --leg targets and their --param overrides --------------
+
+_PROFILE = _SCRIPT.parent / "profile_report.py"
+_pspec = importlib.util.spec_from_file_location("profile_report", _PROFILE)
+profile = importlib.util.module_from_spec(_pspec)
+_pspec.loader.exec_module(profile)
+
+
+def test_profile_report_rejects_a_param_the_leg_does_not_take(monkeypatch):
+    # The bad name fails before anything is profiled, naming what the
+    # target does accept.
+    monkeypatch.setattr(profile.cProfile.Profile, "runcall",
+                        lambda *a, **k: pytest.fail("profiled a bad leg"))
+    with pytest.raises(SystemExit) as exc:
+        profile.main(["--leg", "fleet_leg", "--param", "serve_s=2"])
+    message = str(exc.value)
+    assert "does not accept serve_s" in message
+    assert "hosts, qp_mode, rate_per_host, size_mean_mib" in message

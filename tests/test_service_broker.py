@@ -5,15 +5,16 @@ import pytest
 from repro.faults import FaultInjector, FaultPlan
 from repro.service import (BrokerConfig, RailFleet, TransferBroker,
                            WorkloadConfig)
+from repro.service.broker import TENANT_QUOTA
 from repro.sim.context import Context
 from repro.util.units import GIB, MIB
 
 
-def _broker(seed=0, faults="", **cfg):
+def _broker(seed=0, faults="", n_hosts=1, **cfg):
     ctx = Context.create(seed=seed)
     if faults:
         FaultInjector(ctx, FaultPlan.parse(faults))
-    fleet = RailFleet(ctx, n_hosts=1)
+    fleet = RailFleet(ctx, n_hosts=n_hosts)
     return ctx, fleet, TransferBroker(ctx, fleet, BrokerConfig(**cfg))
 
 
@@ -30,48 +31,50 @@ def test_jobs_run_and_complete():
 
 
 def test_over_quota_job_queues_rather_than_sheds():
-    ctx, fleet, broker = _broker(tenant_quota=2, budget_fraction=10.0)
-    jids = [broker.submit("hog", 1 * GIB) for _ in range(3)]
+    # Two hosts: the budget (1.5 x 6 rails) admits 9 jobs, one past the
+    # quota, so the quota is what binds.
+    ctx, fleet, broker = _broker(n_hosts=2)
+    jids = [broker.submit("hog", 1 * GIB) for _ in range(TENANT_QUOTA + 1)]
     states = [broker.session(j)["state"] for j in jids]
-    assert states == ["running", "running", "queued"]
+    assert states == ["running"] * TENANT_QUOTA + ["queued"]
     assert broker.stats.shed == 0
     # an under-quota tenant is not head-of-line blocked by the hog
     other = broker.submit("small", 64 * MIB)
     assert broker.session(other)["state"] == "running"
     # once a hog job finishes, the queued one is admitted
     ctx.sim.run(until=10.0)
-    assert broker.session(jids[2])["state"] == "completed"
+    assert broker.session(jids[-1])["state"] == "completed"
 
 
 def test_full_queue_sheds_the_newcomer():
-    ctx, fleet, broker = _broker(tenant_quota=1, max_queue=1)
-    j1 = broker.submit("t0", 1 * GIB)
-    j2 = broker.submit("t0", 1 * GIB)
-    j3 = broker.submit("t0", 1 * GIB)
-    assert broker.session(j1)["state"] == "running"
-    assert broker.session(j2)["state"] == "queued"
-    assert j3 is None
+    # The budget (1.5 x 3 rails) runs four jobs; the fifth fills the
+    # one-slot queue, and the sixth finds it full.
+    ctx, fleet, broker = _broker(max_queue=1)
+    jids = [broker.submit("t0", 1 * GIB) for _ in range(6)]
+    states = [broker.session(j)["state"] for j in jids[:5]]
+    assert states == ["running"] * 4 + ["queued"]
+    assert jids[5] is None
     assert broker.stats.shed == 1
     assert broker.tenants["t0"]["shed"] == 1
     # shed is terminal: accounting conserves without it ever running
     ctx.sim.run(until=10.0)
-    assert broker.stats.completed == 2
+    assert broker.stats.completed == 5
 
 
 def test_bandwidth_budget_bounds_concurrency():
-    # budget = 0.35 x 3 rails ~= 1 nominal rail -> exactly one job runs
-    ctx, fleet, broker = _broker(budget_fraction=0.35, tenant_quota=8)
-    j1 = broker.submit("a", 1 * GIB)
-    j2 = broker.submit("b", 1 * GIB)
-    assert broker.session(j1)["state"] == "running"
-    assert broker.session(j2)["state"] == "queued"
-    assert broker.running == 1
+    # budget = 1.5 x 3 rails = 4.5 nominal rails -> exactly four jobs
+    # run, one tenant each, so no quota binds
+    ctx, fleet, broker = _broker()
+    jids = [broker.submit(f"t{i}", 1 * GIB) for i in range(5)]
+    states = [broker.session(j)["state"] for j in jids]
+    assert states == ["running"] * 4 + ["queued"]
+    assert broker.running == 4
 
 
 def test_cancel_running_job_reclaims_credits():
-    ctx, fleet, broker = _broker(budget_fraction=0.35)
-    j1 = broker.submit("a", 10 * GIB)
-    j2 = broker.submit("b", 64 * MIB)
+    ctx, fleet, broker = _broker()
+    j1, *_ = [broker.submit(f"a{i}", 10 * GIB) for i in range(4)]
+    j2 = broker.submit("b", 64 * MIB)  # over budget: queues
     ctx.sim.run(until=0.5)
     assert broker.session(j2)["state"] == "queued"
     assert broker.cancel(j1) is True
@@ -88,8 +91,9 @@ def test_cancel_running_job_reclaims_credits():
 
 
 def test_cancel_queued_job():
-    ctx, fleet, broker = _broker(budget_fraction=0.35)
-    broker.submit("a", 1 * GIB)
+    ctx, fleet, broker = _broker()
+    for i in range(4):
+        broker.submit(f"a{i}", 1 * GIB)
     j2 = broker.submit("b", 1 * GIB)
     assert broker.cancel(j2) is True
     assert broker.session(j2)["state"] == "cancelled"
@@ -97,7 +101,7 @@ def test_cancel_queued_job():
 
 
 def test_sessions_lists_live_jobs_with_tenant_filter():
-    ctx, fleet, broker = _broker(budget_fraction=10.0)
+    ctx, fleet, broker = _broker()
     broker.submit("a", 1 * GIB, touch_node=1)
     broker.submit("b", 1 * GIB)
     live = broker.sessions()

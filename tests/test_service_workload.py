@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from repro.service import WorkloadConfig, WorkloadGenerator
-from repro.service.workload import LOGNORMAL_SIGMA
+from repro.service import WorkloadConfig, WorkloadGenerator, workload
+from repro.service.workload import LOGNORMAL_SIGMA, N_TENANTS
 from repro.sim.context import Context
 from repro.sim.rng import RngRegistry
 from repro.util.units import MIB
@@ -54,11 +54,11 @@ def test_lognormal_sizes_hit_their_mean():
 
 
 def test_tenants_and_nodes_within_bounds():
-    cfg = WorkloadConfig(rate=100.0, n_tenants=4)
+    cfg = WorkloadConfig(rate=100.0)
     events = _collect(cfg, seed=5, until=10.0, n_nodes=2)
     tenants = {t for _, t, _, _ in events}
     nodes = {n for _, _, _, n in events}
-    assert tenants <= {f"tenant{i}" for i in range(4)}
+    assert tenants <= {f"tenant{i}" for i in range(N_TENANTS)}
     assert len(tenants) > 1  # actually multi-tenant
     assert nodes == {0, 1}
 
@@ -92,11 +92,9 @@ def test_stop_halts_submissions():
 def test_config_validation():
     with pytest.raises(ValueError):
         WorkloadConfig(rate=0.0)
-    with pytest.raises(ValueError):
-        WorkloadConfig(n_tenants=0)
 
 
-def _expected_draws(config, seed, until, n_nodes=2):
+def _expected_draws(config, seed, until, n_tenants, n_nodes=2):
     """The documented draw order, replayed on fresh streams of one seed.
 
     Each arrival draws a gap from ``service.arrivals``; its job then
@@ -116,17 +114,19 @@ def _expected_draws(config, seed, until, n_nodes=2):
         t = t + float(arrivals.exponential(1.0 / config.rate))
         if t > until:
             return out
-        tenant = f"tenant{int(tenants.integers(config.n_tenants))}"
+        tenant = f"tenant{int(tenants.integers(n_tenants))}"
         size = float(sizes.lognormal(mu, sigma))
         out.append((t, tenant, size, int(touch.integers(n_nodes))))
 
 
-@pytest.mark.parametrize("config", [
-    WorkloadConfig(rate=40.0),
-    WorkloadConfig(rate=25.0, n_tenants=5),
+@pytest.mark.parametrize("rate,n_tenants", [
+    (40.0, N_TENANTS),
+    (25.0, 5),
 ], ids=["poisson", "five-tenants"])
-def test_draws_follow_the_documented_order(config):
+def test_draws_follow_the_documented_order(monkeypatch, rate, n_tenants):
     """Every submission equals the scalar draws taken in documented order."""
+    monkeypatch.setattr(workload, "N_TENANTS", n_tenants)
+    config = WorkloadConfig(rate=rate)
     ctx = Context.create(seed=11)
     got = []
 
@@ -136,7 +136,8 @@ def test_draws_follow_the_documented_order(config):
     gen = WorkloadGenerator(ctx, config, submit, n_nodes=3)
     gen.start()
     ctx.sim.run(until=6.0)
-    expected = _expected_draws(config, seed=11, until=6.0, n_nodes=3)
+    expected = _expected_draws(config, seed=11, until=6.0, n_nodes=3,
+                               n_tenants=n_tenants)
     assert len(expected) > 50
     assert got == expected
     assert gen.submitted == len(expected)

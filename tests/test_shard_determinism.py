@@ -56,8 +56,7 @@ def test_fabric_ledgers_identical_across_worker_counts():
     # notice.
     tasks = [SimTask("repro.core.experiments.fleet_legs:fleet_leg",
                      {"hosts": 16, "qp_mode": mode, "rate_per_host": 3.0,
-                      "size_mean_mib": 64.0, "hosts_per_pod": 8,
-                      "serve_s": 2.0, "horizon_s": 3.0}, seed=7)
+                      "size_mean_mib": 64.0}, seed=7)
              for mode in ("pooled", "per-job")]
     with executor(jobs=1):
         serial = _canon(run_tasks(tasks))

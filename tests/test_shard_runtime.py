@@ -144,8 +144,7 @@ def test_fleet_leg_runs_its_rounds_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(SimTask, "execute", spy)
     task = SimTask("repro.core.experiments.fleet_legs:fleet_leg",
                    {"hosts": 16, "qp_mode": "pooled", "rate_per_host": 2.0,
-                    "size_mean_mib": 32.0, "serve_s": 1.0, "horizon_s": 2.0},
-                   seed=3)
+                    "size_mean_mib": 32.0}, seed=3)
     with executor(jobs=2, cache=ResultCache(tmp_path)):
         (result,) = run_tasks([task])
     assert result["rounds"] == 2
