@@ -4,8 +4,9 @@ Unlike the figure benchmarks this one does not run an experiment module:
 it drives :class:`~repro.sim.fluid.FluidScheduler` directly with a
 synthetic high-churn workload (64 resources, 512 flows arriving and
 departing, capacity shocks, caps, open-ended flows stopped mid-flight)
-— the regime the vectorized allocator exists for, where single
-components grow to hundreds of flows.  The JSON payload records the
+— a regime where single components grow to hundreds of flows, far past
+the largest the ledger fills, so the kernel's one filling loop, settle
+and deadline scans run at their widest.  The JSON payload records the
 best of ``REPS`` walls; the checks are exact counts (completions,
 rebalances, allocations, recomputed flows) plus the moved bytes and
 charge total to nine significant digits, which the regression gate

@@ -50,6 +50,10 @@ SERVE_S = 4.0
 HORIZON_S = 6.0
 CRASH_AT = 2.0
 RESTART_S = 0.5
+#: Each ToR cut keeps its pod dark for ``OUTAGE_S`` seconds, cascading
+#: at seeded ``STAGGER`` offsets.
+OUTAGE_S = 1.0
+STAGGER = 0.05
 #: The MTTR leg's longer window around its one crash.
 MTTR_SERVE_S = 6.0
 MTTR_HORIZON_S = 9.0
@@ -61,15 +65,14 @@ DOMAIN_HORIZON_S = 4.0
 
 
 def fault_plan_for(*, n_pods: int, fault_rate: float, serve_s: float,
-                   crash_at: float = 0.0, restart_s: float = 0.5,
-                   outage_s: float = 1.0, stagger: float = 0.05) -> str:
+                   crash_at: float = 0.0) -> str:
     """The deterministic availability plan for one curve point.
 
     ``fault_rate`` is the fraction of pods whose ToR is cut once during
     the serve window: ``round(rate x n_pods)`` evenly-spaced pods go
-    dark for ``outage_s`` seconds at evenly-spaced times, each cut
-    cascading over seeded ``stagger`` offsets.  ``crash_at > 0`` adds a
-    fleet-wide broker crash restarting after ``restart_s``.
+    dark for ``OUTAGE_S`` seconds at evenly-spaced times, each cut
+    cascading over seeded ``STAGGER`` offsets.  ``crash_at > 0`` adds a
+    fleet-wide broker crash restarting after ``RESTART_S``.
     """
     clauses: List[str] = []
     n_cuts = int(round(fault_rate * n_pods))
@@ -77,10 +80,10 @@ def fault_plan_for(*, n_pods: int, fault_rate: float, serve_s: float,
         pod = (k * n_pods) // max(1, n_cuts)
         at = 1.0 + (k + 0.5) * (serve_s - 1.0) / max(1, n_cuts)
         clauses.append(
-            f"link-down@tor:{pod},at={at:.3f},duration={outage_s}"
-            f",stagger={stagger}")
+            f"link-down@tor:{pod},at={at:.3f},duration={OUTAGE_S}"
+            f",stagger={STAGGER}")
     if crash_at > 0.0:
-        clauses.append(f"crash@transfer:*,at={crash_at},duration={restart_s}")
+        clauses.append(f"crash@transfer:*,at={crash_at},duration={RESTART_S}")
     return ";".join(clauses)
 
 
@@ -156,7 +159,7 @@ def availability_leg(*, seed: int, cal: Optional[Calibration], hosts: int,
                  serve_s=SERVE_S, horizon_s=HORIZON_S, journal=journal)
     plan = fault_plan_for(
         n_pods=spec.n_pods, fault_rate=fault_rate, serve_s=SERVE_S,
-        crash_at=CRASH_AT, restart_s=RESTART_S)
+        crash_at=CRASH_AT)
     result = run_fabric(spec, seed=seed, cal=cal, fixed_rounds=FIXED_ROUNDS,
                         faults=FaultPlan.parse(plan))
     out = _merge_cells(result["cells"], SERVE_S)

@@ -129,7 +129,7 @@ class EndToEndSystem:
 
         Console-footer material (``python -m repro report``), never part
         of the EXPERIMENTS.md ledger: counters depend on event interleaving
-        and solver dispatch, not on the modeled physics.
+        and on how flushes coalesce, not on the modeled physics.
         """
         return self.ctx.fluid.stats.as_dict()
 

@@ -132,10 +132,8 @@ class FleetBroker(TransferBroker):
     def __init__(self, ctx: Context, fleet: RailFleet,
                  config: BrokerConfig,
                  workload: Optional[WorkloadConfig],
-                 uplink: FluidResource, port: BoundaryPort,
-                 wan_tenants: int = 0,
-                 qpool: Optional[QpPoolSet] = None,
-                 name: str = "pod"):
+                 uplink: FluidResource, port: BoundaryPort, *,
+                 wan_tenants: int, qpool: Optional[QpPoolSet], name: str):
         super().__init__(ctx, fleet, config, workload, name=name)
         self.uplink = uplink
         self.port = port

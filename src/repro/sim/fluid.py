@@ -28,17 +28,11 @@ bytes progress.  The kernel layer uses this to account CPU seconds per
 byte of protocol processing, reproducing the paper's getrusage/perf
 measurements (Fig. 4, 8, 10, 12, 14).
 
-Flow state lives in flat numpy arrays (rate, size, transferred, indexed
-by a per-scheduler *slot*).  For a component of at least
-:data:`_VECTOR_MIN_FLOWS` flows, the members' shared entries form a
-CSR-like entry list (cached on the component), and progressive filling
-runs as a vectorized water-filling loop over boolean freeze masks.
-``settle`` is one fused ``transferred += rate·dt`` update plus a sparse
-matrix-vector product over the charge incidence, and next-completion
-selection is an ``argmin`` over ``remaining / rate``.  Smaller
-components (and active sets) take scalar loops over the objects and the
-same slot arrays instead, where numpy's per-call overhead would
-dominate.
+Each flow keeps its own progress (``transferred``) as a Python float.
+Settle, next-completion selection and the finish check are loops over
+the active flows, and progressive filling is one scalar water-filling
+loop over the shared resources of the components being refilled (a
+one-flow component just takes its bottleneck).
 
 The connected components of the flow/resource sharing graph are kept
 between rebalances (:class:`_Component`), and only the ones a change
@@ -53,8 +47,6 @@ import math
 from types import MappingProxyType
 from typing import Any, Iterable, List, Mapping, Optional, Protocol, Sequence
 
-import numpy as np
-
 from repro import metrics
 from repro.sim.engine import Event, SimulationError, Simulator
 from repro.sim.sampling import hub_for
@@ -68,15 +60,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-#: Components smaller than this run the scalar filling loop: per-call
-#: numpy dispatch overhead (~µs) beats dict walks only once a component
-#: has enough flows to amortize it.
-_VECTOR_MIN_FLOWS = 16
-
-#: Compact the charge-incidence pool once dead entries outnumber live ones
-#: (and the pool is big enough for compaction to matter).
-_CHARGE_COMPACT_MIN = 128
 
 
 def _seq_of(flow: "FluidFlow") -> int:
@@ -161,7 +144,6 @@ class FluidResource:
         "_ws",
         "_uc",
         "_sat",
-        "_i",
     )
 
     def __init__(self, scheduler: "FluidScheduler", capacity: float, name: str = ""):
@@ -249,17 +231,14 @@ class FluidFlow:
         "charges",
         "_weights",
         "_rate",
-        "_transferred",
+        # bytes delivered so far, settled up to the last settle()
+        "transferred",
         "done",
         "_active",
         "started_at",
         "finished_at",
-        # solver state: slot index + owning scheduler while active,
-        # charge-pool range
-        "_slot",
+        # owning scheduler while active
         "_sched",
-        "_c_start",
-        "_c_n",
         # admission sequence number (the canonical fill order), owning
         # component, and split-walk visit stamp
         "_seq",
@@ -273,7 +252,7 @@ class FluidFlow:
         "_bthresh",
         "_shared",
         "_stale",
-        # scalar fill: frozen this fill
+        # frozen this fill
         "_frozen",
     )
 
@@ -307,15 +286,12 @@ class FluidFlow:
         self.charges = tuple(charges)
         self._weights = weights
         self._rate = 0.0
-        self._transferred = 0.0
+        self.transferred = 0.0
         self.done: Optional[Event] = None
         self._active = False
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self._slot = -1
         self._sched: Optional["FluidScheduler"] = None
-        self._c_start = 0
-        self._c_n = 0
         self._seq = 0
         self._comp: Optional[_Component] = None
         self._visit = 0
@@ -344,24 +320,6 @@ class FluidFlow:
         self._rate = value
 
     @property
-    def transferred(self) -> float:
-        """Bytes delivered so far (settled progress).
-
-        While the flow is active the authoritative count lives in the
-        scheduler's slot array; otherwise in the flow's own scalar.
-        """
-        if self._slot >= 0:
-            return self._sched._f_transferred.item(self._slot)
-        return self._transferred
-
-    @transferred.setter
-    def transferred(self, value: float) -> None:
-        if self._slot >= 0:
-            self._sched._f_transferred[self._slot] = value
-        else:
-            self._transferred = value
-
-    @property
     def remaining(self) -> Optional[float]:
         """Bytes left, or None for open-ended flows."""
         if self.size is None:
@@ -383,18 +341,16 @@ class _Component:
     order).  ``dirty`` marks a component the next flush refills.  A
     released flow stays listed until that flush trims it (``trim``); if
     it may have been a bridge, ``split`` asks the flush to re-walk the
-    component into its true pieces.  ``csr`` caches the array fill's
-    incidence while the membership is unchanged.
+    component into its true pieces.
     """
 
-    __slots__ = ("flows", "dirty", "trim", "split", "csr")
+    __slots__ = ("flows", "dirty", "trim", "split")
 
     def __init__(self, flows: list[FluidFlow]):
         self.flows = flows
         self.dirty = False
         self.trim = False
         self.split = False
-        self.csr: Optional[tuple] = None
 
 
 class FluidScheduler:
@@ -429,28 +385,6 @@ class FluidScheduler:
         # epoch, and the hub backfills declared sample channels then.
         self._hub = hub_for(sim)
         self._hub.attach_scheduler(self)
-        # Slot arrays (doubled on demand).  ``_hw`` is the high-water
-        # slot count: every vector op runs over ``[:_hw]`` and freed
-        # slots stay inert because their rate is 0 and size is inf.
-        n = 16
-        self._f_rate = np.zeros(n)
-        self._f_size = np.full(n, np.inf)
-        self._f_transferred = np.zeros(n)
-        self._free_slots: list[int] = list(range(n - 1, -1, -1))
-        self._hw = 0
-        # Charge incidence pool (CSR data: account row, flow-slot col,
-        # cost-per-byte value).  Appended on start; a stopping flow's
-        # entries are zeroed in place (dead), and the pool is rebuilt
-        # from the live flows once dead entries dominate.
-        self._c_slot = np.zeros(n, dtype=np.intp)
-        self._c_acct = np.zeros(n, dtype=np.intp)
-        self._c_cost = np.zeros(n)
-        self._c_len = 0
-        self._c_dead = 0
-        self._accounts: list[Any] = []
-        self._acct_index: dict[int, int] = {}
-        # Scratch for the per-round residual/wsum division.
-        self._div = np.empty(16)
 
     # -- public API ------------------------------------------------------------
     def _admit(self, flow: FluidFlow) -> Event:
@@ -488,13 +422,11 @@ class FluidScheduler:
             if others:
                 comp = self._merge(comp, others)
             comp.flows.append(flow)
-            comp.csr = None
         flow._comp = comp
         flow._stale = True
         if not comp.dirty:
             comp.dirty = True
             self._dirty.append(comp)
-        self._bind_slot(flow)
         return flow.done
 
     @staticmethod
@@ -646,14 +578,14 @@ class FluidScheduler:
             self.stats.rebalances += 1
             _TOTALS["rebalances"] += 1
             self._allocate()
-            self._settle_array(elapsed)
+            self._settle(elapsed)
             self._last_settle = now
             hub = self._hub
             if hub._channels:
                 hub.on_epoch(now)
             self._schedule_next_completion()
             return
-        self._settle_array(elapsed)
+        self._settle(elapsed)
         self._last_settle = now
         hub = self._hub
         if hub._channels:
@@ -665,158 +597,26 @@ class FluidScheduler:
         return tuple(self._active)
 
     # -- settle --------------------------------------------------------------
-    def _settle_array(self, elapsed: float) -> None:
-        hw = self._hw
-        if not hw:
-            return
-        active = self._active
-        if len(active) < _VECTOR_MIN_FLOWS:
-            # Small active set: per-element numpy dispatch costs more than
-            # it saves, so loop over the flows against the slot arrays
-            # (same arithmetic, element by element, in Python floats).
-            f_tr = self._f_transferred
-            for flow in active:
-                rate = flow._rate
-                if rate <= 0:
-                    continue
-                delta = rate * elapsed
-                size = flow.size
-                slot = flow._slot
-                done = f_tr.item(slot)
-                if size is not None:
-                    remaining = size - done
-                    if delta > remaining:
-                        delta = remaining
-                if delta <= 0:
-                    continue
-                f_tr[slot] = done + delta
-                charges = flow.charges
-                if charges:
-                    for account, per_byte in charges:
-                        account.add(delta * per_byte)
-            return
-        # Fused progress update: delta = clip(rate * dt, 0, remaining).
-        # Freed slots ride along harmlessly (rate 0 -> delta 0).
-        delta = self._f_rate[:hw] * elapsed
-        np.minimum(delta, self._f_size[:hw] - self._f_transferred[:hw], out=delta)
-        np.maximum(delta, 0.0, out=delta)
-        self._f_transferred[:hw] += delta
-        m = self._c_len
-        if m:
-            # Charge accounting as one sparse mat-vec: per-account totals
-            # are the weighted sums of member-flow deltas.  Dead entries
-            # have cost 0 and contribute nothing.
-            contrib = delta[self._c_slot[:m]] * self._c_cost[:m]
-            amounts = np.bincount(
-                self._c_acct[:m], weights=contrib, minlength=len(self._accounts)
-            )
-            if amounts.any():
-                accounts = self._accounts
-                for i in np.nonzero(amounts)[0].tolist():
-                    accounts[i].add(float(amounts[i]))
-
-    # -- slot-array state management -------------------------------------------
-    def _bind_slot(self, flow: FluidFlow) -> None:
-        # A free slot already reads rate 0 and size inf (see _grow_slots
-        # and _release_slot): only finite values are written.
-        if not self._free_slots:
-            self._grow_slots()
-        slot = self._free_slots.pop()
-        flow._slot = slot
-        if slot >= self._hw:
-            self._hw = slot + 1
-        if flow.size is not None:
-            self._f_size[slot] = flow.size
-        self._f_transferred[slot] = flow._transferred
-        if not flow.charges:
-            return
-        charges = [(a, c) for a, c in flow.charges if c != 0.0]
-        if charges:
-            start = self._c_len
-            need = start + len(charges)
-            if need > self._c_slot.size:
-                self._grow_charges(need)
-            acct_index = self._acct_index
-            for k, (account, cost) in enumerate(charges):
-                key = id(account)
-                idx = acct_index.get(key)
-                if idx is None:
-                    idx = len(self._accounts)
-                    acct_index[key] = idx
-                    self._accounts.append(account)
-                self._c_slot[start + k] = flow._slot
-                self._c_acct[start + k] = idx
-                self._c_cost[start + k] = cost
-            self._c_len = need
-            flow._c_start = start
-            flow._c_n = len(charges)
-
-    def _div_scratch(self, n: int) -> np.ndarray:
-        """An inf-filled length-``n`` scratch view for masked divisions."""
-        d = self._div
-        if d.size < n:
-            self._div = d = np.empty(max(n, 2 * d.size))
-        view = d[:n]
-        view.fill(np.inf)
-        return view
-
-    def _grow_slots(self) -> None:
-        old = self._f_rate.size
-        new = old * 2
-        for name in ("_f_rate", "_f_size", "_f_transferred"):
-            arr = getattr(self, name)
-            grown = np.empty(new)
-            grown[:old] = arr
-            setattr(self, name, grown)
-        self._f_size[old:] = np.inf
-        self._f_rate[old:] = 0.0
-        self._f_transferred[old:] = 0.0
-        self._free_slots.extend(range(new - 1, old - 1, -1))
-
-    def _grow_charges(self, need: int) -> None:
-        new = max(need, self._c_slot.size * 2)
-        for name, dtype in (("_c_slot", np.intp), ("_c_acct", np.intp),
-                            ("_c_cost", float)):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=dtype)
-            grown[: arr.size] = arr
-            setattr(self, name, grown)
-
-    def _release_slot(self, flow: FluidFlow) -> None:
-        slot = flow._slot
-        flow._transferred = self._f_transferred.item(slot)
-        self._f_rate[slot] = 0.0
-        if flow.size is not None:
-            self._f_size[slot] = np.inf
-        flow._slot = -1
-        self._free_slots.append(slot)
-        if flow._c_n:
-            # Zero the costs in place: the entries become inert even if
-            # the slot is reused before the next compaction.
-            self._c_cost[flow._c_start: flow._c_start + flow._c_n] = 0.0
-            self._c_dead += flow._c_n
-            flow._c_n = 0
-            if (self._c_len >= _CHARGE_COMPACT_MIN
-                    and self._c_dead * 2 > self._c_len):
-                self._compact_charges()
-
-    def _compact_charges(self) -> None:
-        """Rebuild the charge pool from live flows (churn-threshold rebuild)."""
-        pos = 0
-        c_slot, c_acct, c_cost = self._c_slot, self._c_acct, self._c_cost
+    def _settle(self, elapsed: float) -> None:
+        """Accrue *elapsed* seconds of progress and charges at current rates."""
         for flow in self._active:
-            n = flow._c_n
-            if not n:
+            rate = flow._rate
+            if rate <= 0:
                 continue
-            start = flow._c_start
-            if start != pos:
-                c_slot[pos: pos + n] = c_slot[start: start + n]
-                c_acct[pos: pos + n] = c_acct[start: start + n]
-                c_cost[pos: pos + n] = c_cost[start: start + n]
-                flow._c_start = pos
-            pos += n
-        self._c_len = pos
-        self._c_dead = 0
+            delta = rate * elapsed
+            size = flow.size
+            done = flow.transferred
+            if size is not None:
+                remaining = size - done
+                if delta > remaining:
+                    delta = remaining
+            if delta <= 0:
+                continue
+            flow.transferred = done + delta
+            charges = flow.charges
+            if charges:
+                for account, per_byte in charges:
+                    account.add(delta * per_byte)
 
     # -- internals ------------------------------------------------------------
     def _deactivate(self, flow: FluidFlow) -> None:
@@ -828,7 +628,6 @@ class FluidScheduler:
         # still have users (it may have been a bridge between them).
         comp = flow._comp
         comp.trim = True
-        comp.csr = None
         self._mark(comp)
         linked = 0
         for r in flow._weights:
@@ -851,11 +650,10 @@ class FluidScheduler:
         if linked > 1:
             comp.split = True
         flow._comp = None
-        self._release_slot(flow)
         flow._rate = 0.0
         flow._sched = None
         if flow.done is not None and not flow.done.triggered:
-            flow.done.succeed(flow._transferred)
+            flow.done.succeed(flow.transferred)
 
     def _rebalance(self) -> None:
         """Recompute the max-min fair rates; reschedule next completion."""
@@ -926,10 +724,8 @@ class FluidScheduler:
         comps = self._dirty_components()
         # Fill in admission order: the allocation is then a function of
         # the flow set, not of how its components were found or built.
-        comp: Optional[_Component] = None
         if len(comps) == 1:
-            comp = comps[0]
-            flows = comp.flows
+            flows = comps[0].flows
         else:
             flows = [f for c in comps for f in c.flows]
             flows.sort(key=_seq_of)
@@ -944,8 +740,6 @@ class FluidScheduler:
         _TOTALS["flows_skipped"] += skipped
         if nf == 1:
             self._allocate_single(flows[0])
-        elif nf >= _VECTOR_MIN_FLOWS:
-            self._allocate_array(flows, comp)
         elif nf:
             self._allocate_scalar(flows)
 
@@ -994,10 +788,9 @@ class FluidScheduler:
         if rate == math.inf:
             raise SimulationError(f"unbounded flows in allocation: {[f.name]}")
         f._rate = rate
-        self._f_rate[f._slot] = rate
 
     def _allocate_scalar(self, flows: list[FluidFlow]) -> None:
-        """Scalar progressive filling over a few small components.
+        """Progressive filling over the refilled components' flows.
 
         All unfrozen flows grow in lockstep from zero, so their common
         rate is one scalar ``level``, the running sum of the rounds'
@@ -1036,7 +829,6 @@ class FluidScheduler:
                         r._sat = _EPS * (c if c > 1.0 else 1.0)
                         live.append(r)
 
-        f_rate = self._f_rate
         nf = n_unfrozen = len(flows)
         level = 0.0
         guard = 0
@@ -1096,7 +888,6 @@ class FluidScheduler:
                     f._frozen = True
             for f in newly:
                 f._rate = level
-                f_rate[f._slot] = level
                 for r, w in f._shared:
                     n = r._uc - 1
                     r._uc = n
@@ -1107,172 +898,6 @@ class FluidScheduler:
             n_unfrozen -= len(newly)
             if capped:
                 capped = [c for c in capped if not c[0]._frozen]
-
-    def _incidence(self, flows: list[FluidFlow]) -> tuple:
-        """The array fill's CSR data over the flows' shared entries.
-
-        ``ent_flow[k]``/``ent_res[k]``/``ent_w[k]`` say that local flow
-        ``ent_flow[k]`` (its position in *flows*) consumes ``ent_w[k]``
-        bytes of local shared resource ``ent_res[k]`` per payload byte.
-        Entries run flow by flow in admission order, the order every
-        per-resource ``bincount`` sum then adds up in.
-        """
-        epoch = self._visit_epoch = self._visit_epoch + 1
-        res: list[FluidResource] = []
-        ent_res: list[int] = []
-        ent_w: list[float] = []
-        ent_flow: list[int] = []
-        for j, f in enumerate(flows):
-            for r, w in f._shared:
-                if r._visit != epoch:
-                    r._visit = epoch
-                    r._i = len(res)
-                    res.append(r)
-                ent_res.append(r._i)
-                ent_w.append(w)
-                ent_flow.append(j)
-        R = len(res)
-        ent_res_a = np.array(ent_res, dtype=np.intp)
-        ent_w_a = np.array(ent_w, dtype=float)
-        slots = np.fromiter((f._slot for f in flows), dtype=np.intp,
-                            count=len(flows))
-        return (slots, res, ent_res_a, ent_w_a,
-                np.array(ent_flow, dtype=np.intp),
-                np.bincount(ent_res_a, weights=ent_w_a, minlength=R),
-                np.bincount(ent_res_a, minlength=R))
-
-    def _allocate_array(
-        self, flows: list[FluidFlow], comp: Optional[_Component]
-    ) -> None:
-        """Vectorized water-filling over the affected components.
-
-        Each filling round is a handful of fused array ops over the CSR
-        incidence of the shared entries (:meth:`_incidence`), regardless
-        of component size.  The incidence of a single component is cached
-        on it until its membership changes, so a flush that only changes
-        caps or capacities (a TCP window tick) reuses it unchanged.
-        """
-        F = len(flows)
-        refresh = self._refresh
-        for f in flows:
-            if f._stale:
-                refresh(f)
-        csr = None if comp is None else comp.csr
-        if csr is None:
-            csr = self._incidence(flows)
-            if comp is not None:
-                comp.csr = csr
-        slots, res, ent_res, ent_w, ent_flow, wsum0, ucount0 = csr
-        R = len(res)
-        r_cap = np.fromiter((r._capacity for r in res), dtype=float, count=R)
-        cap_l = np.fromiter((f._bound for f in flows), dtype=float, count=F)
-        residual = r_cap.copy()
-        wsum = wsum0.copy()
-        ucount = ucount0.copy()
-        # cap_work holds each flow's remaining cap, switched to inf once the
-        # flow freezes so min()/compare need no mask; cap_thresh is the
-        # freeze band below the cap (mirrors the scalar solver's epsilon).
-        cap_work = cap_l.copy()
-        cap_thresh = np.full(F, np.inf)
-        capped = np.isfinite(cap_l)
-        if capped.any():
-            cf = cap_l[capped]
-            cap_thresh[capped] = cf - _EPS * np.maximum(1.0, cf)
-        r_thresh = _EPS * np.maximum(1.0, r_cap)
-        # Infinite-capacity resources never saturate; eps * inf would be
-        # inf and `residual <= r_thresh` would hold forever, spuriously
-        # freezing their users at the first saturation round's level.
-        r_thresh[np.isinf(r_cap)] = -np.inf
-
-        # All unfrozen flows grow in lockstep from zero, so the common fill
-        # `level` is a scalar; per-flow rates materialize only at freeze
-        # time.  Saturated resources get residual=inf once processed so
-        # they drop out of both the delta min and the saturation scan.
-        rate_l = np.zeros(F)
-        unfrozen = np.ones(F, dtype=bool)
-        ent_alive = np.ones(ent_res.size, dtype=bool)
-        n_unfrozen = F
-        level = 0.0
-        guard = 0
-        while n_unfrozen:
-            guard += 1
-            if guard > 4 * F + 8:  # pragma: no cover - safety net
-                raise SimulationError("progressive filling failed to converge")
-            d_res = math.inf
-            if R:
-                dv = self._div_scratch(R)
-                np.divide(residual, wsum, out=dv, where=wsum > 0.0)
-                d_res = float(dv.min())
-            cap_min = float(cap_work.min())
-            if d_res < 0.0:
-                d_res = 0.0
-            delta = d_res
-            # Every cap strictly below the next saturation level freezes in
-            # this round: removing a capped flow only ever *raises* the
-            # remaining resources' saturation levels, so no saturation can
-            # overtake a lower cap.  Each such flow freezes at its own cap.
-            cap_batch = cap_min - level < d_res
-            if cap_batch:
-                # Finite-threshold flows only: when d_res is inf (every
-                # remaining constraint is an infinite resource) the band
-                # `<= level + d_res` would also sweep up frozen flows and
-                # uncapped ones, whose thresholds sit at inf.
-                batch = cap_thresh <= level + d_res
-                batch &= np.isfinite(cap_thresh)
-                if not batch.any():  # pragma: no cover - numerical corner
-                    cap_batch = False
-            if cap_batch:
-                newly = batch
-                caps_b = cap_work[batch]
-                rate_l[batch] = caps_b
-                # residual already charges these flows at `level`; top the
-                # charge up to each one's cap without advancing `level`.
-                fe = batch[ent_flow]
-                fe &= ent_alive
-                er = ent_res[fe]
-                top_up = (cap_work[ent_flow[fe]] - level) * ent_w[fe]
-                residual -= np.bincount(er, weights=top_up, minlength=R)
-            else:
-                if not math.isfinite(delta):
-                    names = sorted(
-                        f.name for f, u in zip(flows, unfrozen.tolist()) if u
-                    )
-                    raise SimulationError(
-                        f"unbounded flows in allocation: {names}"
-                    )
-                if delta > 0.0:
-                    level += delta
-                    residual -= delta * wsum
-                # freeze flows riding on saturated resources at `level`
-                newly = cap_thresh <= level
-                sat = residual <= r_thresh
-                if sat.any():
-                    members = ent_flow[sat[ent_res] & ent_alive]
-                    if members.size:
-                        newly[members] = True
-                        newly &= unfrozen
-                    residual[sat] = np.inf
-                n_also = int(newly.sum())
-                if not n_also:  # pragma: no cover - numerical corner
-                    newly = unfrozen.copy()
-                rate_l[newly] = level
-                fe = newly[ent_flow]
-                fe &= ent_alive
-                er = ent_res[fe]
-            n_new = int(newly.sum())
-            cap_work[newly] = np.inf
-            cap_thresh[newly] = np.inf
-            if er.size:
-                wsum -= np.bincount(er, weights=ent_w[fe], minlength=R)
-                ucount -= np.bincount(er, minlength=R)
-                wsum[ucount == 0] = 0.0
-                ent_alive &= ~fe
-            unfrozen &= ~newly
-            n_unfrozen -= n_new
-
-        self._f_rate[slots] = rate_l
-        for f, r in zip(flows, rate_l.tolist()):
-            f._rate = r
 
     def _schedule_next_completion(self) -> None:
         horizon = self._completion_horizon()
@@ -1292,34 +917,18 @@ class FluidScheduler:
         timer.add_callback(self._on_timer_event)
 
     def _completion_horizon(self) -> Optional[float]:
-        hw = self._hw
-        if not hw:
-            return None
-        active = self._active
-        if len(active) < _VECTOR_MIN_FLOWS:
-            f_tr = self._f_transferred
-            horizon = math.inf
-            for f in active:
-                size = f.size
-                if size is None or f._rate <= 0:
-                    continue
-                remaining = size - f_tr.item(f._slot)
-                if remaining <= _EPS * size:
-                    return 0.0
-                eta = remaining / f._rate
-                if eta < horizon:
-                    horizon = eta
-            return horizon if math.isfinite(horizon) else None
-        rate = self._f_rate[:hw]
-        size = self._f_size[:hw]
-        cand = (rate > 0.0) & np.isfinite(size)
-        if not cand.any():
-            return None
-        size_c = size[cand]
-        rem = size_c - self._f_transferred[:hw][cand]
-        if (rem <= _EPS * size_c).any():
-            return 0.0
-        return float((rem / rate[cand]).min())
+        horizon = math.inf
+        for f in self._active:
+            size = f.size
+            if size is None or f._rate <= 0:
+                continue
+            remaining = size - f.transferred
+            if remaining <= _EPS * size:
+                return 0.0
+            eta = remaining / f._rate
+            if eta < horizon:
+                horizon = eta
+        return horizon if math.isfinite(horizon) else None
 
     def _on_timer_event(self, ev: Event) -> None:
         self._on_timer(ev._value)
@@ -1329,25 +938,11 @@ class FluidScheduler:
             return  # superseded by a later rebalance
         self._deadline = None
         self.settle()
-        if len(self._active) < _VECTOR_MIN_FLOWS:
-            f_tr = self._f_transferred
-            finished = [
-                f
-                for f in self._active
-                if f.size is not None
-                and f.size - f_tr.item(f._slot) <= _EPS * f.size
-            ]
-        else:
-            hw = self._hw
-            size = self._f_size[:hw]
-            fin = np.isfinite(size) & (
-                size - self._f_transferred[:hw] <= _EPS * size
-            )
-            if fin.any():
-                fin_slots = set(np.nonzero(fin)[0].tolist())
-                finished = [f for f in self._active if f._slot in fin_slots]
-            else:
-                finished = []
+        finished = [
+            f
+            for f in self._active
+            if f.size is not None and f.size - f.transferred <= _EPS * f.size
+        ]
         for f in finished:
             f.transferred = f.size  # snap away float dust
             self._deactivate(f)

@@ -6,8 +6,8 @@ every unfrozen flow's rate by the largest uniform increment no resource
 or cap allows to be exceeded, freeze the flows that hit their cap or sit
 on a saturated resource, repeat.  It deliberately shares nothing with
 :mod:`repro.sim.fluid` — no incremental dirty sets, no connected
-components, no folding of single-user resources into caps, no
-vectorization — so agreement with the production kernel is evidence,
+components, no folding of single-user resources into caps, no cached
+fill inputs — so agreement with the production kernel is evidence,
 not tautology.  The allocation is unique, so any correct solver must
 match it up to the freeze tolerance.
 """

@@ -17,6 +17,10 @@ at the next flush.  These tests pin down what that must preserve:
   pieces, and later changes refill only their own piece;
 * a rebalance that leaves the next completion deadline unchanged does
   not schedule another completion timer.
+
+The churn and failover tests also run with every capacity, cap and size
+scaled up to the magnitude of the modelled links (about 1e9 bytes/s),
+where the freeze tolerances are relative to values far above 1.
 """
 
 import math
@@ -27,10 +31,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import FluidFlow, FluidResource, FluidScheduler, Simulator
-from repro.sim import fluid
 from tests.fluid_reference import maxmin
-from tests.test_fluid_equivalence import (VECTOR_ALWAYS, VECTOR_NEVER,
-                                          _close, _components)
+from tests.test_fluid_equivalence import _close, _components
+
+#: Byte scales the churn and failover tests run at: as drawn (None),
+#: doubled, and at the 1e9 bytes/s magnitude of the modelled links.
+SCALES = [None, 2, 10 ** 9]
 
 
 def _paths(specs, resources, order=None):
@@ -71,47 +77,40 @@ def _rebuilds(draw):
     }
 
 
-def _build(case, vector_min, shuffled):
+def _build(case, shuffled):
     capacities, specs = case["capacities"], case["specs"]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fluid, "_VECTOR_MIN_FLOWS", vector_min)
-        sched = FluidScheduler(Simulator())
-        if shuffled:
-            made = {j: FluidResource(sched, capacities[j], f"r{j}")
-                    for j in case["res_order"]}
-            resources = [made[j] for j in range(len(capacities))]
-            paths = _paths(specs, resources, case["path_orders"])
-        else:
-            resources = [FluidResource(sched, c, f"r{j}")
-                         for j, c in enumerate(capacities)]
-            paths = _paths(specs, resources)
-        flows = [FluidFlow(path, size=None, cap=cap, name=f"f{i}")
-                 for i, (path, (_p, cap)) in enumerate(zip(paths, specs))]
-        if shuffled:
-            for i, f in enumerate(flows):
-                sched.start(f)
-                if i in case["flush_after"]:
-                    sched.flush()
-            sched.flush()
-            _refill_each(sched, flows, case["refill"])
-        else:
-            sched.start_many(flows)
-            sched.flush()
-            _refill_each(sched, flows, range(len(flows)))
-        return ([f._rate for f in flows], [r.load for r in resources],
-                sched)
+    sched = FluidScheduler(Simulator())
+    if shuffled:
+        made = {j: FluidResource(sched, capacities[j], f"r{j}")
+                for j in case["res_order"]}
+        resources = [made[j] for j in range(len(capacities))]
+        paths = _paths(specs, resources, case["path_orders"])
+    else:
+        resources = [FluidResource(sched, c, f"r{j}")
+                     for j, c in enumerate(capacities)]
+        paths = _paths(specs, resources)
+    flows = [FluidFlow(path, size=None, cap=cap, name=f"f{i}")
+             for i, (path, (_p, cap)) in enumerate(zip(paths, specs))]
+    if shuffled:
+        for i, f in enumerate(flows):
+            sched.start(f)
+            if i in case["flush_after"]:
+                sched.flush()
+        sched.flush()
+        _refill_each(sched, flows, case["refill"])
+    else:
+        sched.start_many(flows)
+        sched.flush()
+        _refill_each(sched, flows, range(len(flows)))
+    return [f._rate for f in flows], [r.load for r in resources]
 
 
 @given(_rebuilds())
 @settings(max_examples=200, deadline=None)
 def test_fill_is_a_function_of_the_flow_set(case):
     """Shuffled resource numbering, path order, build-up and refill
-    order give bitwise-equal rates and loads, on both fill paths."""
-    for vector_min in (VECTOR_NEVER, VECTOR_ALWAYS):
-        rates, loads, _ = _build(case, vector_min, shuffled=False)
-        rates2, loads2, _ = _build(case, vector_min, shuffled=True)
-        assert rates2 == rates
-        assert loads2 == loads
+    order give bitwise-equal rates and loads."""
+    assert _build(case, shuffled=True) == _build(case, shuffled=False)
 
 
 def _true_components(sched):
@@ -165,15 +164,16 @@ def _check_kept_state(sched, resources):
         assert sorted(f._shared, key=lambda e: e[0].name) == shared
 
 
-def _churn(seed, n_res, n_flows, vector_min, monkeypatch):
+def _churn(seed, n_res, n_flows, scale):
     """Bridge-heavy churn: flows span runs of adjacent resources on a
-    line, so admissions merge components and releases split them."""
-    monkeypatch.setattr(fluid, "_VECTOR_MIN_FLOWS", vector_min)
+    line, so admissions merge components and releases split them.
+    Every drawn capacity, cap and size is multiplied by *scale*."""
+    k = 1.0 if scale is None else float(scale)
     rng = random.Random(seed)
     sim = Simulator()
     sched = FluidScheduler(sim)
-    capacities = [rng.choice([0.0, math.inf, rng.uniform(50.0, 500.0)])
-                  if rng.random() < 0.15 else rng.uniform(50.0, 500.0)
+    capacities = [k * (rng.choice([0.0, math.inf, rng.uniform(50.0, 500.0)])
+                       if rng.random() < 0.15 else rng.uniform(50.0, 500.0))
                   for _ in range(n_res)]
     resources = [FluidResource(sched, c, f"r{j}")
                  for j, c in enumerate(capacities)]
@@ -196,14 +196,15 @@ def _churn(seed, n_res, n_flows, vector_min, monkeypatch):
         idx = [(lo + k) % n_res for k in range(span)]
         path = {j: rng.uniform(0.5, 2.0) for j in idx}
         if rng.random() < 0.3:  # a private resource of its own
-            private = FluidResource(sched, rng.uniform(20.0, 400.0), f"p{i}")
+            private = FluidResource(sched, k * rng.uniform(20.0, 400.0),
+                                    f"p{i}")
             path[len(capacities)] = rng.uniform(0.5, 2.0)
             capacities.append(private.capacity)
             resources.append(private)
-        cap = rng.uniform(5.0, 300.0) if rng.random() < 0.4 else None
+        cap = k * rng.uniform(5.0, 300.0) if rng.random() < 0.4 else None
         if cap is None and not any(math.isfinite(capacities[j]) for j in path):
-            cap = rng.uniform(5.0, 300.0)
-        size = rng.uniform(50.0, 3000.0) if rng.random() < 0.7 else None
+            cap = k * rng.uniform(5.0, 300.0)
+        size = k * rng.uniform(50.0, 3000.0) if rng.random() < 0.7 else None
         f = FluidFlow([(resources[j], w) for j, w in path.items()],
                       size=size, cap=cap, name=f"f{i}")
         specs[f] = (path, cap)
@@ -231,14 +232,14 @@ def _churn(seed, n_res, n_flows, vector_min, monkeypatch):
                 sched.stop(rng.choice(live))
             elif live and roll < 0.45:
                 victim = rng.choice(live)
-                sched.set_cap(victim, rng.choice([None, rng.uniform(5.0, 300.0)])
-                              if any(math.isfinite(r.capacity)
-                                     for r in victim._weights)
-                              else rng.uniform(5.0, 300.0))
+                new_cap = k * rng.uniform(5.0, 300.0)
+                if any(math.isfinite(r.capacity) for r in victim._weights):
+                    new_cap = rng.choice([None, new_cap])
+                sched.set_cap(victim, new_cap)
                 specs[victim] = (specs[victim][0], victim.cap)
             elif roll < 0.5:
                 j = rng.randrange(n_res)
-                new = rng.uniform(50.0, 500.0)
+                new = k * rng.uniform(50.0, 500.0)
                 resources[j].set_capacity(new)
                 capacities[j] = new
 
@@ -248,25 +249,23 @@ def _churn(seed, n_res, n_flows, vector_min, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("vector_min", [VECTOR_NEVER, VECTOR_ALWAYS, None])
-def test_merge_split_churn_matches_reference(seed, vector_min, monkeypatch):
-    vector_min = fluid._VECTOR_MIN_FLOWS if vector_min is None else vector_min
+@pytest.mark.parametrize("scale", SCALES)
+def test_merge_split_churn_matches_reference(seed, scale):
     n_res = 6 + seed % 5
-    checks = _churn(31_000 + seed, n_res, 40 + 5 * seed, vector_min,
-                    monkeypatch)
+    checks = _churn(31_000 + seed, n_res, 40 + 5 * seed, scale)
     assert checks > 10
 
 
-@pytest.mark.parametrize("vector_min", [VECTOR_NEVER, VECTOR_ALWAYS])
-def test_failover_splits_a_component(vector_min, monkeypatch):
+@pytest.mark.parametrize("scale", SCALES[1:])
+def test_failover_splits_a_component(scale):
     """Rails bridging eight groups go down in one ``finish_many``: the
     component falls apart into the groups, and a later change refills
     only its own group."""
-    monkeypatch.setattr(fluid, "_VECTOR_MIN_FLOWS", vector_min)
     sched = FluidScheduler(Simulator())
-    hubs = [FluidResource(sched, 100.0 * (g + 1), f"hub{g}") for g in range(8)]
+    hubs = [FluidResource(sched, scale * 100.0 * (g + 1), f"hub{g}")
+            for g in range(8)]
     groups = [[FluidFlow([(hub, 1.0 + 0.25 * k)], size=None,
-                         cap=30.0 + 7.0 * k + g, name=f"g{g}.{k}")
+                         cap=scale * (30.0 + 7.0 * k + g), name=f"g{g}.{k}")
                for k in range(4)] for g, hub in enumerate(hubs)]
     rails = [FluidFlow([(hubs[g], 1.5), (hubs[g + 1], 0.5)], size=None,
                        name=f"rail{g}") for g in range(7)]
@@ -289,10 +288,10 @@ def test_failover_splits_a_component(vector_min, monkeypatch):
         for f, rate in zip(group, want):
             assert _close(f._rate, rate, rel=1e-9), f.name
 
-    sched.set_cap(groups[3][0], 5.0)
+    sched.set_cap(groups[3][0], scale * 5.0)
     sched.flush()
     assert (sched.stats.flows_recomputed - after["flows_recomputed"]) == 4
-    assert groups[3][0]._rate == 5.0
+    assert groups[3][0]._rate == scale * 5.0
 
 
 def test_unchanged_deadline_schedules_no_timer():
