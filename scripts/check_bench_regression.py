@@ -19,7 +19,14 @@ compared with ``benchmarks/e2e/compare.py``) is where performance is
 measured.  Usage::
 
     python scripts/check_bench_regression.py \
-        [--results benchmarks/results] [--baselines benchmarks/baselines]
+        [--results benchmarks/results] [--baselines benchmarks/baselines] \
+        [--only NAME ...]
+
+``--only`` judges just the named benchmarks (baseline stems, e.g.
+``fig07``): the ones a CI job ran.  Their baselines must exist, and
+results of other benchmarks left in the results directory by earlier
+runs are ignored.  Without it every baseline and every result is
+judged.
 
 Exit status: 0 = gate passes, 1 = drift, 2 = bad invocation (e.g. no
 baselines found).
@@ -99,9 +106,22 @@ def main(argv: list[str] | None = None) -> int:
         default=REPO_ROOT / "benchmarks" / "baselines",
         help="directory with committed baseline <name>.json files",
     )
+    parser.add_argument(
+        "--only",
+        nargs="+",
+        metavar="NAME",
+        help="judge only these benchmarks (baseline names without .json)",
+    )
     args = parser.parse_args(argv)
 
     baselines = sorted(args.baselines.glob("*.json"))
+    if args.only is not None:
+        missing = sorted(set(args.only) - {p.stem for p in baselines})
+        if missing:
+            print(f"error: no baseline under {args.baselines} for "
+                  f"{', '.join(missing)}")
+            return 2
+        baselines = [p for p in baselines if p.stem in args.only]
     if not baselines:
         print(f"error: no baselines found under {args.baselines}")
         return 2
@@ -127,10 +147,9 @@ def main(argv: list[str] | None = None) -> int:
 
     # BENCH_report.json is bench_summary.py's fold over these results,
     # not a benchmark — it carries no checks of its own to gate.
-    extra = {p.stem for p in args.results.glob("*.json")
-             if p.name != "BENCH_report.json"} - {
-        p.stem for p in baselines
-    }
+    extra = set() if args.only is not None else {
+        p.stem for p in args.results.glob("*.json")
+        if p.name != "BENCH_report.json"} - {p.stem for p in baselines}
     for name in sorted(extra):
         errors.append(
             f"{name}: result has no committed baseline under "

@@ -3,27 +3,36 @@
 Paper anchor: per-block control-message processing dominates at small
 blocks, so CPU utilization *falls* as block size grows (and rises with
 stream count at fixed block size).
+
+Fig. 13 measured these runs at the same block sizes and stream counts:
+:func:`plan` is its plan, so a report or a warm cache runs each point
+once for both figures.
 """
 
 from __future__ import annotations
 
 from repro.core.calibration import Calibration
-from repro.core.experiments.exp_fig13_wan_bw import sweep
+from repro.core.experiments import exp_fig13_wan_bw as fig13
 from repro.core.report import ExperimentReport
-from repro.util.units import KIB, MIB, to_gbps
+from repro.exec import SimTask, run_tasks
+from repro.util.units import to_gbps
 
-__all__ = ["run"]
+__all__ = ["run", "plan", "assemble"]
 
 
-def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
-        ) -> ExperimentReport:
-    """Run the experiment; returns the paper-vs-measured report."""
-    block_sizes = (256 * KIB, 1 * MIB, 4 * MIB, 16 * MIB) if not quick else (
-        256 * KIB, 4 * MIB, 16 * MIB)
-    stream_counts = (1, 4, 8) if quick else (1, 2, 4, 8)
+def plan(quick: bool = True, seed: int = 0, cal: Calibration | None = None
+         ) -> list[SimTask]:
+    """Fig. 13's cells."""
+    return fig13.plan(quick=quick, seed=seed, cal=cal)
+
+
+def assemble(results, quick: bool = True, seed: int = 0,
+             cal: Calibration | None = None) -> ExperimentReport:
+    """Build the paper-vs-measured report from the cells' results."""
+    block_sizes = fig13.block_sizes(quick)
+    stream_counts = fig13.stream_counts(quick)
     duration = 20.0 if quick else 300.0
-    grid = sweep(quick=quick, seed=seed, cal=cal, block_sizes=block_sizes,
-                 stream_counts=stream_counts)
+    grid = fig13.grid(results, quick)
     report = ExperimentReport(
         "fig14",
         "Fig. 14 RFTP WAN CPU utilization (sender / receiver)",
@@ -33,8 +42,8 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
     for streams in stream_counts:
         for bs in block_sizes:
             res = grid[(bs, streams)]
-            snd = 100.0 * res.sender_accounting.total_seconds / duration
-            rcv = 100.0 * res.receiver_accounting.total_seconds / duration
+            snd = 100.0 * res.sender_cpu_s / duration
+            rcv = 100.0 * res.receiver_cpu_s / duration
             gbps = to_gbps(res.goodput)
             report.add_row([
                 streams, f"{bs // 1024} KiB", round(gbps, 2), round(snd, 1),
@@ -48,8 +57,7 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
 
     def cpu_per_byte(bs):
         res = grid[(bs, top)]
-        total = (res.sender_accounting.total_seconds
-                 + res.receiver_accounting.total_seconds)
+        total = res.sender_cpu_s + res.receiver_cpu_s
         return total / max(res.total_bytes, 1.0)
 
     falling = cpu_per_byte(big) < cpu_per_byte(small)
@@ -57,9 +65,16 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
                      "yes" if falling else "no", ok=falling)
     # sender and receiver costs are of the same order (both zero-copy)
     res = grid[(big, top)]
-    snd = res.sender_accounting.total_seconds
-    rcv = res.receiver_accounting.total_seconds
+    snd = res.sender_cpu_s
+    rcv = res.receiver_cpu_s
     report.add_check("sender/receiver CPU ratio", "same order",
                      f"{snd / max(rcv, 1e-9):.2f}x",
                      ok=0.3 < snd / max(rcv, 1e-9) < 3.5)
     return report
+
+
+def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
+        ) -> ExperimentReport:
+    """Run the experiment; returns the paper-vs-measured report."""
+    results = run_tasks(plan(quick=quick, seed=seed, cal=cal))
+    return assemble(results, quick=quick, seed=seed, cal=cal)

@@ -85,9 +85,9 @@ def run(quick: bool = True, seed: int = 0, cal: Calibration | None = None
     rates = {}
     for kind in ("bulk", "lognormal", "small"):
         ds = synth_dataset(rng, total, kind)
-        plain = effective_bandwidth(ds.sizes, bandwidth, overhead,
+        plain = effective_bandwidth(ds, bandwidth, overhead,
                                     pipeline_depth=1)
-        pipelined = effective_bandwidth(ds.sizes, bandwidth, overhead,
+        pipelined = effective_bandwidth(ds, bandwidth, overhead,
                                         pipeline_depth=8)
         rates[kind] = (plain, pipelined)
         report.add_row([

@@ -541,15 +541,30 @@ class FluidScheduler:
         return moved
 
     def set_cap(self, flow: FluidFlow, cap: Optional[float]) -> None:
-        """Change a flow's rate cap (e.g. a TCP window update)."""
+        """Change a flow's rate cap (e.g. a TCP window update).
+
+        A flow whose rate sits below its freeze threshold under both the
+        old and the new cap froze on a saturated shared resource, and a
+        refill would give every rate of its component back bit for bit
+        (MODELING.md §7), so the change leaves its component as it was:
+        clean, or already due for a refill.  The flush still re-derives
+        the next completion deadline.
+        """
         if cap is not None and (cap <= 0 or math.isnan(cap)):
             raise ValueError(f"flow cap must be > 0 or None, got {cap}")
         self.settle()
+        if not flow._active:
+            flow.cap = cap
+            return
+        if flow._stale:
+            self._refresh(flow)
+        old = flow._bthresh
         flow.cap = cap
-        if flow._active:
-            flow._stale = True
+        self._refresh(flow)
+        rate = flow._rate
+        if not (rate < old and rate < flow._bthresh):
             self._mark(flow._comp)
-            self._after_change()
+        self._after_change()
 
     def settle(self) -> None:
         """Advance all active flows' progress to the current instant.
@@ -772,7 +787,8 @@ class FluidScheduler:
             else:
                 shared.append((r, w))
         f._bound = bound
-        f._bthresh = bound - _EPS * (bound if bound > 1.0 else 1.0)
+        f._bthresh = (bound - _EPS * (bound if bound > 1.0 else 1.0)
+                      if bound < math.inf else math.inf)
         f._shared = shared
         f._stale = False
 

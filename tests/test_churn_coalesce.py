@@ -183,17 +183,18 @@ def _fill_everything_in_loop(self, f: FluidFlow) -> None:
     self._allocate_scalar([f])
 
 
-#: Fill path per case: "python" keeps the kernel's dispatch (the one-flow
-#: shortcut, the filling loop for the rest); "array" sends every
-#: component, one-flow ones too, through the filling loop over its flow
-#: list, so the shortcut must agree with the general fill byte for byte.
-FILL = {"python": FluidScheduler._allocate_single,
-        "array": _fill_everything_in_loop}
+#: Fill path per case: "dispatch" keeps the kernel's own dispatch (the
+#: one-flow shortcut, the filling loop for the rest); "filling-loop"
+#: sends every component, one-flow ones too, through the filling loop
+#: over its flow list, so the shortcut must agree with the general fill
+#: byte for byte.
+FILL = {"dispatch": FluidScheduler._allocate_single,
+        "filling-loop": _fill_everything_in_loop}
 
 
-@pytest.mark.parametrize("solver", ["python", "array"])
-def test_burst_ledgers_identical_across_churn_modes(monkeypatch, solver):
-    monkeypatch.setattr(FluidScheduler, "_allocate_single", FILL[solver])
+@pytest.mark.parametrize("fill", ["dispatch", "filling-loop"])
+def test_burst_ledgers_identical_across_churn_modes(monkeypatch, fill):
+    monkeypatch.setattr(FluidScheduler, "_allocate_single", FILL[fill])
     ledgers = set()
     for scheduler in (EagerFluidScheduler, FluidScheduler):
         monkeypatch.setattr(context, "FluidScheduler", scheduler)

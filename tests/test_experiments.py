@@ -54,6 +54,22 @@ def test_experiment_registry_complete():
     }
 
 
+@pytest.mark.parametrize("quick", [True, False])
+def test_cpu_figures_plan_the_bandwidth_figures_runs(quick):
+    """Figs. 8 and 14 report the CPU of Figs. 7 and 13's runs, so their
+    plans name the same tasks: identity dedup and the result cache run
+    each point once for both figures."""
+
+    def identities(module):
+        ids = [t.identity() for t in module.plan(quick=quick, seed=0)]
+        assert len(set(ids)) == len(ids)
+        return ids
+
+    fig07 = identities(E.exp_fig07_iser_bw)
+    assert set(identities(E.exp_fig08_iser_cpu)) <= set(fig07)
+    assert identities(E.exp_fig14_wan_cpu) == identities(E.exp_fig13_wan_bw)
+
+
 @pytest.mark.parametrize("name", sorted(E.ALL_EXTENSIONS))
 def test_extension_reproduces(name):
     report = E.ALL_EXTENSIONS[name].run(quick=True)

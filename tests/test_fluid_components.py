@@ -15,6 +15,9 @@ at the next flush.  These tests pin down what that must preserve:
   (bitwise), while rates match :func:`fluid_reference.maxmin`;
 * a mass ``finish_many`` (a failover) splits a component into the right
   pieces, and later changes refill only their own piece;
+* a cap change on a flow frozen below both its old and its new cap
+  skips the refill, and leaves every rate and load bitwise where a
+  forced refill puts them; any other cap change refills;
 * a rebalance that leaves the next completion deadline unchanged does
   not schedule another completion timer.
 
@@ -50,11 +53,16 @@ def _paths(specs, resources, order=None):
     return out
 
 
+def _force_refill(sched, f):
+    """Have the next flush refill *f*'s component, whatever changed."""
+    sched._mark(f._comp)
+    sched._after_change()
+
+
 def _refill_each(sched, flows, order):
     """Refill the component of each flow in *order*, one flush each."""
     for k in order:
-        f = flows[k]
-        sched.set_cap(f, f.cap)
+        _force_refill(sched, flows[k])
         sched.flush()
 
 
@@ -111,6 +119,89 @@ def test_fill_is_a_function_of_the_flow_set(case):
     """Shuffled resource numbering, path order, build-up and refill
     order give bitwise-equal rates and loads."""
     assert _build(case, shuffled=True) == _build(case, shuffled=False)
+
+
+@st.composite
+def _cap_changes(draw):
+    """A component, one of its flows, and a new cap for that flow."""
+    capacities, specs, _stopped = draw(_components())
+    k = draw(st.integers(0, len(specs) - 1))
+    cap = draw(st.floats(1.0, 500.0))
+    if (any(math.isfinite(capacities[j]) for j, _w in specs[k][0])
+            and draw(st.booleans())):
+        cap = None
+    return capacities, specs, k, cap
+
+
+def _threshold(f):
+    """*f*'s freeze threshold under its current cap, freshly computed."""
+    FluidScheduler._refresh(f)
+    return f._bthresh
+
+
+def _recap(case, force):
+    """Rates, loads and refills after changing one flow's cap.
+
+    The flow's component is first refilled on its own: a fill is a
+    function of the flows it fills, so that is the fill a refill after
+    the cap change is compared with."""
+    capacities, specs, k, cap = case
+    sched = FluidScheduler(Simulator())
+    resources = [FluidResource(sched, c, f"r{j}")
+                 for j, c in enumerate(capacities)]
+    flows = [FluidFlow([(resources[j], w) for j, w in path], size=None,
+                       cap=c, name=f"f{i}")
+             for i, (path, c) in enumerate(specs)]
+    sched.start_many(flows)
+    sched.flush()
+    f = flows[k]
+    _force_refill(sched, f)
+    sched.flush()
+    rate, old = f._rate, _threshold(f)
+    before = sched.stats.allocations
+    sched.set_cap(f, cap)
+    if force:
+        _force_refill(sched, f)
+    sched.flush()
+    slack = rate < old and rate < _threshold(f)
+    return ([g._rate for g in flows], [r.load for r in resources],
+            sched.stats.allocations - before, slack)
+
+
+@given(_cap_changes())
+@settings(max_examples=200, deadline=None)
+def test_slack_cap_change_keeps_every_rate(case):
+    """Skipping the refill of a slack cap change is bitwise invisible,
+    and every other cap change (a cap-frozen flow's, or a new cap below
+    the rate) still refills."""
+    rates, loads, refills, slack = _recap(case, force=False)
+    want_rates, want_loads, _, _ = _recap(case, force=True)
+    assert rates == want_rates
+    assert loads == want_loads
+    assert refills == (0 if slack else 1)
+
+
+def test_cap_change_refills_only_when_the_cap_can_bind():
+    sched = FluidScheduler(Simulator())
+    shared = FluidResource(sched, 100.0, "shared")
+    capped = FluidFlow([(shared, 1.0)], size=None, cap=10.0, name="capped")
+    free = FluidFlow([(shared, 1.0)], size=None, name="free")
+    sched.start_many([capped, free])
+    sched.flush()
+    assert (capped._rate, free._rate) == (10.0, 90.0)
+    allocations = sched.stats.allocations
+    sched.set_cap(free, 95.0)  # above its saturation rate: slack
+    sched.flush()
+    assert sched.stats.allocations == allocations
+    assert (capped._rate, free._rate) == (10.0, 90.0)
+    sched.set_cap(capped, 20.0)  # a cap-frozen flow: refill
+    sched.flush()
+    assert sched.stats.allocations == allocations + 1
+    assert (capped._rate, free._rate) == (20.0, 80.0)
+    sched.set_cap(free, 50.0)  # below its rate: refill
+    sched.flush()
+    assert sched.stats.allocations == allocations + 2
+    assert (capped._rate, free._rate) == (20.0, 50.0)
 
 
 def _true_components(sched):

@@ -151,11 +151,9 @@ def test_probe_samples_between_epochs_are_linear():
 
 
 def test_rftp_wan_cell_agrees(shadow):
-    from repro.core.experiments.exp_fig13_wan_bw import sweep
+    from repro.core.experiments.exp_fig13_wan_bw import transfer
 
-    grid = sweep(quick=True, seed=3, block_sizes=(4 * MIB,),
-                 stream_counts=(2,))
-    result = grid[(4 * MIB, 2)]
+    result = transfer(4 * MIB, 2, 20.0, seed=3, cal=None)
     assert len(result.series) > 0
     assert_series_match(shadow(result.series), result.series)
 

@@ -140,6 +140,28 @@ def test_check_drift_still_fails(tree, capsys):
     assert "drifted" in out
 
 
+def test_only_judges_the_named_benchmarks(tree, capsys):
+    # A local checkout keeps results of benchmarks a CI job never runs;
+    # --only judges the job's own list and ignores the rest.
+    baselines, results = tree
+    _write(baselines / "fig98.json", _result())
+    _write(results / "fig42.json", _result())
+    rc = gate.main(["--baselines", str(baselines), "--results", str(results),
+                    "--only", "fig99"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "fig99" in out and "fig98" not in out and "fig42" not in out
+    # A named benchmark is still judged in full ...
+    _write(results / "fig99.json", _result(all_ok=False))
+    assert gate.main(["--baselines", str(baselines), "--results",
+                      str(results), "--only", "fig99"]) == 1
+    # ... and a name with no baseline is a bad invocation.
+    rc = gate.main(["--baselines", str(baselines), "--results", str(results),
+                    "--only", "fig99", "fig77"])
+    assert rc == 2
+    assert "fig77" in capsys.readouterr().out
+
+
 # --- bench_summary: the folded CI artifact -------------------------------------
 
 _SUMMARY = _SCRIPT.parent / "bench_summary.py"

@@ -177,6 +177,40 @@ def test_charges_accumulate_per_byte():
     assert acct.total == pytest.approx(1.0)  # 1000 B * 0.001 s/B
 
 
+def test_settle_at_a_completion_stops_at_the_size():
+    """For these numbers ``rate * (size / rate)`` rounds above ``size``,
+    so the settle at the completion instant would deliver and charge
+    more than the flow holds unless it is clipped at what remains.  A
+    reader flushing at that instant, ahead of the completion timer,
+    sees exactly the size."""
+
+    class Account:
+        def __init__(self):
+            self.total = 0.0
+
+        def add(self, x):
+            self.total += x
+
+    size, rate = 519502.0, 780.0
+    assert rate * (size / rate) > size
+    sim, sched = make()
+    acct = Account()
+    f = FluidFlow([(FluidResource(sched, rate, "link"), 1.0)], size=size,
+                  charges=[(acct, 0.5)], name="f")
+    seen = []
+
+    def read(_ev):
+        sched.flush()
+        seen.append((sim.now, f.transferred, acct.total))
+
+    sim.timeout(size / rate).add_callback(read)  # queued ahead of the timer
+    done = sched.start(f)
+    sim.run(until=done)
+    assert seen == [(size / rate, size, size * 0.5)]
+    assert f.finished_at == size / rate
+    assert (f.transferred, acct.total) == (size, size * 0.5)
+
+
 def test_zero_capacity_resource_stalls_flow():
     sim, sched = make()
     dead = FluidResource(sched, 0.0, "dead")
